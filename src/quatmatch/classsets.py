@@ -5,10 +5,12 @@ Pipeline:
 * `ideal_class_set` enumerates right-ideal classes of a definite Eichler
   order by p-neighbor traversal; completeness is certified by the exact
   mass identity  sum 1/w_i = D N/12 * prod_{p|D}(1-1/p) * prod_{p|N}(1+1/p).
-* Pair lattices J*conj(I), with the reduced norm scaled by 1/(nrd I nrd J),
-  realise the genus of the order.  The genus average r_{D,N}(m) is the
-  automorphism-weighted average of representation numbers over the distinct
-  isometry classes of those lattices.
+* Pair lattices I_j*conj(I_i), with the reduced norm scaled by
+  1/(nrd I_i nrd I_j), realise the genus of the order.  The genus average is
+  the unit-weighted pair-lattice (Brandt) average
+      r_{D,N}(m) = (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j),
+  which equals the 1/|Aut|-weighted average over isometry classes (the
+  reference in tests/).
 * All vector counting is exact lattice-point enumeration with rational
   Cholesky data (no floating point anywhere).
 """
@@ -20,7 +22,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import congruence_kernel, det4
+from .exactnum import prime_factors
+from .matrices import congruence_kernel
 from .orders import (
     OrderLattice,
     conjugate_lattice,
@@ -34,26 +37,12 @@ from .orders import (
 from .quatalg import QuaternionAlgebra, construct_algebra
 
 
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def mass_formula(D: int, N: int) -> Fraction:
     """Exact mass D*N/12 * prod_{p|D}(1 - 1/p) * prod_{p|N}(1 + 1/p)."""
     mass = Fraction(D * N, 12)
-    for p in _prime_factors(D):
+    for p in prime_factors(D):
         mass *= Fraction(p - 1, p)
-    for p in _prime_factors(N):
+    for p in prime_factors(N):
         mass *= Fraction(p + 1, p)
     return mass
 
@@ -149,150 +138,6 @@ def count_vectors(lattice_or_gram, m: int) -> int:
     _enumerate(qgram, Fraction(m), leaf)
     return total
 
-
-def list_vectors(lattice_or_gram, m: int):
-    """All coordinate vectors of norm exactly m."""
-    qgram = _as_qgram(lattice_or_gram)
-    out = []
-
-    def leaf(value, xvec):
-        if value == m:
-            out.append(tuple(xvec))
-
-    _enumerate(qgram, Fraction(m), leaf)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# lattice reduction + isometry testing (exact, rank 4)
-
-def _gram_bilinear(qgram):
-    return [[qgram[i][j] + qgram[j][i] for j in range(4)] for i in range(4)]
-
-
-def lll_reduce_qgram(qgram):
-    """LLL-reduce the form (delta = 3/4); returns (new qgram, transform U)."""
-    g = [[Fraction(qgram[i][j] + qgram[j][i], 2) for j in range(4)] for i in range(4)]
-    u_mat = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-
-    def inner(i, j):
-        return sum(u_mat[i][a] * g[a][b] * u_mat[j][b] for a in range(4) for b in range(4))
-
-    k = 1
-    guard = 0
-    while k < 4 and guard < 500:
-        guard += 1
-        # size-reduce row k against rows < k via Gram-Schmidt coefficients
-        bstar = _gso(u_mat, g)
-        for j in range(k - 1, -1, -1):
-            mu = bstar[1][k][j]
-            if abs(mu) > Fraction(1, 2):
-                r = _round_half(mu)
-                u_mat[k] = [a - r * b for a, b in zip(u_mat[k], u_mat[j])]
-                bstar = _gso(u_mat, g)
-        bnorm, mu = bstar
-        if bnorm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bnorm[k - 1]:
-            k += 1
-        else:
-            u_mat[k], u_mat[k - 1] = u_mat[k - 1], u_mat[k]
-            k = max(k - 1, 1)
-    new = [[sum(u_mat[i][a] * g[a][b] * u_mat[j][b]
-                for a in range(4) for b in range(4)) for j in range(4)]
-           for i in range(4)]
-    return new, u_mat
-
-
-def _round_half(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
-
-def _gso(u_mat, g):
-    """GSO norms and mu coefficients of the rows of u_mat w.r.t. the form g."""
-    def dot(i, j):
-        return sum(u_mat[i][a] * g[a][b] * u_mat[j][b]
-                   for a in range(4) for b in range(4))
-
-    mu = [[Fraction(0)] * 4 for _ in range(4)]
-    bnorm = [Fraction(0)] * 4
-    for i in range(4):
-        bnorm[i] = dot(i, i)
-        for j in range(i):
-            mu[i][j] = (dot(i, j) - sum(mu[i][t] * mu[j][t] * bnorm[t]
-                                        for t in range(j))) / bnorm[j]
-            bnorm[i] -= mu[i][j] ** 2 * bnorm[j]
-    return bnorm, mu
-
-
-def _isometry_search(qA, qB, count_all):
-    """Isometries (Z^4, qB) -> (Z^4, qA)... mapped as images of qA's basis in qB.
-
-    Returns the number of isometries if count_all, else True/False for
-    existence.  An isometry is a unimodular integer matrix U with
-    U * bil(qB) * U^T = bil(qA).
-    """
-    bilA = _gram_bilinear(qA)
-    bilB = _gram_bilinear(qB)
-    diag_norms = [qA[i][i] for i in range(4)]
-    cand = []
-    for i in range(4):
-        n = diag_norms[i]
-        if n.denominator != 1:
-            return 0 if count_all else False
-        cand.append(list_vectors(qB, int(n)))
-    order = sorted(range(4), key=lambda i: len(cand[i]))
-    twoqB = [[qB[i][j] + qB[j][i] for j in range(4)] for i in range(4)]
-
-    def bilin(v, w):
-        return sum(v[a] * twoqB[a][b] * w[b] for a in range(4) for b in range(4))
-
-    placed = {}
-    count = 0
-    found = False
-
-    def rec(depth):
-        nonlocal count, found
-        if found and not count_all:
-            return
-        if depth == 4:
-            umat = [placed[i] for i in range(4)]
-            if abs(det4([list(r) for r in umat])) == 1:
-                count += 1
-                found = True
-            return
-        i = order[depth]
-        for v in cand[i]:
-            ok = True
-            for j in placed:
-                if bilin(v, placed[j]) != bilA[i][j]:
-                    ok = False
-                    break
-            if ok:
-                placed[i] = v
-                rec(depth + 1)
-                del placed[i]
-                if found and not count_all:
-                    return
-
-    rec(0)
-    return count if count_all else found
-
-
-def isometric(qA, qB) -> bool:
-    """Exact isometry test for two integral positive definite forms."""
-    ra, _ = lll_reduce_qgram(qA)
-    rb, _ = lll_reduce_qgram(qB)
-    qa = [[Fraction(x) for x in row] for row in ra]
-    qb = [[Fraction(x) for x in row] for row in rb]
-    if det4(qa) != det4(qb):
-        return False
-    return bool(_isometry_search(qa, qb, count_all=False))
-
-
-def automorphism_count(qgram) -> int:
-    """Order of the full isometry group of the form (improper maps included)."""
-    red, _ = lll_reduce_qgram(qgram)
-    q = [[Fraction(x) for x in row] for row in red]
-    return _isometry_search(q, q, count_all=True)
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +282,10 @@ class IdealClassSet:
         self.weights = list(weights)
         self.mass = mass
         self.D, self.N = order.level
-        self._genus = None
 
     @property
     def class_number(self) -> int:
         return len(self.representatives)
-
-    def genus(self):
-        if self._genus is None:
-            self._genus = _build_genus(self)
-        return self._genus
 
     def __repr__(self):
         return ("IdealClassSet(D=%d, N=%d, H=%d, weights=%r)"
@@ -532,155 +371,30 @@ def ideal_class_set(order: OrderLattice, cache=None, traversal_prime=None) -> Id
 
 
 # ---------------------------------------------------------------------------
-# the genus and its averages
-
-class GenusClass:
-    """One isometry class in the genus, with its automorphism count."""
-
-    def __init__(self, qgram, aut):
-        self.qgram = qgram
-        self.aut = aut
-        self._theta = [1]
-
-    def theta(self, mmax: int):
-        if mmax >= len(self._theta):
-            self._theta = theta_counts(self.qgram, mmax)
-        return self._theta[:mmax + 1]
-
-
-def genus_lattices(cs: IdealClassSet):
-    """All pair Q-Grams indexed by (i, j); diagonal entries are left orders."""
-    out = {}
-    for i, a in enumerate(cs.representatives):
-        for j, b in enumerate(cs.representatives):
-            out[(i, j)] = pair_q_gram(a, b)
-    return out
-
-
-def _build_genus(cs: IdealClassSet):
-    classes = []
-    fingerprints = []
-    for (_i, _j), qg in sorted(genus_lattices(cs).items()):
-        fp = tuple(theta_counts(qg, 6))
-        matched = False
-        for cls, known_fp in zip(classes, fingerprints):
-            if fp == known_fp and isometric(qg, cls.qgram):
-                matched = True
-                break
-        if not matched:
-            classes.append(GenusClass(qg, automorphism_count(qg)))
-            fingerprints.append(fp)
-    return classes
-
+# the genus average
 
 def genus_theta(cs: IdealClassSet, mmax: int):
-    """Exact genus-averaged theta coefficients [1, r(1), ..., r(mmax)]."""
-    classes = cs.genus()
-    total_mass = sum(Fraction(1, c.aut) for c in classes)
-    out = []
-    thetas = [c.theta(mmax) for c in classes]
-    for m in range(mmax + 1):
-        s = sum(Fraction(th[m], c.aut) for th, c in zip(thetas, classes))
-        out.append(s / total_mass)
-    return out
+    """Exact genus-averaged theta coefficients [1, r(1), ..., r(mmax)].
+
+    r_{D,N}(m) = (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j).
+    The pair lattices for (i, j) and (j, i) are conjugate, since
+    I conj(J) = conj(J conj(I)), so each unordered pair is enumerated once.
+    """
+    reps, weights = cs.representatives, cs.weights
+    total = [Fraction(0)] * (mmax + 1)
+    for i in range(len(reps)):
+        for j in range(i, len(reps)):
+            coeff = Fraction(1 if i == j else 2, weights[i] * weights[j])
+            theta = theta_counts(pair_q_gram(reps[i], reps[j]), mmax)
+            for m in range(mmax + 1):
+                total[m] += coeff * theta[m]
+    mass2 = cs.mass * cs.mass
+    return [t / mass2 for t in total]
 
 
 def genus_average(cs: IdealClassSet, m: int) -> Fraction:
     """The genus-averaged representation number r_{D,N}(m)."""
     return genus_theta(cs, m)[m]
-
-
-def pair_weighted_average(cs: IdealClassSet, m: int) -> Fraction:
-    """Average of pair-lattice counts with unit weights 1/(w_i w_j).
-
-    Agrees with `genus_average` whenever the pair family hits each genus
-    class with automorphism-proportional multiplicity; compared against the
-    honest average in the test suite.
-    """
-    total = Fraction(0)
-    mass2 = Fraction(0)
-    for i, a in enumerate(cs.representatives):
-        for j, b in enumerate(cs.representatives):
-            w = Fraction(1, cs.weights[i] * cs.weights[j])
-            total += w * count_vectors(pair_q_gram(a, b), m)
-            mass2 += w
-    return total / mass2
-
-
-# ---------------------------------------------------------------------------
-# Kneser neighbors of a quadratic lattice (genus-closure certification)
-
-def kneser_neighbors(qgram, p: int):
-    """All p-neighbors of the integral lattice (Z^4, qgram) at an odd prime p.
-
-    Returns one Q-Gram per isotropic-mod-p line; every neighbor lies in the
-    genus of the input, so closure of a claimed set of genus classes under
-    this map certifies that no class is missing from the reachable part.
-    """
-    if p == 2:
-        raise ValueError("use an odd neighbor prime")
-    A = [[Fraction(x) for x in row] for row in qgram]
-
-    def q_val(v):
-        val = sum(A[i][j] * v[i] * v[j] for i in range(4) for j in range(4))
-        assert val.denominator == 1
-        return int(val)
-
-    def b_val(v, w):
-        val = sum((A[i][j] + A[j][i]) * v[i] * w[j]
-                  for i in range(4) for j in range(4))
-        assert val.denominator == 1
-        return int(val)
-
-    out = []
-    seen = set()
-    import itertools
-    for v in itertools.product(range(p), repeat=4):
-        if not any(v):
-            continue
-        first = next(x for x in v if x)
-        inv = pow(first, -1, p)
-        line = tuple((x * inv) % p for x in v)
-        if line in seen:
-            continue
-        seen.add(line)
-        v = list(v)
-        if q_val(v) % p:
-            continue
-        if q_val(v) % (p * p):
-            target = (-(q_val(v) // p)) % p
-            for w in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-                bw = b_val(v, w) % p
-                if bw:
-                    t = (target * pow(bw, -1, p)) % p
-                    v = [v[i] + p * t * w[i] for i in range(4)]
-                    break
-        assert q_val(v) % (p * p) == 0
-        cond = [b_val([1 if i == r else 0 for i in range(4)], v) % p
-                for r in range(4)]
-        kern = congruence_kernel([cond], p)
-        rows = [[Fraction(x) for x in row] for row in kern]
-        rows.append([Fraction(vi, p) for vi in v])
-        from .matrices import hnf_rows
-        mat = hnf_rows([[int(x * p) for x in row] for row in rows])
-        if len(mat) != 4:
-            raise ArithmeticError("neighbor lattice is degenerate")
-        u = [[Fraction(x, p) for x in row] for row in mat]
-        nb = [[sum(u[i][a] * Fraction(A[a][b] + A[b][a], 2) * u[j][b]
-                   for a in range(4) for b in range(4)) for j in range(4)]
-              for i in range(4)]
-        out.append(nb)
-    return out
-
-
-def genus_closed_under_neighbors(cs: IdealClassSet, p: int) -> bool:
-    """Check that the computed genus classes absorb all their p-neighbors."""
-    classes = cs.genus()
-    for cls in classes:
-        for nb in kneser_neighbors(cls.qgram, p):
-            if not any(isometric(nb, other.qgram) for other in classes):
-                return False
-    return True
 
 
 def theta_qexpansion(lattice_or_classset, m_max: int):

@@ -26,6 +26,35 @@ OO = math.inf
 
 
 # ---------------------------------------------------------------------------
+# integer factoring (trial division; the package only factors small integers)
+
+def prime_power_factors(n: int):
+    """[(p, v_p(n)), ...] over the primes dividing n, in increasing order."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def prime_factors(n: int):
+    """The distinct primes dividing n, in increasing order."""
+    return [p for p, _k in prime_power_factors(n)]
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_power_factors(n) == [(n, 1)]
+
+
+# ---------------------------------------------------------------------------
 # dense integer/rational polynomial helpers (ascending coefficients)
 
 def _poly_trim(c):
@@ -88,20 +117,6 @@ def _euler_phi(n: int) -> int:
     if m > 1:
         phi -= phi // m
     return phi
-
-
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _reduce_mod_cyclotomic(n, coeffs):
@@ -325,7 +340,7 @@ def _descend_conductor(n, coeffs):
     changed = True
     while changed and n > 1:
         changed = False
-        for q in _prime_factors(n):
+        for q in prime_factors(n):
             d = n // q
             step = n // d
             phi_n, phi_d = _euler_phi(n), _euler_phi(d)

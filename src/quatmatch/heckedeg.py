@@ -28,59 +28,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .classsets import mass_formula
+from .exactnum import prime_factors, prime_power_factors
 from .quatalg import is_squarefree, ramified_model
 
 
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _prime_power_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def volume_magnitude(D: int, N: int) -> Fraction:
-    """|volume| = D*N/12 * prod_{p|D}(1-1/p) * prod_{p|N}(1+1/p)."""
-    val = Fraction(D * N, 12)
-    for p in _prime_factors(D):
-        val *= Fraction(p - 1, p)
-    for p in _prime_factors(N):
-        val *= Fraction(p + 1, p)
-    return val
-
-
 def volume(D: int, N: int) -> Fraction:
-    """Exact (negative) volume of the level-N curve for discriminant D."""
+    """Exact (negative) volume of the level-N curve for discriminant D.
+
+    Its magnitude is the same product as the definite-side mass formula.
+    """
     if D <= 1 or not is_squarefree(D):
         raise ValueError("D must be a squarefree integer > 1")
-    if len(_prime_factors(D)) % 2:
+    if len(prime_factors(D)) % 2:
         raise ValueError("D must have an even number of prime factors "
                          "(indefinite, anisotropic side)")
     if N < 1 or math.gcd(D, N) != 1:
         raise ValueError("N must be a positive integer coprime to D")
-    return -volume_magnitude(D, N)
+    return -mass_formula(D, N)
 
 
 def _sigma(p: int, k: int) -> int:
@@ -112,14 +77,14 @@ def local_degree_ramified(p: int, k: int) -> int:
 
 def deg_T(D: int, N: int, m: int) -> int:
     """Degree (over one factor) of the determinant-m correspondence."""
-    if D <= 1 or not is_squarefree(D) or len(_prime_factors(D)) % 2:
+    if D <= 1 or not is_squarefree(D) or len(prime_factors(D)) % 2:
         raise ValueError("D must be squarefree > 1 with an even number of primes")
     if math.gcd(D, N) != 1:
         raise ValueError("N must be coprime to D")
     if m < 1:
         raise ValueError("m must be a positive integer")
     total = 1
-    for p, k in _prime_power_factors(m):
+    for p, k in prime_power_factors(m):
         if D % p == 0:
             total *= local_degree_ramified(p, k)
         elif N % p == 0:

@@ -114,11 +114,6 @@ def congruence_kernel(vectors, modulus):
     return basis
 
 
-def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
 def det4(a):
     """Exact determinant by fraction-free expansion (any small square size)."""
     n = len(a)

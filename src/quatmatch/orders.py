@@ -16,24 +16,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .exactnum import prime_factors, prime_power_factors
 from .matrices import congruence_kernel, det4, hnf_rows, rat_inverse
 from .quatalg import QuatElement, QuaternionAlgebra
-
-
-def _prime_power_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _canonical_den_mat(rows):
@@ -289,7 +274,7 @@ def maximal_order(algebra: QuaternionAlgebra) -> OrderLattice:
     while current > target:
         excess = Fraction(current, target)
         assert excess.denominator == 1
-        primes = [p for p, _ in _prime_power_factors(int(excess))]
+        primes = prime_factors(int(excess))
         enlarged = False
         for p in primes:
             bigger = _enlarge_at(algebra, lat, p)
@@ -472,7 +457,7 @@ def eichler_order(omax: OrderLattice, N: int) -> OrderLattice:
     if N < 1:
         raise ValueError("level must be positive")
     coords_mat = [[1 if r == s else 0 for s in range(4)] for r in range(4)]
-    for p, k in _prime_power_factors(N):
+    for p, k in prime_power_factors(N):
         frame = local_splitting(omax, p, k)
         mod = p ** k
         cond = []

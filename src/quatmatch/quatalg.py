@@ -17,39 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import OO, hilbert_symbol
-
-
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .exactnum import OO, hilbert_symbol, prime_factors, prime_power_factors
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1
-    return True
+    return n >= 1 and all(k == 1 for _p, k in prime_power_factors(n))
 
 
 def ramified_places(a: int, b: int):
     """(finite ramified primes, True if the real place ramifies)."""
-    primes = set(_prime_factors(2 * abs(a) * abs(b)))
+    primes = set(prime_factors(2 * abs(a) * abs(b)))
     finite = sorted(p for p in primes if hilbert_symbol(a, b, p) == -1)
     return finite, hilbert_symbol(a, b, OO) == -1
 
@@ -213,7 +190,7 @@ def construct_algebra(D: int) -> QuaternionAlgebra:
         raise ValueError("discriminant must be a squarefree positive integer")
     if D == 1:
         return QuaternionAlgebra(1, 1)
-    target = tuple(_prime_factors(D))
+    target = tuple(prime_factors(D))
     definite = len(target) % 2 == 1
     for bound in (50, 200, 1000):
         values = _candidate_values(bound, definite)

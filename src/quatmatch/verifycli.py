@@ -29,27 +29,8 @@ from fractions import Fraction
 
 from . import classsets, heckedeg, weilmatch
 from .classsets import ClassSetCache, class_set_for, genus_theta
+from .exactnum import is_prime, prime_factors
 from .quatalg import is_squarefree
-
-
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 THEOREMS = ("1.1", "1.3", "1.4", "1.5")
@@ -72,16 +53,19 @@ class TheoremCase:
             raise ValueError("D must be a squarefree positive integer")
         if self.N < 1:
             raise ValueError("N must be positive")
+        if self.theorem in ("1.3", "1.4", "1.5") and not is_squarefree(self.N):
+            # these read r', whose level factors exist for squarefree N only
+            raise ValueError("theorem %s needs a squarefree N" % self.theorem)
         if self.m_max < 1:
             raise ValueError("m_max must be at least 1")
-        nprimes = len(_prime_factors(self.D))
+        nprimes = len(prime_factors(self.D))
         needs_q = self.theorem in ("1.1", "1.3")
         if self.p is None or (needs_q and self.q is None):
             raise ValueError("theorem %s needs primes p%s"
                              % (self.theorem, " and q" if needs_q else ""))
         primes = [self.p] + ([self.q] if needs_q else [])
         for r in primes:
-            if not _is_prime(r):
+            if not is_prime(r):
                 raise ValueError("%r is not prime" % (r,))
             if self.D % r == 0:
                 raise ValueError("prime %d must not divide D=%d" % (r, self.D))
@@ -122,7 +106,6 @@ class VerificationReport:
     case: TheoremCase
     rows: list  # (m, lhs: Fraction, rhs: Fraction, ok: bool)
     seconds: float = 0.0  # informational; never serialized
-    provenance: str = "in-memory"  # informational; never serialized
 
     @property
     def all_pass(self) -> bool:
@@ -297,8 +280,6 @@ def run_suite(config: SuiteConfig):
     reports = []
     for case in sorted(config.cases, key=lambda c: c.key()):
         report = run_case(case, pool)
-        if config.cache_dir:
-            report.provenance = "disk-cache:%s" % config.cache_dir
         reports.append(report)
         status = "PASS" if report.all_pass else "FAIL"
         print("%-4s %s  (%.2fs)" % (status, case.describe(), report.seconds))
@@ -447,11 +428,8 @@ def _cmd_classset(args) -> int:
     for idx, (ideal, w) in enumerate(zip(cs.representatives, cs.weights)):
         print("class %d: nrd=%s weight=%d lattice=[%s]"
               % (idx, ideal.nrd, w, ideal.lattice.to_text()))
-    classes = cs.genus()
-    print("genus classes: %d" % len(classes))
-    for idx, cls in enumerate(classes):
-        print("  genus class %d: aut=%d theta=%s"
-              % (idx, cls.aut, cls.theta(6)))
+    print("genus theta (m<=6) = [%s]"
+          % ", ".join(str(x) for x in genus_theta(cs, 6)))
     return 0
 
 

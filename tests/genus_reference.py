@@ -1,0 +1,267 @@
+"""Reference genus average: isometry dedupe with exact automorphism counts.
+
+The package computes r_{D,N}(m) as the unit-weighted pair-lattice average
+
+    (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j).
+
+This module computes the same number the classical way, for the tests to
+check against: collect the H^2 pair lattices, keep one per isometry class
+(LLL reduction plus an exact isometry search), and weight each class by
+1/|Aut| with the full automorphism group, improper maps included.  It also
+holds the Kneser p-neighbour map used to certify that the classes found
+are closed in the genus.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from quatmatch.classsets import _enumerate, _as_qgram, pair_q_gram, theta_counts
+from quatmatch.matrices import congruence_kernel, det4, hnf_rows
+
+
+def list_vectors(lattice_or_gram, m: int):
+    """All coordinate vectors of norm exactly m."""
+    qgram = _as_qgram(lattice_or_gram)
+    out = []
+
+    def leaf(value, xvec):
+        if value == m:
+            out.append(tuple(xvec))
+
+    _enumerate(qgram, Fraction(m), leaf)
+    return out
+
+
+def genus_lattices(cs):
+    """All pair Q-Grams indexed by (i, j); diagonal entries are left orders."""
+    out = {}
+    for i, a in enumerate(cs.representatives):
+        for j, b in enumerate(cs.representatives):
+            out[(i, j)] = pair_q_gram(a, b)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# lattice reduction + isometry testing (exact, rank 4)
+
+def _gram_bilinear(qgram):
+    return [[qgram[i][j] + qgram[j][i] for j in range(4)] for i in range(4)]
+
+
+def lll_reduce_qgram(qgram):
+    """LLL-reduce the form (delta = 3/4); returns (new qgram, transform U)."""
+    g = [[Fraction(qgram[i][j] + qgram[j][i], 2) for j in range(4)] for i in range(4)]
+    u_mat = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+
+    k = 1
+    guard = 0
+    while k < 4 and guard < 500:
+        guard += 1
+        # size-reduce row k against rows < k via Gram-Schmidt coefficients
+        bstar = _gso(u_mat, g)
+        for j in range(k - 1, -1, -1):
+            mu = bstar[1][k][j]
+            if abs(mu) > Fraction(1, 2):
+                r = math.floor(mu + Fraction(1, 2))
+                u_mat[k] = [a - r * b for a, b in zip(u_mat[k], u_mat[j])]
+                bstar = _gso(u_mat, g)
+        bnorm, mu = bstar
+        if bnorm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bnorm[k - 1]:
+            k += 1
+        else:
+            u_mat[k], u_mat[k - 1] = u_mat[k - 1], u_mat[k]
+            k = max(k - 1, 1)
+    new = [[sum(u_mat[i][a] * g[a][b] * u_mat[j][b]
+                for a in range(4) for b in range(4)) for j in range(4)]
+           for i in range(4)]
+    return new, u_mat
+
+
+def _gso(u_mat, g):
+    """GSO norms and mu coefficients of the rows of u_mat w.r.t. the form g."""
+    def dot(i, j):
+        return sum(u_mat[i][a] * g[a][b] * u_mat[j][b]
+                   for a in range(4) for b in range(4))
+
+    mu = [[Fraction(0)] * 4 for _ in range(4)]
+    bnorm = [Fraction(0)] * 4
+    for i in range(4):
+        bnorm[i] = dot(i, i)
+        for j in range(i):
+            mu[i][j] = (dot(i, j) - sum(mu[i][t] * mu[j][t] * bnorm[t]
+                                        for t in range(j))) / bnorm[j]
+            bnorm[i] -= mu[i][j] ** 2 * bnorm[j]
+    return bnorm, mu
+
+
+def _isometry_search(qA, qB, count_all):
+    """Isometries (Z^4, qB) -> (Z^4, qA), as images of qA's basis in qB.
+
+    Returns the number of isometries if count_all, else True/False for
+    existence.  An isometry is a unimodular integer matrix U with
+    U * bil(qB) * U^T = bil(qA).
+    """
+    bilA = _gram_bilinear(qA)
+    cand = []
+    for i in range(4):
+        n = qA[i][i]
+        if n.denominator != 1:
+            return 0 if count_all else False
+        cand.append(list_vectors(qB, int(n)))
+    order = sorted(range(4), key=lambda i: len(cand[i]))
+    twoqB = _gram_bilinear(qB)
+
+    def bilin(v, w):
+        return sum(v[a] * twoqB[a][b] * w[b] for a in range(4) for b in range(4))
+
+    placed = {}
+    count = 0
+    found = False
+
+    def rec(depth):
+        nonlocal count, found
+        if found and not count_all:
+            return
+        if depth == 4:
+            umat = [placed[i] for i in range(4)]
+            if abs(det4([list(r) for r in umat])) == 1:
+                count += 1
+                found = True
+            return
+        i = order[depth]
+        for v in cand[i]:
+            if all(bilin(v, placed[j]) == bilA[i][j] for j in placed):
+                placed[i] = v
+                rec(depth + 1)
+                del placed[i]
+                if found and not count_all:
+                    return
+
+    rec(0)
+    return count if count_all else found
+
+
+def _reduced(qgram):
+    red, _ = lll_reduce_qgram(qgram)
+    return [[Fraction(x) for x in row] for row in red]
+
+
+def isometric(qA, qB) -> bool:
+    """Exact isometry test for two integral positive definite forms."""
+    qa, qb = _reduced(qA), _reduced(qB)
+    if det4(qa) != det4(qb):
+        return False
+    return bool(_isometry_search(qa, qb, count_all=False))
+
+
+def automorphism_count(qgram) -> int:
+    """Order of the full isometry group of the form (improper maps included)."""
+    q = _reduced(qgram)
+    return _isometry_search(q, q, count_all=True)
+
+
+# ---------------------------------------------------------------------------
+# the genus as isometry classes
+
+def genus_classes(cs):
+    """[(qgram, |Aut|)], one per isometry class among the pair lattices.
+
+    A theta fingerprint (m <= 6) filters candidates before the exact
+    isometry test, so the dedupe stays exact.
+    """
+    classes = []
+    fingerprints = []
+    for _ij, qg in sorted(genus_lattices(cs).items()):
+        fp = tuple(theta_counts(qg, 6))
+        if not any(fp == known and isometric(qg, rep)
+                   for (rep, _aut), known in zip(classes, fingerprints)):
+            classes.append((qg, automorphism_count(qg)))
+            fingerprints.append(fp)
+    return classes
+
+
+def reference_genus_theta(cs, mmax: int):
+    """[r_{D,N}(0), ..., r_{D,N}(mmax)] as the 1/|Aut|-weighted class average."""
+    classes = genus_classes(cs)
+    total_mass = sum(Fraction(1, aut) for _qg, aut in classes)
+    thetas = [theta_counts(qg, mmax) for qg, _aut in classes]
+    return [sum(Fraction(th[m], aut) for th, (_qg, aut) in zip(thetas, classes))
+            / total_mass for m in range(mmax + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Kneser neighbors of a quadratic lattice (genus-closure certification)
+
+def kneser_neighbors(qgram, p: int):
+    """All p-neighbors of the integral lattice (Z^4, qgram) at an odd prime p.
+
+    Returns one Q-Gram per isotropic-mod-p line; every neighbor lies in the
+    genus of the input, so closure of a claimed set of genus classes under
+    this map certifies that no class is missing from the reachable part.
+    """
+    if p == 2:
+        raise ValueError("use an odd neighbor prime")
+    A = [[Fraction(x) for x in row] for row in qgram]
+
+    def q_val(v):
+        val = sum(A[i][j] * v[i] * v[j] for i in range(4) for j in range(4))
+        assert val.denominator == 1
+        return int(val)
+
+    def b_val(v, w):
+        val = sum((A[i][j] + A[j][i]) * v[i] * w[j]
+                  for i in range(4) for j in range(4))
+        assert val.denominator == 1
+        return int(val)
+
+    out = []
+    seen = set()
+    for v in itertools.product(range(p), repeat=4):
+        if not any(v):
+            continue
+        first = next(x for x in v if x)
+        inv = pow(first, -1, p)
+        line = tuple((x * inv) % p for x in v)
+        if line in seen:
+            continue
+        seen.add(line)
+        v = list(v)
+        if q_val(v) % p:
+            continue
+        if q_val(v) % (p * p):
+            target = (-(q_val(v) // p)) % p
+            for w in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+                bw = b_val(v, w) % p
+                if bw:
+                    t = (target * pow(bw, -1, p)) % p
+                    v = [v[i] + p * t * w[i] for i in range(4)]
+                    break
+        assert q_val(v) % (p * p) == 0
+        cond = [b_val([1 if i == r else 0 for i in range(4)], v) % p
+                for r in range(4)]
+        kern = congruence_kernel([cond], p)
+        rows = [[Fraction(x) for x in row] for row in kern]
+        rows.append([Fraction(vi, p) for vi in v])
+        mat = hnf_rows([[int(x * p) for x in row] for row in rows])
+        if len(mat) != 4:
+            raise ArithmeticError("neighbor lattice is degenerate")
+        u = [[Fraction(x, p) for x in row] for row in mat]
+        nb = [[sum(u[i][a] * Fraction(A[a][b] + A[b][a], 2) * u[j][b]
+                   for a in range(4) for b in range(4)) for j in range(4)]
+              for i in range(4)]
+        out.append(nb)
+    return out
+
+
+def genus_closed_under_neighbors(cs, p: int) -> bool:
+    """Check that the isometry classes absorb all their p-neighbors."""
+    classes = genus_classes(cs)
+    fingerprints = [theta_counts(qg, 6) for qg, _aut in classes]
+    for qg, _aut in classes:
+        for nb in kneser_neighbors(qg, p):
+            fp = theta_counts(nb, 6)
+            if not any(fp == known and isometric(nb, other)
+                       for (other, _a), known in zip(classes, fingerprints)):
+                return False
+    return True

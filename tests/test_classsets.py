@@ -8,26 +8,30 @@ from quatmatch.orders import OrderLattice, maximal_order
 from quatmatch.quatalg import construct_algebra
 from quatmatch.classsets import (
     ClassSetCache,
-    automorphism_count,
     class_set_for,
     count_vectors,
     genus_average,
-    genus_closed_under_neighbors,
-    genus_lattices,
     genus_theta,
     ideal_class_set,
     ideals_equivalent,
-    isometric,
-    kneser_neighbors,
     left_order,
-    list_vectors,
     make_right_ideal,
     mass_formula,
     p_neighbors,
-    pair_weighted_average,
+    pair_q_gram,
     theta_counts,
     theta_qexpansion,
     unit_weight,
+)
+
+from genus_reference import (
+    automorphism_count,
+    genus_closed_under_neighbors,
+    genus_lattices,
+    isometric,
+    kneser_neighbors,
+    list_vectors,
+    reference_genus_theta,
 )
 
 
@@ -196,10 +200,13 @@ def test_theta_qexpansion(pool):
 
 
 def test_pair_weighted_equals_aut_weighted(pool):
-    for D, N in [(2, 1), (2, 3), (3, 2), (5, 1), (30, 1)]:
+    # production (pair-lattice) average against the 1/|Aut| reference;
+    # (5, 7), (11, 3) and (17, 2) have four classes each
+    grid = [(2, 1, 3), (2, 3, 3), (3, 2, 3), (5, 1, 3), (30, 1, 3),
+            (5, 7, 5), (11, 3, 5), (17, 2, 5)]
+    for D, N, mmax in grid:
         cs = pool.get(D, N)
-        for m in (1, 2, 3):
-            assert pair_weighted_average(cs, m) == genus_average(cs, m)
+        assert genus_theta(cs, mmax) == reference_genus_theta(cs, mmax), (D, N)
 
 
 def test_traversal_prime_independence():
@@ -216,8 +223,8 @@ def test_genus_closure_under_kneser_neighbors(pool):
 
 def test_kneser_neighbors_stay_in_genus(pool):
     cs = pool.get(3, 2)
-    cls = cs.genus()[0]
-    for nb in kneser_neighbors(cls.qgram, 5)[:4]:
+    root = cs.representatives[0]
+    for nb in kneser_neighbors(pair_q_gram(root, root), 5)[:4]:
         bil = [[nb[a][b] + nb[b][a] for b in range(4)] for a in range(4)]
         assert det4(bil) == 36
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from quatmatch.classsets import mass_formula
 from quatmatch.heckedeg import (
     deg_T,
     local_degree_level,
@@ -12,9 +11,7 @@ from quatmatch.heckedeg import (
     oracle_local_orbits,
     r_prime,
     volume,
-    volume_magnitude,
 )
-from quatmatch.quatalg import is_squarefree
 
 
 def test_volume_values():
@@ -31,16 +28,6 @@ def test_volume_guards():
             volume(*bad)
     with pytest.raises(ValueError):
         volume(6, 2)  # level shares a factor with D
-
-
-def test_volume_magnitude_matches_mass_formula():
-    for D in range(2, 51):
-        if not is_squarefree(D):
-            continue
-        for N in range(1, 51):
-            if math.gcd(D, N) != 1:
-                continue
-            assert volume_magnitude(D, N) == mass_formula(D, N)
 
 
 def test_local_factor_values():

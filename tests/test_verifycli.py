@@ -24,6 +24,12 @@ def test_case_validation_errors():
         vc.TheoremCase("1.4", D=3, p=4, N=1).validate()  # p not prime
     with pytest.raises(ValueError):
         vc.TheoremCase("2.1", D=3, p=2, N=1).validate()
+    with pytest.raises(ValueError):
+        vc.TheoremCase("1.3", D=2, p=3, q=5, N=49, m_max=10).validate()  # N not squarefree
+    with pytest.raises(ValueError):
+        vc.TheoremCase("1.4", D=2, p=3, N=25).validate()  # N not squarefree
+    with pytest.raises(ValueError):
+        vc.TheoremCase("1.5", D=6, p=5, N=49).validate()  # N not squarefree
     vc.TheoremCase("1.3", D=2, p=3, q=5, N=7, m_max=10).validate()
 
 
@@ -122,6 +128,7 @@ def test_cli_local_and_classset(capsys):
     assert vc.main(["classset", "--D", "2", "--N", "1"]) == 0
     out = capsys.readouterr().out
     assert "mass = 1/12" in out and "class number 1" in out
+    assert "genus theta (m<=6) = [1, 24, 24, 96, 24, 144, 96]" in out
 
 
 def test_cache_dir_env(tmp_path, monkeypatch, capsys):

@@ -21,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import prime_factors
 from .matrices import congruence_kernel
@@ -201,16 +202,9 @@ def unit_weight(order: OrderLattice) -> int:
     return n // 2
 
 
-_FRAME_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _frame_mod_p(order: OrderLattice, p: int):
-    key = (order.algebra, order.den, order.mat, p)
-    frame = _FRAME_CACHE.get(key)
-    if frame is None:
-        frame = local_splitting(order, p, 1)
-        _FRAME_CACHE[key] = frame
-    return frame
+    return local_splitting(order, p, 1)
 
 
 def p_neighbors(ideal: RightIdeal, p: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import prime_factors, prime_power_factors
 from .matrices import congruence_kernel, det4, hnf_rows, rat_inverse
@@ -130,16 +131,9 @@ class OrderLattice:
         return (self.den,) + self.mat
 
 
+@lru_cache(maxsize=None)
 def _basis_inverse(lat: OrderLattice):
-    key = (lat.algebra, lat.den, lat.mat)
-    inv = _INme_cache.get(key)
-    if inv is None:
-        inv = rat_inverse(lat.basis_rows())
-        _INme_cache[key] = inv
-    return inv
-
-
-_INme_cache: dict = {}
+    return tuple(tuple(row) for row in rat_inverse(lat.basis_rows()))
 
 
 # ---------------------------------------------------------------------------

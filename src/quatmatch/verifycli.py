@@ -383,7 +383,7 @@ def _build_parser():
 _DEFAULT_MMAX = {"1.1": 50, "1.3": 100, "1.4": 50, "1.5": 30}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, _parser) -> int:
     merged = {}
     if args.config:
         merged.update(_read_config(args.config))
@@ -420,7 +420,7 @@ def _cmd_verify(args) -> int:
     return code
 
 
-def _cmd_classset(args) -> int:
+def _cmd_classset(args, _parser) -> int:
     cache = ClassSetCache(args.cache_dir) if args.cache_dir else None
     cs = class_set_for(args.D, args.N, cache=cache)
     print("class set for D=%d, N=%d" % (cs.D, cs.N))
@@ -433,12 +433,14 @@ def _cmd_classset(args) -> int:
     return 0
 
 
-def _cmd_local(args) -> int:
+def _cmd_local(args, parser) -> int:
+    if not is_prime(args.p):
+        parser.error("--p must be prime, got %d" % args.p)
     print(weilmatch.lambda_table_text(args.p))
     return 0
 
 
-def _cmd_degree(args) -> int:
+def _cmd_degree(args, _parser) -> int:
     deg = heckedeg.deg_T(args.D, args.N, args.m)
     vol = heckedeg.volume(args.D, args.N)
     print("deg_T(D=%d, N=%d, m=%d) = %d" % (args.D, args.N, args.m, deg))
@@ -447,7 +449,13 @@ def _cmd_degree(args) -> int:
     return 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args, parser) -> int:
+    if not is_prime(args.p):
+        parser.error("--p must be prime, got %d" % args.p)
+    if args.k < 0:
+        parser.error("--k must be >= 0, got %d" % args.k)
+    if args.M < args.k + 2:
+        parser.error("--M must be >= k + 2 = %d, got %d" % (args.k + 2, args.M))
     count = heckedeg.oracle_local_orbits(args.pattern, args.p, args.k, args.M)
     closed = {"split": heckedeg.local_degree_split,
               "level": heckedeg.local_degree_level,
@@ -458,7 +466,8 @@ def _cmd_certify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "verify": _cmd_verify,
         "classset": _cmd_classset,
@@ -466,7 +475,7 @@ def main(argv=None) -> int:
         "degree": _cmd_degree,
         "certify": _cmd_certify,
     }
-    return handlers[args.command](args)
+    return handlers[args.command](args, parser)
 
 
 if __name__ == "__main__":

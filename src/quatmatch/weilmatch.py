@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import CyclotomicNumber, additive_character, zeta
 from .quatalg import ramified_model
@@ -345,19 +346,6 @@ def verify_prop_3_1(p: int, gamma_split: int = 1, gamma_ram: int = -1,
     return True
 
 
-def _cyc_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = CyclotomicNumber.from_rational(0)
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total = total + mat[0][j] * _cyc_det(minor) * sign
-        sign = -sign
-    return total
-
-
 def lambda_value_matrix(p: int, psi_sign: int = -1):
     """Rows: sections lambda(phi0), lambda(phi_{1,j}); columns: {1, w n(i)}."""
     sp0 = split_maximal_space(p, 1, psi_sign)
@@ -370,11 +358,39 @@ def lambda_value_matrix(p: int, psi_sign: int = -1):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _dft_matrix(p: int, psi_sign: int):
+    """A = (p * lambda(phi_{1,j})(w n(i))), checked entrywise to be the DFT
+    matrix (zeta_p^(-psi_sign * i * j)); A is therefore invertible with
+    A^(-1) = conj(A) / p.  Raises ArithmeticError on any other entry.
+    """
+    sp1 = split_level_space(p, 1, psi_sign)
+    amat = tuple(tuple(lambda_eval(coset_char(sp1, 1, j), wn(i)) * p
+                       for j in range(p)) for i in range(p))
+    for i in range(p):
+        for j in range(p):
+            if amat[i][j] != zeta(p, (-psi_sign * i * j) % p):
+                raise ArithmeticError("lambda block is not the DFT matrix at "
+                                      "(%d, %d): %s" % (i, j, amat[i][j]))
+    return amat
+
+
 def verify_basis_lemma(p: int, psi_sign: int = -1) -> bool:
-    """The p+1 sections are a basis and coset sections depend only on ab mod p."""
+    """The p+1 sections are a basis and coset sections depend only on ab mod p.
+
+    Column g = 1 of the value matrix is (c, 0, ..., 0) with c != 0 and the
+    remaining p x p block is A^T / p for the checked DFT matrix A, so the
+    matrix is invertible.
+    """
     rows = lambda_value_matrix(p, psi_sign)
-    det = _cyc_det(rows)
-    if det == 0:
+    try:
+        amat = _dft_matrix(p, psi_sign)
+    except ArithmeticError:
+        return False
+    if rows[0][0] == 0 or any(rows[j][0] != 0 for j in range(1, p + 1)):
+        return False
+    if any(rows[1 + j][1 + i] * p != amat[i][j]
+           for i in range(p) for j in range(p)):
         return False
     sp1 = split_level_space(p, 1, psi_sign)
     transversal = [IDENTITY] + [wn(i) for i in range(p)]
@@ -394,72 +410,41 @@ def verify_basis_lemma(p: int, psi_sign: int = -1) -> bool:
     return True
 
 
-_CRAMER_CACHE: dict = {}
-
-
-def _cramer_data(p: int, psi_sign: int):
-    """det(A) and the cofactor matrix of A = (p * lambda(phi_{1,j})(w n(i)))."""
-    key = (p, psi_sign)
-    data = _CRAMER_CACHE.get(key)
-    if data is None:
-        sp1 = split_level_space(p, 1, psi_sign)
-        amat = [[lambda_eval(coset_char(sp1, 1, j), wn(i)) * p for j in range(p)]
-                for i in range(p)]
-        det_a = _cyc_det(amat)
-        cof = [[None] * p for _ in range(p)]
-        for i in range(p):
-            for j in range(p):
-                minor = [[amat[r][s] for s in range(p) if s != j]
-                         for r in range(p) if r != i]
-                sign = -1 if (i + j) % 2 else 1
-                cof[i][j] = (_cyc_det(minor) if p > 1 else
-                             CyclotomicNumber.from_rational(1)) * sign
-        data = (amat, det_a, cof)
-        _CRAMER_CACHE[key] = data
-    return data
-
-
 def match_coefficients(p: int, k: int, l: int, psi_sign: int = -1):
     """Rational coefficients expressing the (k,l) division-order coset section
-    in the split coset sections, solved by Cramer's rule and by the inverse
-    discrete Fourier transform; both must agree.
+    in the split coset sections.
 
-    The result is a 0/-1 vector with its single -1 at j = d_{k,l} mod p,
-    where d_{k,l} is the norm-form value of the residue label.
+    With both sides scaled by p the system is A x = t for the checked DFT
+    matrix A (see `_dft_matrix`); x is its inverse DFT, and A x = t is then
+    verified exactly.  The result is a 0/-1 vector with its single -1 at
+    j = d_{k,l} mod p, where d_{k,l} is the norm-form value of the residue
+    label.
     """
     if (k % p, l % p) == (0, 0):
         raise ValueError("the zero coset has no matching of this shape")
     ra = ramified_space(p, -1, psi_sign)
     phi_kl = coset_char(ra, k, l)
-    target = [lambda_eval(phi_kl, wn(i)) for i in range(p)]
+    amat = _dft_matrix(p, psi_sign)
+    tvec = [lambda_eval(phi_kl, wn(i)) * p for i in range(p)]
 
-    # both sides scaled by p: basis matrix entries are roots of unity
-    _amat, det_a, cof = _cramer_data(p, psi_sign)
-    tvec = [target[i] * p for i in range(p)]
-    cramer = []
-    for j in range(p):
-        # cofactor expansion of det(A with column j replaced by tvec)
-        dj = CyclotomicNumber.from_rational(0)
-        for i in range(p):
-            dj = dj + tvec[i] * cof[i][j]
-        cramer.append(dj / det_a)
-
-    # inverse DFT: A^{ -1} = (1/p) * conj(A) for A = (e(ij/p))
-    sign = -psi_sign  # amat[i][j] = e(sign * ij / p)
-    idft = []
+    # inverse DFT: A^(-1) = (1/p) * conj(A)
+    out = []
     for j in range(p):
         s = CyclotomicNumber.from_rational(0)
         for i in range(p):
-            s = s + zeta(p, (-sign * i * j) % p) * tvec[i]
-        idft.append(s * Fraction(1, p))
-
-    if cramer != idft:
-        raise ArithmeticError("Cramer and inverse-DFT solutions disagree")
-    out = []
-    for c in cramer:
+            s = s + zeta(p, (psi_sign * i * j) % p) * tvec[i]
+        c = s * Fraction(1, p)
         if not c.is_rational:
             raise ArithmeticError("matching coefficient is not rational: %s" % c)
         out.append(c.rational_value())
+
+    for i in range(p):
+        s = CyclotomicNumber.from_rational(0)
+        for j in range(p):
+            if out[j]:
+                s = s + amat[i][j] * out[j]
+        if s != tvec[i]:
+            raise ArithmeticError("inverse-DFT solution fails A x = t at row %d" % i)
 
     # structural check: a single -1 at the norm-form residue of the label
     model = ramified_model(p)

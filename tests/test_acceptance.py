@@ -38,18 +38,18 @@ def test_criterion_01_local_matching():
 def test_criterion_02_basis_lemma_and_coefficients():
     started = time.monotonic()
     ok = True
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         ok = ok and verify_basis_lemma(p)
         model = ramified_model(p)
         for k in range(p):
             for l in range(p):
                 if (k, l) == (0, 0):
                     continue
-                coeffs = match_coefficients(p, k, l)  # Cramer vs inverse DFT inside
+                coeffs = match_coefficients(p, k, l)  # checked DFT matrix A, A x = t
                 d = model.d_value(k, l) % p
                 ok = ok and coeffs[d] == -1
                 ok = ok and sum(1 for c in coeffs if c) == 1
-    _report(2, "basis lemma and matching coefficients at p in {2,3,5}",
+    _report(2, "basis lemma and matching coefficients at p in {2,3,5,7}",
             started, ok)
 
 

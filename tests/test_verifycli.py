@@ -131,6 +131,22 @@ def test_cli_local_and_classset(capsys):
     assert "genus theta (m<=6) = [1, 24, 24, 96, 24, 144, 96]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["local", "--p", "4"],
+    ["local", "--p", "1"],
+    ["local", "--p", "0"],
+    ["certify", "--pattern", "split", "--p", "4", "--k", "1", "--M", "3"],
+    ["certify", "--pattern", "ramified", "--p", "3", "--k", "-1", "--M", "2"],
+    ["certify", "--pattern", "level", "--p", "3", "--k", "2", "--M", "1"],
+], ids=" ".join)
+def test_cli_rejects_bad_local_input(argv, capsys):
+    # a usage error (exit 2), distinct from certify's MISMATCH (exit 1)
+    with pytest.raises(SystemExit) as exc:
+        vc.main(argv)
+    assert exc.value.code == 2
+    assert "error: --" in capsys.readouterr().err
+
+
 def test_cache_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QUATMATCH_CACHE_DIR", str(tmp_path / "cache"))
     code = vc.main(["verify", "--theorem", "1.4", "--D", "2", "--p", "3",

@@ -148,21 +148,27 @@ def test_k_invariance():
                 assert verify_k_invariance(coset_char(sp1, a, b), "K")
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_basis_lemma(p):
-    assert verify_basis_lemma(p)
+def _p_and_psi(primes):
+    # the default character (psi_sign = -1) keeps the bare prime as its id
+    return [pytest.param(p, s, id=str(p) if s == -1 else "%d-psi+1" % p)
+            for p in primes for s in (-1, 1)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_match_coefficients(p):
+@pytest.mark.parametrize("p, psi_sign", _p_and_psi([2, 3, 5, 7, 11]))
+def test_basis_lemma(p, psi_sign):
+    assert verify_basis_lemma(p, psi_sign)
+
+
+@pytest.mark.parametrize("p, psi_sign", _p_and_psi([2, 3, 5, 7]))
+def test_match_coefficients(p, psi_sign):
     model = ramified_model(p)
-    sp1 = split_level_space(p)
-    ra = ramified_space(p)
+    sp1 = split_level_space(p, psi_sign=psi_sign)
+    ra = ramified_space(p, psi_sign=psi_sign)
     for k in range(p):
         for l in range(p):
             if (k, l) == (0, 0):
                 continue
-            coeffs = match_coefficients(p, k, l)
+            coeffs = match_coefficients(p, k, l, psi_sign)
             d = model.d_value(k, l) % p
             assert coeffs[d] == -1
             assert sum(1 for c in coeffs if c) == 1

@@ -25,7 +25,6 @@ from .exactnum import (
 from .quatalg import QuaternionAlgebra, QuatElement, construct_algebra
 from .orders import OrderLattice, dual_lattice, eichler_order, local_splitting, maximal_order
 from .classsets import (
-    ClassSetCache,
     IdealClassSet,
     class_set_for,
     count_vectors,
@@ -64,7 +63,6 @@ __all__ = [
     "eichler_order",
     "local_splitting",
     "maximal_order",
-    "ClassSetCache",
     "IdealClassSet",
     "class_set_for",
     "count_vectors",

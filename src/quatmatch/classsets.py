@@ -18,12 +18,11 @@ Pipeline:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import prime_factors
+from .exactnum import is_prime, prime_factors
 from .matrices import congruence_kernel
 from .orders import (
     OrderLattice,
@@ -35,7 +34,7 @@ from .orders import (
     maximal_order,
     scale_lattice,
 )
-from .quatalg import QuaternionAlgebra, construct_algebra
+from .quatalg import construct_algebra
 
 
 def mass_formula(D: int, N: int) -> Fraction:
@@ -87,7 +86,6 @@ def _enumerate(qgram, mmax, leaf):
         on, od = off.numerator, off.denominator
         dn, dd = d[i].numerator, d[i].denominator
         rn, rd = rem.numerator, rem.denominator
-        rhs = rn * dd * od * od * rd  # compare dn*(xi*od+on)^2 * rd^2 <= rhs? no:
         # t = dn*(xi*od+on)^2 / (dd*od^2);  t <= rem  <=>  dn*(xi*od+on)^2 * rd <= rn*dd*od^2
         rhs = rn * dd * od * od
         lo = math.ceil(-off - s_hi)
@@ -289,14 +287,12 @@ class IdealClassSet:
 def _smallest_primes_coprime(n: int):
     p = 2
     while True:
-        if n % p:
+        if n % p and is_prime(p):
             yield p
         p += 1
-        while any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-            p += 1
 
 
-def ideal_class_set(order: OrderLattice, cache=None, traversal_prime=None) -> IdealClassSet:
+def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
     """Enumerate the right-ideal classes of a definite Eichler order.
 
     Traversal: p-neighbors at the smallest prime coprime to D*N (escalating
@@ -308,10 +304,6 @@ def ideal_class_set(order: OrderLattice, cache=None, traversal_prime=None) -> Id
     if order.level is None:
         raise ValueError("order has no level data; build it via maximal_order/eichler_order")
     D, N = order.level
-    if cache is not None:
-        hit = cache.load(order)
-        if hit is not None:
-            return hit
     mass = mass_formula(D, N)
     root = make_right_ideal(
         OrderLattice.from_rows(order.algebra, order.basis_rows()), order)
@@ -349,8 +341,6 @@ def ideal_class_set(order: OrderLattice, cache=None, traversal_prime=None) -> Id
             if stalls > 8:
                 raise ArithmeticError("class set traversal failed to meet the mass")
             p = next(prime_iter)
-            while D * N % p == 0:
-                p = next(prime_iter)
             frontier = list(reps)
         else:
             frontier = new
@@ -358,10 +348,7 @@ def ideal_class_set(order: OrderLattice, cache=None, traversal_prime=None) -> Id
     paired = sorted(zip(reps, weights), key=lambda t: t[0].sort_key())
     reps = [r for r, _ in paired]
     weights = [w for _, w in paired]
-    cs = IdealClassSet(order, reps, weights, mass)
-    if cache is not None:
-        cache.store(cs)
-    return cs
+    return IdealClassSet(order, reps, weights, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -398,110 +385,10 @@ def theta_qexpansion(lattice_or_classset, m_max: int):
     return theta_counts(lattice_or_classset, m_max)
 
 
-def class_set_for(D: int, N: int, cache=None, traversal_prime=None) -> IdealClassSet:
+def class_set_for(D: int, N: int, traversal_prime=None) -> IdealClassSet:
     """Convenience: build the class set of an Eichler order of level N in B(D)."""
     alg = construct_algebra(D)
     omax = maximal_order(alg)
     order = eichler_order(omax, N)
-    return ideal_class_set(order, cache=cache, traversal_prime=traversal_prime)
+    return ideal_class_set(order, traversal_prime=traversal_prime)
 
-
-# ---------------------------------------------------------------------------
-# the on-disk class-set cache
-
-class ClassSetCache:
-    """Directory cache of computed class sets, keyed by (D, N).
-
-    Entries are plain text with a version header.  Loaded entries are
-    re-verified (right-order stability, unit weights, mass identity);
-    anything inconsistent or unparsable is recomputed, never trusted.
-    Writes are atomic (temp file + rename), so concurrent readers see
-    either the old or the new entry.
-    """
-
-    HEADER = "quatmatch-classset-v1"
-
-    def __init__(self, directory):
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-
-    def _path(self, D, N):
-        return os.path.join(self.directory, "classset_D%d_N%d.txt" % (D, N))
-
-    def store(self, cs: IdealClassSet):
-        lines = [self.HEADER]
-        lines.append("algebra %d %d" % (cs.order.algebra.a, cs.order.algebra.b))
-        lines.append("level %d %d" % (cs.D, cs.N))
-        lines.append("order %s" % cs.order.to_text())
-        lines.append("mass %s" % cs.mass)
-        lines.append("count %d" % cs.class_number)
-        for ideal, w in zip(cs.representatives, cs.weights):
-            lines.append("ideal %s ; %s ; %d"
-                         % (ideal.nrd, ideal.lattice.to_text(), w))
-        path = self._path(cs.D, cs.N)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-
-    def load(self, order: OrderLattice):
-        D, N = order.level
-        path = self._path(D, N)
-        if not os.path.exists(path):
-            return None
-        try:
-            return self._parse_and_verify(order, path)
-        except (ValueError, ArithmeticError, OSError, ZeroDivisionError,
-                KeyError, IndexError):
-            return None
-
-    def _parse_and_verify(self, order, path):
-        with open(path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != self.HEADER:
-            raise ValueError("bad header")
-        fields = dict()
-        ideals = []
-        for ln in lines[1:]:
-            key, _, rest = ln.partition(" ")
-            if key == "ideal":
-                ideals.append(rest)
-            else:
-                fields[key] = rest
-        a, b = (int(x) for x in fields["algebra"].split())
-        if QuaternionAlgebra(a, b) != order.algebra:
-            raise ValueError("algebra mismatch")
-        D, N = (int(x) for x in fields["level"].split())
-        if (D, N) != order.level:
-            raise ValueError("level mismatch")
-        if OrderLattice.from_text(order.algebra, fields["order"]) != order:
-            raise ValueError("order mismatch")
-        mass = Fraction(fields["mass"])
-        if mass != mass_formula(D, N):
-            raise ValueError("stored mass disagrees with the formula")
-        count = int(fields["count"])
-        if count != len(ideals):
-            raise ValueError("class count mismatch")
-        reps = []
-        weights = []
-        acc = Fraction(0)
-        for entry in ideals:
-            nrd_text, lat_text, w_text = (t.strip() for t in entry.split(";"))
-            lat = OrderLattice.from_text(order.algebra, lat_text)
-            ideal = make_right_ideal(lat, order)
-            if ideal.nrd != Fraction(nrd_text):
-                raise ValueError("stored norm mismatch")
-            bas_o = order.basis()
-            for u in ideal.lattice.basis():
-                for v in bas_o:
-                    if not ideal.lattice.contains(u * v):
-                        raise ValueError("stored lattice is not a right ideal")
-            w = unit_weight(left_order(ideal))
-            if w != int(w_text):
-                raise ValueError("stored weight mismatch")
-            reps.append(ideal)
-            weights.append(w)
-            acc += Fraction(1, w)
-        if acc != mass:
-            raise ValueError("stored classes fail the mass certificate")
-        return IdealClassSet(order, reps, weights, mass)

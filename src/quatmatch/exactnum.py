@@ -54,6 +54,10 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_power_factors(n) == [(n, 1)]
 
 
+def is_squarefree(n: int) -> bool:
+    return n >= 1 and all(k == 1 for _p, k in prime_power_factors(n))
+
+
 # ---------------------------------------------------------------------------
 # dense integer/rational polynomial helpers (ascending coefficients)
 

@@ -29,8 +29,8 @@ import math
 from fractions import Fraction
 
 from .classsets import mass_formula
-from .exactnum import prime_factors, prime_power_factors
-from .quatalg import is_squarefree, ramified_model
+from .exactnum import is_squarefree, prime_factors, prime_power_factors
+from .quatalg import ramified_model
 
 
 def volume(D: int, N: int) -> Fraction:

@@ -117,16 +117,6 @@ class OrderLattice:
         cells = " ".join(str(x) for row in self.mat for x in row)
         return "%d %s" % (self.den, cells)
 
-    @staticmethod
-    def from_text(algebra, text, level=None) -> "OrderLattice":
-        parts = [int(x) for x in text.split()]
-        if len(parts) != 17:
-            raise ValueError("malformed lattice text")
-        den = parts[0]
-        rows = [[Fraction(parts[1 + 4 * r + c], den) for c in range(4)]
-                for r in range(4)]
-        return OrderLattice.from_rows(algebra, rows, level)
-
     def sort_key(self):
         return (self.den,) + self.mat
 

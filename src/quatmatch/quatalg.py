@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import OO, hilbert_symbol, prime_factors, prime_power_factors
-
-
-def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(k == 1 for _p, k in prime_power_factors(n))
+from .exactnum import OO, hilbert_symbol, is_squarefree, prime_factors
 
 
 def ramified_places(a: int, b: int):

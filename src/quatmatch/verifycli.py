@@ -2,8 +2,8 @@
 
 Each theorem check computes both sides of one identity family exactly, row
 by row over 1 <= m <= m_max, and records (m, lhs, rhs, pass).  A report is
-pure data: re-running with a warm cache is byte-identical (timings are kept
-out of report files).
+pure data: re-running it is byte-identical (timings are kept out of report
+files).
 
 The identity families, with w(p) = -2/(p-1) and W(p) = (p+1)/(p-1):
 
@@ -27,10 +27,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import classsets, heckedeg, weilmatch
-from .classsets import ClassSetCache, class_set_for, genus_theta
-from .exactnum import is_prime, prime_factors
-from .quatalg import is_squarefree
+from . import heckedeg, weilmatch
+from .classsets import class_set_for, genus_theta
+from .exactnum import is_prime, is_squarefree, prime_factors
 
 
 THEOREMS = ("1.1", "1.3", "1.4", "1.5")
@@ -146,16 +145,15 @@ class VerificationReport:
 
 
 class ClassSetPool:
-    """Shared, optionally disk-backed pool of definite class sets."""
+    """In-memory pool of definite class sets, each built once per run."""
 
-    def __init__(self, cache_dir=None):
-        self.cache = ClassSetCache(cache_dir) if cache_dir else None
+    def __init__(self):
         self._memo = {}
 
     def get(self, D: int, N: int):
         key = (D, N)
         if key not in self._memo:
-            self._memo[key] = class_set_for(D, N, cache=self.cache)
+            self._memo[key] = class_set_for(D, N)
         return self._memo[key]
 
     def averages(self, D: int, N: int, m_max: int):
@@ -267,7 +265,6 @@ def default_suite_cases():
 class SuiteConfig:
     cases: list
     out_dir: str | None = None
-    cache_dir: str | None = None
     fmt: str = "table"
 
 
@@ -276,7 +273,7 @@ def run_suite(config: SuiteConfig):
     if not config.cases:
         print("warning: empty case list; nothing to verify")
         return 0, []
-    pool = ClassSetPool(config.cache_dir)
+    pool = ClassSetPool()
     reports = []
     for case in sorted(config.cases, key=lambda c: c.key()):
         report = run_case(case, pool)
@@ -318,6 +315,10 @@ def _parse_pins(pin_args):
     return tuple(pins)
 
 
+_CONFIG_KEYS = ("theorem", "D", "N", "p", "q", "m_max", "out_dir", "format", "pin")
+_FORMATS = ("table", "json", "csv")
+
+
 def _read_config(path):
     """key=value lines mirroring the command-line flags; '#' comments."""
     out = {}
@@ -329,6 +330,8 @@ def _read_config(path):
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError("unknown config key %r in %s" % (key, path))
             if key == "pin":
                 out.setdefault("pin", []).append(value)
             else:
@@ -346,13 +349,13 @@ def _build_parser():
     pv.add_argument("--theorem", required=True,
                     choices=list(THEOREMS) + ["all"])
     pv.add_argument("--D", type=int, default=None)
-    pv.add_argument("--N", type=int, default=1)
+    pv.add_argument("--N", type=int, default=None, help="default 1")
     pv.add_argument("--p", type=int, default=None)
     pv.add_argument("--q", type=int, default=None)
     pv.add_argument("--m-max", type=int, default=None)
-    pv.add_argument("--cache-dir", default=None)
     pv.add_argument("--out-dir", default=None)
-    pv.add_argument("--format", default="table", choices=("table", "json", "csv"))
+    pv.add_argument("--format", default=None, choices=_FORMATS,
+                    help="default table")
     pv.add_argument("--pin", action="append", default=None,
                     metavar="M:VALUE", help="assert lhs(M) == VALUE (harness sanity)")
     pv.add_argument("--config", default=None,
@@ -361,7 +364,6 @@ def _build_parser():
     pc = sub.add_parser("classset", help="print class-set data for (D, N)")
     pc.add_argument("--D", type=int, required=True)
     pc.add_argument("--N", type=int, default=1)
-    pc.add_argument("--cache-dir", default=None)
 
     pl = sub.add_parser("local", help="print local matching tables at a prime")
     pl.add_argument("--p", type=int, required=True)
@@ -383,46 +385,54 @@ def _build_parser():
 _DEFAULT_MMAX = {"1.1": 50, "1.3": 100, "1.4": 50, "1.5": 30}
 
 
-def _cmd_verify(args, _parser) -> int:
-    merged = {}
-    if args.config:
-        merged.update(_read_config(args.config))
-    def pick(name, flag_value, cast):
+def _verify_config(args) -> SuiteConfig:
+    """The suite a `verify` invocation asks for; ValueError on invalid input."""
+    merged = _read_config(args.config) if args.config else {}
+    def pick(name, flag_value, cast, default=None):
         if flag_value is not None:
             return flag_value
         if name in merged:
             return cast(merged[name])
-        return None
-    cache_dir = (args.cache_dir or merged.get("cache_dir")
-                 or os.environ.get("QUATMATCH_CACHE_DIR"))
-    out_dir = args.out_dir or merged.get("out_dir")
-    fmt = args.format if args.format != "table" else merged.get("format", "table")
-    pins = _parse_pins(args.pin if args.pin is not None else merged.get("pin"))
-
+        return default
+    if merged.get("theorem", args.theorem) != args.theorem:
+        raise ValueError("config theorem=%s disagrees with --theorem %s"
+                         % (merged["theorem"], args.theorem))
+    out_dir = pick("out_dir", args.out_dir, str)
+    fmt = pick("format", args.format, str, "table")
+    if fmt not in _FORMATS:
+        raise ValueError("unknown format %r; choose from %s" % (fmt, ", ".join(_FORMATS)))
     if args.theorem == "all":
-        config = SuiteConfig(default_suite_cases(), out_dir, cache_dir, fmt)
-        code, _reports = run_suite(config)
-        return code
+        return SuiteConfig(default_suite_cases(), out_dir, fmt)
     D = pick("D", args.D, int)
     if D is None:
-        raise SystemExit("error: --D is required for a single theorem case")
+        raise ValueError("--D is required for a single theorem case")
     case = TheoremCase(
         args.theorem, D=D,
-        N=pick("N", args.N if args.N != 1 else None, int) or 1,
+        N=pick("N", args.N, int, 1),
         p=pick("p", args.p, int),
         q=pick("q", args.q, int),
-        m_max=pick("m_max", args.m_max, int) or _DEFAULT_MMAX[args.theorem],
-        pins=pins)
-    config = SuiteConfig([case], out_dir, cache_dir, fmt)
+        m_max=pick("m_max", args.m_max, int, _DEFAULT_MMAX[args.theorem]),
+        pins=_parse_pins(args.pin if args.pin is not None else merged.get("pin")))
+    case.validate()
+    return SuiteConfig([case], out_dir, fmt)
+
+
+def _cmd_verify(args, parser) -> int:
+    try:
+        config = _verify_config(args)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     code, reports = run_suite(config)
-    if not out_dir:
-        sys.stdout.write(reports[0].render(fmt))
+    if args.theorem != "all" and not config.out_dir:
+        sys.stdout.write(reports[0].render(config.fmt))
     return code
 
 
-def _cmd_classset(args, _parser) -> int:
-    cache = ClassSetCache(args.cache_dir) if args.cache_dir else None
-    cs = class_set_for(args.D, args.N, cache=cache)
+def _cmd_classset(args, parser) -> int:
+    try:
+        cs = class_set_for(args.D, args.N)
+    except ValueError as exc:
+        parser.error("D=%d, N=%d: %s" % (args.D, args.N, exc))
     print("class set for D=%d, N=%d" % (cs.D, cs.N))
     print("mass = %s  (class number %d)" % (cs.mass, cs.class_number))
     for idx, (ideal, w) in enumerate(zip(cs.representatives, cs.weights)):

@@ -7,7 +7,6 @@ from quatmatch.matrices import det4
 from quatmatch.orders import OrderLattice, maximal_order
 from quatmatch.quatalg import construct_algebra
 from quatmatch.classsets import (
-    ClassSetCache,
     class_set_for,
     count_vectors,
     genus_average,
@@ -245,25 +244,3 @@ def test_requires_definite(pool):
     with pytest.raises(ValueError):
         unit_weight(indefinite)
 
-
-def test_cache_roundtrip_and_corruption(tmp_path):
-    cache = ClassSetCache(tmp_path)
-    cs = class_set_for(2, 3, cache=cache)
-    path = cache._path(2, 3)
-    assert path and cs.class_number == 1
-    reloaded = class_set_for(2, 3, cache=cache)
-    assert reloaded.weights == cs.weights
-    assert reloaded.mass == cs.mass
-    assert [i.lattice for i in reloaded.representatives] == \
-        [i.lattice for i in cs.representatives]
-    # corrupt the entry: the loader must recompute rather than trust it
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("quatmatch-classset-v1\ngarbage\n")
-    recovered = class_set_for(2, 3, cache=cache)
-    assert recovered.weights == cs.weights
-    # a wrong weight is rejected on load as well
-    text = open(cache._path(2, 3), encoding="ascii").read()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text.replace("; 3", "; 4"))
-    recovered = class_set_for(2, 3, cache=cache)
-    assert recovered.weights == cs.weights

@@ -120,11 +120,12 @@ def test_serialization_roundtrip():
     alg = construct_algebra(2)
     omax = maximal_order(alg)
     e3 = eichler_order(omax, 3)
+    # den, then the 4x4 HNF numerators row by row (`classset` prints this)
     text = e3.to_text()
-    back = OrderLattice.from_text(alg, text)
-    assert back == e3
-    with pytest.raises(ValueError):
-        OrderLattice.from_text(alg, "1 2 3")
+    assert text == "2 1 1 1 3 0 2 0 4 0 0 2 2 0 0 0 6"
+    den, *cells = (int(x) for x in text.split())
+    rows = [[Fraction(x, den) for x in cells[4 * r:4 * r + 4]] for r in range(4)]
+    assert OrderLattice.from_rows(alg, rows) == e3
 
 
 def test_multiplication_table_integrality():

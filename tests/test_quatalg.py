@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quatmatch.exactnum import OO, hilbert_symbol
+from quatmatch.exactnum import OO, hilbert_symbol, is_squarefree
 from quatmatch.quatalg import (
     QuaternionAlgebra,
     construct_algebra,
-    is_squarefree,
     ramified_model,
     ramified_places,
 )

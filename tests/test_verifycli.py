@@ -147,12 +147,32 @@ def test_cli_rejects_bad_local_input(argv, capsys):
     assert "error: --" in capsys.readouterr().err
 
 
-def test_cache_dir_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QUATMATCH_CACHE_DIR", str(tmp_path / "cache"))
-    code = vc.main(["verify", "--theorem", "1.4", "--D", "2", "--p", "3",
-                    "--N", "1", "--m-max", "2"])
-    assert code == 0
-    assert (tmp_path / "cache").exists()
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--N", "0"], None),
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "0"], None),
+    (["verify", "--theorem", "1.4", "--D", "4", "--p", "3"], None),
+    (["verify", "--theorem", "1.4", "--p", "3"], None),
+    (["verify", "--theorem", "1.4"], "D=2\np=3\nformat=xml\n"),
+    (["verify", "--theorem", "1.4"], "D=2\np=3\ncache_dir=cache\n"),
+    (["verify", "--theorem", "1.4"], "theorem=1.3\nD=2\np=3\nq=5\n"),
+    (["verify", "--theorem", "all"], "format=xml\n"),
+    (["classset", "--D", "6"], None),
+    (["classset", "--D", "4"], None),
+    (["classset", "--D", "2", "--N", "2"], None),
+], ids=lambda v: (" ".join(v) if isinstance(v, list)
+                  else "config " + v.strip().replace("\n", ";") if v else "no-config"))
+def test_cli_rejects_bad_verify_input(argv, config, tmp_path, capsys):
+    # rejected before any computing, as one usage line and one error line
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        vc.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 2 and "error: " in err.splitlines()[1]
 
 
 @pytest.mark.parametrize("case", [

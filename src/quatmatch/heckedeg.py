@@ -10,7 +10,12 @@ of m with local factors
     p | D            :  1
 
 where k = v_p(m).  Each closed form is certified by `oracle_local_orbits`,
-an explicit orbit count over the corresponding finite local pattern.
+an explicit orbit count in the local order of the pattern (M_2(Z_p), the
+Iwahori order, the maximal order of the division algebra) reduced mod p^M.
+The three patterns share one path: one right-equivalence test, one sweep of
+the order and one deterministic panel; a pattern supplies only its order's
+multiplication, conjugation, reduced norm, membership test and candidate
+representatives.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -25,8 +30,10 @@ conjugation exchanges them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .classsets import mass_formula
 from .exactnum import is_squarefree, prime_factors, prime_power_factors
@@ -106,15 +113,30 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # orbit-counting oracles over the finite local patterns
 #
-# Elements x of the local pattern with v_p(det x) = k are counted modulo
-# right multiplication by determinant-unit pattern elements.  Candidate
-# representatives are an explicit finite family; the oracle certifies
-#   (i)  candidates are pairwise inequivalent (exact adjugate test), and
-#   (ii) every element of the finite ring with the determinant condition is
-#        equivalent to exactly one candidate (full sweep when the ring is
-#        small enough, a deterministic panel otherwise).
+# Each pattern is a local order: M_2(Z_p) (split), the Iwahori order of
+# matrices with lower-left entry = 0 mod p (level) and the maximal order of
+# the division algebra in the flat coordinates of quatalg.RamifiedModel
+# (ramified).  All three go through one path.  Elements x of the order with
+# v_p(nrd x) = k are counted modulo right multiplication by units of the
+# order; the oracle certifies, with one right-equivalence test,
+#   (i)  the candidate representatives are pairwise inequivalent, and
+#   (ii) every sampled element is equivalent to exactly one candidate.
+# The sample is every element of the order mod p^M when there are at most
+# _SWEEP_CAP of them, and otherwise a deterministic splitmix panel: uniform
+# draws with v_p(nrd) = k, topped up with translates u*c of the candidates
+# by units u.  Left units permute the right orbits, so the translates reach
+# orbits that uniform draws rarely hit at large k.  The panel does not use
+# pi^k * unit: it is right-equivalent to pi^k by construction, so it tests
+# nothing, whereas u * pi^k must pass the full test.
 
 _SWEEP_CAP = 600_000
+
+
+class _LocalOrder(NamedTuple):
+    mul: Callable
+    conj: Callable
+    nrd: Callable
+    member: Callable
 
 
 def _det2(x):
@@ -140,74 +162,56 @@ def _vp(n: int, p: int):
     return v
 
 
-def _matrix_candidates(pattern: str, p: int, k: int):
-    """Orbit-representative family for the split / level patterns."""
+def _local_order(pattern: str, p: int) -> _LocalOrder:
+    if pattern == "ramified":
+        model = ramified_model(p)
+        return _LocalOrder(model.mul, model.involution, model.nrd,
+                           lambda x: True)
+    if pattern == "level":
+        return _LocalOrder(_mul2, _adj2, _det2, lambda x: x[2] % p == 0)
+    return _LocalOrder(_mul2, _adj2, _det2, lambda x: True)
+
+
+def _candidates(pattern: str, p: int, k: int):
+    """Orbit representatives, each of reduced norm +-p^k."""
+    if pattern == "ramified":  # pi^k, with pi^2 = p
+        half, odd = divmod(k, 2)
+        return [(0, 0, p ** half, 0) if odd else (p ** half, 0, 0, 0)]
+    step = p if pattern == "level" else 1
     cands = []
     for a in range(k + 1):
         b = k - a
-        if pattern == "split":
-            for c in range(p ** b):
-                cands.append((p ** a, 0, c, p ** b))
-        else:
-            for t in range(p ** b):
-                cands.append((p ** a, 0, p * t, p ** b))
+        cands.extend((p ** a, 0, step * c, p ** b) for c in range(p ** b))
     if pattern == "level":
-        for bprime in range(1, k + 1):
-            aprime = k - bprime
-            for d in range(p ** bprime):
-                cands.append((0, p ** aprime, p ** bprime, d))
+        for b in range(1, k + 1):
+            cands.extend((0, p ** (k - b), p ** b, d) for d in range(p ** b))
     return cands
 
 
-def _pattern_ok(pattern: str, g, p: int) -> bool:
-    if pattern == "level":
-        return g[2] % p == 0
-    return True
+def _equivalents(order, p, k, M, x, ys):
+    """The y in ys with y = x*g for a unit g of the order, tested mod p^M.
 
-
-def _equiv_exact(pattern, p, k, x, y) -> bool:
-    """Right equivalence over Z_p of two integer candidates with det = +-p^k."""
-    detx = _det2(x)
-    assert abs(detx) == p ** k
-    g_num = _mul2(_adj2(x), y)
-    if any(v % detx for v in g_num):
-        return False
-    g = tuple(v // detx for v in g_num)
-    if abs(_det2(g)) != 1:
-        return False
-    return _pattern_ok(pattern, g, p)
-
-
-def _equiv_mod(pattern, p, k, M, x, y) -> bool:
-    """Right equivalence of x (mod p^M element) with integer candidate y.
-
-    Requires M >= k + 2 so that the reduced test decides equivalence of the
-    mod-p^M classes.
+    g = conj(x)*y / nrd(x) must be integral (p^k divides conj(x)*y), have a
+    unit nrd and lie in the order.  M >= k + 2 makes the reduced test decide
+    equivalence of mod-p^M classes; on elements of norm +-p^k such as the
+    candidates it is the exact test over Z_p.
     """
-    detx = _det2(x)
-    if _vp(detx, p) != k:
-        return False
+    n = order.nrd(x)
+    if _vp(n, p) != k:
+        return []
     pk = p ** k
-    g_num = _mul2(_adj2(x), y)
-    if any(v % pk for v in g_num):
-        return False
-    u = detx // pk
     mod = p ** (M - k)
-    uinv = pow(u % mod, -1, mod)
-    g = tuple((v // pk) * uinv % mod for v in g_num)
-    if _det2(g) % p == 0:
-        return False
-    return _pattern_ok(pattern, g, p)
-
-
-def _iter_pattern_matrices(pattern, p, M):
-    q = p ** M
-    c_step = p if pattern == "level" else 1
-    for a in range(q):
-        for b in range(q):
-            for c in range(0, q, c_step):
-                for d in range(q):
-                    yield (a, b, c, d)
+    uinv = pow(n // pk % mod, -1, mod)
+    cx = order.conj(x)
+    out = []
+    for y in ys:
+        num = order.mul(cx, y)
+        if any(v % pk for v in num):
+            continue
+        g = tuple(v // pk * uinv % mod for v in num)
+        if order.nrd(g) % p and order.member(g):
+            out.append(y)
+    return out
 
 
 def _splitmix(state):
@@ -218,100 +222,45 @@ def _splitmix(state):
     return state, z ^ (z >> 31)
 
 
-def _lcg_panel(pattern, p, k, M, size=250):
-    """Deterministic pseudorandom elements of the pattern with v(det) = k."""
-    q = p ** M
-    state = 123456789
-    out = []
-    guard = 0
-    while len(out) < size and guard < 200000:
-        guard += 1
-        vals = []
-        for _ in range(4):
-            state, z = _splitmix(state)
-            vals.append(z % q)
-        a, b, c, d = vals
-        if pattern == "level":
-            c -= c % p
-        x = (a, b, c, d)
-        if _vp(_det2(x), p) == k:
-            out.append(x)
-    return out
-
-
-def _ram_candidate(model, k):
-    half, odd = divmod(k, 2)
-    ph = model.p ** half
-    if odd:
-        return ((0, 0), (ph, 0))
-    return ((ph, 0), (0, 0))
-
-
-def _ram_equiv_mod(model, k, M, x, cand) -> bool:
-    p = model.p
-    n = model.nrd(x)
-    if _vp(n, p) != k:
-        return False
-    pk = p ** k
-    num = model.mul(model.involution(x), cand)
-    flat = (num[0][0], num[0][1], num[1][0], num[1][1])
-    if any(v % pk for v in flat):
-        return False
-    u = n // pk
-    mod = p ** (M - k)
-    uinv = pow(u % mod, -1, mod)
-    g = ((flat[0] // pk * uinv % mod, flat[1] // pk * uinv % mod),
-         (flat[2] // pk * uinv % mod, flat[3] // pk * uinv % mod))
-    return model.nrd(g) % p != 0
-
-
-def _iter_ram_elements(p, M):
-    q = p ** M
-    for a1 in range(q):
-        for a2 in range(q):
-            for b1 in range(q):
-                for b2 in range(q):
-                    yield ((a1, a2), (b1, b2))
-
-
-def _ram_panel(model, k, M, size=250):
-    """Norm-valuation-k elements: uniform hits plus uniformizer-shifted units.
-
-    Uniform sampling alone cannot reach k >= 2 (the valuation-k locus has
-    density ~ p^(-2k)), so products pi^k * unit are added; together with the
-    full sweeps at small moduli this exercises the whole orbit.
-    """
-    p = model.p
+def _panel(order, cands, p, k, M):
+    """Up to 125 uniform elements with v_p(nrd) = k among 50,000 draws, then
+    250 translates u*c, c running through the candidates in turn and u a
+    uniformly drawn unit of the order."""
     q = p ** M
     state = 987654321
+
+    def draw():
+        nonlocal state
+        vals = []
+        for _ in range(4):
+            state, z = _splitmix(state)
+            vals.append(z % q)
+        return tuple(vals)
+
     out = []
-    guard = 0
-    while len(out) < size // 2 and guard < 50000:
-        guard += 1
-        vals = []
-        for _ in range(4):
-            state, z = _splitmix(state)
-            vals.append(z % q)
-        x = ((vals[0], vals[1]), (vals[2], vals[3]))
-        if _vp(model.nrd(x), p) == k:
+    for _ in range(50_000):
+        if len(out) == 125:
+            break
+        x = draw()
+        if order.member(x) and _vp(order.nrd(x), p) == k:
             out.append(x)
-    pik = _ram_candidate(model, k)
-    produced = 0
-    while produced < size and guard < 200000:
-        guard += 1
-        vals = []
-        for _ in range(4):
-            state, z = _splitmix(state)
-            vals.append(z % q)
-        y = ((vals[0], vals[1]), (vals[2], vals[3]))
-        if _vp(model.nrd(y), p) != 0:
-            continue
-        x = model.mul(pik, y)
-        x = ((x[0][0] % q, x[0][1] % q), (x[1][0] % q, x[1][1] % q))
-        if _vp(model.nrd(x), p) == k:
-            out.append(x)
-            produced += 1
+    for c in itertools.islice(itertools.cycle(cands), 250):
+        u = draw()
+        while not (order.member(u) and order.nrd(u) % p):
+            u = draw()
+        out.append(tuple(v % q for v in order.mul(u, c)))
     return out
+
+
+def _sample(order, cands, p, k, M):
+    """Every element of the order mod p^M with v_p(nrd) = k, or a panel."""
+    # membership is decided mod p
+    size = p ** (4 * M - 4) * sum(map(order.member,
+                                      itertools.product(range(p), repeat=4)))
+    if size > _SWEEP_CAP:
+        return _panel(order, cands, p, k, M)
+    return (x for x in itertools.product(range(p ** M), repeat=4)
+            if order.member(x) and _vp(order.nrd(x), p) == k)
 
 
 def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
@@ -326,39 +275,16 @@ def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
         raise ValueError("unknown pattern %r" % (pattern,))
     if M < k + 2:
         raise ValueError("need M >= k + 2 for a stable orbit count")
-
-    if pattern == "ramified":
-        model = ramified_model(p)
-        cand = _ram_candidate(model, k)
-        if p ** (4 * M) <= _SWEEP_CAP:
-            sample = (x for x in _iter_ram_elements(p, M)
-                      if _vp(model.nrd(x), p) == k)
-        else:
-            sample = _ram_panel(model, k, M)
-        checked = 0
-        for x in sample:
-            if not _ram_equiv_mod(model, k, M, x, cand):
-                raise ArithmeticError("ramified orbit coverage failed at %r" % (x,))
-            checked += 1
-        if checked == 0:
-            raise ArithmeticError("empty ramified sample")
-        return 1
-
-    cands = _matrix_candidates(pattern, p, k)
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            if _equiv_exact(pattern, p, k, cands[i], cands[j]):
-                raise ArithmeticError(
-                    "candidates %r and %r are equivalent" % (cands[i], cands[j]))
-    ring_size = p ** (4 * M) // (p if pattern == "level" else 1)
-    if ring_size <= _SWEEP_CAP:
-        sample = (x for x in _iter_pattern_matrices(pattern, p, M)
-                  if _vp(_det2(x), p) == k)
-    else:
-        sample = _lcg_panel(pattern, p, k, M)
+    order = _local_order(pattern, p)
+    cands = _candidates(pattern, p, k)
+    for i, c in enumerate(cands):
+        same = _equivalents(order, p, k, M, c, cands[i + 1:])
+        if same:
+            raise ArithmeticError(
+                "candidates %r and %r are equivalent" % (c, same[0]))
     checked = 0
-    for x in sample:
-        hits = sum(1 for c in cands if _equiv_mod(pattern, p, k, M, x, c))
+    for x in _sample(order, cands, p, k, M):
+        hits = len(_equivalents(order, p, k, M, x, cands))
         if hits != 1:
             raise ArithmeticError(
                 "element %r matched %d candidates" % (x, hits))

@@ -135,17 +135,8 @@ def lattice_sum(a: OrderLattice, b: OrderLattice) -> OrderLattice:
 
 def lattice_product(a: OrderLattice, b: OrderLattice) -> OrderLattice:
     """Lattice spanned by all products x*y, x in a, y in b."""
-    rows = []
-    for u in a.basis():
-        for v in b.basis():
-            rows.append((u * v).coords)
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    mat = hnf_rows([[int(x * den) for x in row] for row in rows])
-    return OrderLattice.from_rows(a.algebra,
-                                  [[Fraction(x, den) for x in row] for row in mat])
+    return OrderLattice.from_rows(
+        a.algebra, [(u * v).coords for u in a.basis() for v in b.basis()])
 
 
 def conjugate_lattice(a: OrderLattice) -> OrderLattice:
@@ -436,10 +427,10 @@ def eichler_order(omax: OrderLattice, N: int) -> OrderLattice:
     """
     algebra = omax.algebra
     D = algebra.discriminant
-    if math.gcd(N, D) != 1:
-        raise ValueError("level must be coprime to the discriminant")
     if N < 1:
         raise ValueError("level must be positive")
+    if math.gcd(N, D) != 1:
+        raise ValueError("level must be coprime to the discriminant")
     coords_mat = [[1 if r == s else 0 for s in range(4)] for r in range(4)]
     for p, k in prime_power_factors(N):
         frame = local_splitting(omax, p, k)

@@ -209,7 +209,9 @@ class RamifiedModel:
     u^2 = t*u - n, where x^2 - t x + n is irreducible mod p and (t, n) is
     the lexicographically least such pair.  A uniformizer pi satisfies
     pi^2 = p and pi * r = conj(r) * pi for r in the quadratic subfield.
-    Elements are written alpha + beta*pi with alpha, beta = (x + y*u).
+    Elements are flat tuples (a1, a2, b1, b2) standing for
+    (a1 + a2 u) + (b1 + b2 u) pi, the coordinates of
+    `weilmatch.ramified_space`.
     """
     p: int
     t: int
@@ -219,40 +221,30 @@ class RamifiedModel:
         """Norm-form value k^2 + k*l*t + l^2*n of k + l*u."""
         return k * k + k * l * self.t + l * l * self.n
 
-    def quad_mul(self, x, y):
-        """(x1 + x2 u)(y1 + y2 u) in coordinates, using u^2 = t*u - n."""
-        x1, x2 = x
-        y1, y2 = y
+    def _quad_mul(self, x1, x2, y1, y2):
+        """(x1 + x2 u)(y1 + y2 u), using u^2 = t*u - n."""
         return (x1 * y1 - self.n * x2 * y2,
                 x1 * y2 + x2 * y1 + self.t * x2 * y2)
 
-    def quad_conj(self, x):
-        x1, x2 = x
-        return (x1 + self.t * x2, -x2)
-
-    def quad_norm(self, x):
-        x1, x2 = x
-        return x1 * x1 + self.t * x1 * x2 + self.n * x2 * x2
-
     def mul(self, x, y):
-        """Product of (alpha, beta) pairs: alpha,beta are coordinate 2-tuples."""
-        ax, bx = x
-        ay, by = y
-        alpha = tuple(u + self.p * v for u, v in
-                      zip(self.quad_mul(ax, ay),
-                          self.quad_mul(bx, self.quad_conj(by))))
-        beta = tuple(u + v for u, v in
-                     zip(self.quad_mul(ax, by),
-                         self.quad_mul(bx, self.quad_conj(ay))))
-        return (alpha, beta)
+        """(a + b pi)(c + d pi) = (a c + p b conj(d)) + (a d + b conj(c)) pi."""
+        a1, a2, b1, b2 = x
+        c1, c2, d1, d2 = y
+        t = self.t
+        ac = self._quad_mul(a1, a2, c1, c2)
+        bd = self._quad_mul(b1, b2, d1 + t * d2, -d2)
+        ad = self._quad_mul(a1, a2, d1, d2)
+        bc = self._quad_mul(b1, b2, c1 + t * c2, -c2)
+        return (ac[0] + self.p * bd[0], ac[1] + self.p * bd[1],
+                ad[0] + bc[0], ad[1] + bc[1])
 
     def involution(self, x):
-        ax, bx = x
-        return (self.quad_conj(ax), tuple(-c for c in bx))
+        a1, a2, b1, b2 = x
+        return (a1 + self.t * a2, -a2, -b1, -b2)
 
     def nrd(self, x):
-        ax, bx = x
-        return self.quad_norm(ax) - self.p * self.quad_norm(bx)
+        a1, a2, b1, b2 = x
+        return self.d_value(a1, a2) - self.p * self.d_value(b1, b2)
 
 
 @lru_cache(maxsize=None)

@@ -450,9 +450,12 @@ def _cmd_local(args, parser) -> int:
     return 0
 
 
-def _cmd_degree(args, _parser) -> int:
-    deg = heckedeg.deg_T(args.D, args.N, args.m)
-    vol = heckedeg.volume(args.D, args.N)
+def _cmd_degree(args, parser) -> int:
+    try:
+        deg = heckedeg.deg_T(args.D, args.N, args.m)
+        vol = heckedeg.volume(args.D, args.N)
+    except ValueError as exc:
+        parser.error("D=%d, N=%d, m=%d: %s" % (args.D, args.N, args.m, exc))
     print("deg_T(D=%d, N=%d, m=%d) = %d" % (args.D, args.N, args.m, deg))
     print("volume = %s" % vol)
     print("r_prime = %s" % heckedeg.r_prime(args.D, args.N, args.m))
@@ -485,7 +488,13 @@ def main(argv=None) -> int:
         "degree": _cmd_degree,
         "certify": _cmd_certify,
     }
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except ArithmeticError as exc:
+        # a certificate that failed inside the computation, not bad input
+        print("quatmatch %s: internal failure: %s" % (args.command, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -155,10 +155,6 @@ class SchwartzCombo:
     def __hash__(self):
         return hash((self.space, self.terms))
 
-    def scaled(self, c) -> "SchwartzCombo":
-        return SchwartzCombo.from_dict(
-            self.space, {lab: v * c for lab, v in self.terms})
-
     def __add__(self, other):
         if self.space != other.space:
             raise ValueError("combos live on different spaces")

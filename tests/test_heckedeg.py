@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quatmatch import heckedeg
 from quatmatch.heckedeg import (
     deg_T,
     local_degree_level,
@@ -130,3 +131,33 @@ def test_oracle_guards():
         oracle_local_orbits("split", 2, 2, 3)  # insufficient margin
     with pytest.raises(ValueError):
         oracle_local_orbits("weird", 2, 1, 3)
+
+
+# mutation -> (candidate family, the check that must catch it)
+_MUTATIONS = {
+    "duplicated": (lambda cands, p: cands + cands[:1], "are equivalent"),
+    "dropped": (lambda cands, p: cands[:-1], "matched 0 candidates"),
+    # p * c has v_p(nrd) = k + 2; for ramified p * pi^k = pi^(k+2)
+    "wrong-valuation": (lambda cands, p: cands[:-1] + [tuple(p * v for v in cands[-1])],
+                        "matched 0 candidates"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize("pattern,p,k,M,side", [
+    ("split", 2, 1, 3, "sweep"), ("level", 2, 1, 3, "sweep"),
+    ("ramified", 2, 1, 3, "sweep"),
+    ("split", 3, 1, 4, "panel"), ("level", 3, 1, 4, "panel"),
+    ("ramified", 3, 1, 4, "panel"),
+])
+def test_oracle_rejects_mutated_candidates(mutation, pattern, p, k, M, side,
+                                           monkeypatch):
+    order = heckedeg._local_order(pattern, p)
+    cands = heckedeg._candidates(pattern, p, k)
+    # the panel is a list, the full sweep a generator
+    assert isinstance(heckedeg._sample(order, cands, p, k, M), list) == (side == "panel")
+    mutate, caught_by = _MUTATIONS[mutation]
+    original = heckedeg._candidates
+    monkeypatch.setattr(heckedeg, "_candidates", lambda *a: mutate(original(*a), p))
+    with pytest.raises(ArithmeticError, match=caught_by):
+        oracle_local_orbits(pattern, p, k, M)

@@ -69,6 +69,8 @@ def test_eichler_orders():
     assert abs(e15.gram_det()) == 900 and index_in(e15, omax) == 15
     with pytest.raises(ValueError):
         eichler_order(omax, 2)  # level must be coprime to the discriminant
+    with pytest.raises(ValueError, match="positive"):
+        eichler_order(omax, 0)
 
 
 def test_eichler_split_model():

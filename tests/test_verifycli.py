@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatmatch import verifycli as vc
+from quatmatch import heckedeg, verifycli as vc
 
 
 def test_case_validation_errors():
@@ -159,6 +159,9 @@ def test_cli_rejects_bad_local_input(argv, capsys):
     (["classset", "--D", "6"], None),
     (["classset", "--D", "4"], None),
     (["classset", "--D", "2", "--N", "2"], None),
+    (["degree", "--D", "2", "--N", "1", "--m", "5"], None),
+    (["degree", "--D", "6", "--N", "4", "--m", "5"], None),
+    (["degree", "--D", "6", "--N", "1", "--m", "0"], None),
 ], ids=lambda v: (" ".join(v) if isinstance(v, list)
                   else "config " + v.strip().replace("\n", ";") if v else "no-config"))
 def test_cli_rejects_bad_verify_input(argv, config, tmp_path, capsys):
@@ -173,6 +176,18 @@ def test_cli_rejects_bad_verify_input(argv, config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 2 and "error: " in err.splitlines()[1]
+
+
+def test_cli_internal_failure_exits_3(monkeypatch, capsys):
+    # a failed orbit certificate is one stderr line and exit 3, not a traceback
+    original = heckedeg._candidates
+    monkeypatch.setattr(heckedeg, "_candidates", lambda *a: original(*a)[:-1])
+    assert vc.main(["certify", "--pattern", "split", "--p", "2",
+                    "--k", "1", "--M", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "internal failure" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("case", [

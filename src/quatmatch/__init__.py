@@ -27,7 +27,6 @@ from .orders import OrderLattice, dual_lattice, eichler_order, local_splitting, 
 from .classsets import (
     IdealClassSet,
     class_set_for,
-    count_vectors,
     genus_average,
     genus_theta,
     ideal_class_set,
@@ -65,7 +64,6 @@ __all__ = [
     "maximal_order",
     "IdealClassSet",
     "class_set_for",
-    "count_vectors",
     "genus_average",
     "genus_theta",
     "ideal_class_set",

@@ -11,8 +11,10 @@ Pipeline:
       r_{D,N}(m) = (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j),
   which equals the 1/|Aut|-weighted average over isometry classes (the
   reference in tests/).
-* All vector counting is exact lattice-point enumeration with rational
-  Cholesky data (no floating point anywhere).
+* All vector counting is exact lattice-point enumeration: one rational
+  LDL^T per form, scaled to integers, then a Fincke-Pohst recursion on
+  integer remainders with `isqrt` bounds (no floating point anywhere, and
+  no Fraction per lattice point).
 """
 
 from __future__ import annotations
@@ -48,95 +50,75 @@ def mass_formula(D: int, N: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact vector enumeration (rational Cholesky, ellipsoid pruning)
-
-def _as_qgram(lattice_or_gram):
-    if isinstance(lattice_or_gram, OrderLattice):
-        return lattice_or_gram.q_gram()
-    return [[Fraction(x) for x in row] for row in lattice_or_gram]
-
+# exact vector enumeration (integer Fincke-Pohst)
 
 def _ldl(qgram):
-    """Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, exact."""
-    a = [[Fraction(qgram[i][j] + qgram[j][i], 2) for j in range(4)] for i in range(4)]
+    """(T, a, c, U) with T*Q(x) = sum_i a_i (c_i x_i + sum_{j>i} U_ij x_j)^2.
+
+    First Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 exactly in Fraction;
+    then c_i clears the denominators of row i of u, U_ij = u_ij c_i, and T
+    clears those of d_i / c_i^2, so that a_i = T d_i / c_i^2.
+    """
+    g = [[Fraction(qgram[i][j] + qgram[j][i], 2) for j in range(4)] for i in range(4)]
     d = [Fraction(0)] * 4
     u = [[Fraction(0)] * 4 for _ in range(4)]
     for i in range(4):
-        val = a[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if val <= 0:
+        d[i] = g[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
+        if d[i] <= 0:
             raise ValueError("form is not positive definite")
-        d[i] = val
         for j in range(i + 1, 4):
-            aij = a[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
-            u[i][j] = aij / val
-    return d, u
+            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / d[i]
+    c = [math.lcm(*(u[i][j].denominator for j in range(i + 1, 4))) for i in range(4)]
+    U = [[int(u[i][j] * c[i]) for j in range(4)] for i in range(4)]
+    e = [d[i] / (c[i] * c[i]) for i in range(4)]
+    T = math.lcm(*(x.denominator for x in e))
+    return T, [int(x * T) for x in e], c, U
 
 
 def _enumerate(qgram, mmax, leaf):
-    """Call leaf(value, coords) for every x in Z^4 with Q(x) <= mmax."""
-    d, u = _ldl(qgram)
+    """Call leaf(T*Q(x), T) for every x in Z^4 with Q(x) <= mmax.
+
+    Fincke-Pohst on the integer data of `_ldl`, with the integer
+    remainder R = T*mmax - (the terms already fixed).  The bound is exact:
+    for integers a > 0 and R >= 0, a*w^2 <= R holds exactly when
+    |w| <= isqrt(R // a), so every x_i in range meets it and no point outside
+    the ellipsoid is visited.
+    """
+    T, a, c, U = _ldl(qgram)
+    top = T * mmax
     x = [0, 0, 0, 0]
 
-    def rec(i, used):
-        rem = mmax - used
-        off = sum(u[i][j] * x[j] for j in range(i + 1, 4)) if i < 3 else Fraction(0)
-        # integer bound: |x_i + off| <= sqrt(rem / d_i), with exact filtering
-        q = rem / d[i]
-        s_hi = math.isqrt(int(q)) + 1
-        on, od = off.numerator, off.denominator
-        dn, dd = d[i].numerator, d[i].denominator
-        rn, rd = rem.numerator, rem.denominator
-        # t = dn*(xi*od+on)^2 / (dd*od^2);  t <= rem  <=>  dn*(xi*od+on)^2 * rd <= rn*dd*od^2
-        rhs = rn * dd * od * od
-        lo = math.ceil(-off - s_hi)
-        hi = math.floor(-off + s_hi)
-        den_t = dd * od * od
-        for xi in range(lo, hi + 1):
-            w = xi * od + on
-            lhs = dn * w * w
-            if lhs * rd > rhs:
-                continue
-            t = Fraction(lhs, den_t)
-            x[i] = xi
+    def rec(i, R):
+        off = sum(U[i][j] * x[j] for j in range(i + 1, 4))
+        s = math.isqrt(R // a[i])
+        ai, ci = a[i], c[i]
+        for xi in range(-((s + off) // ci), (s - off) // ci + 1):
+            w = ci * xi + off
+            rem = R - ai * w * w
             if i == 0:
-                leaf(used + t, x)
+                leaf(top - rem, T)
             else:
-                rec(i - 1, used + t)
+                x[i] = xi
+                rec(i - 1, rem)
         x[i] = 0
 
-    rec(3, Fraction(0))
+    rec(3, top)
 
 
 def theta_counts(lattice_or_gram, mmax: int):
     """[r(0), r(1), ..., r(mmax)] for an integral positive definite form."""
-    qgram = _as_qgram(lattice_or_gram)
+    qgram = lattice_or_gram
+    if isinstance(qgram, OrderLattice):
+        qgram = qgram.q_gram()
     counts = [0] * (mmax + 1)
 
-    def leaf(value, _x):
-        if value.denominator == 1:
-            v = int(value)
-            if v <= mmax:
-                counts[v] += 1
+    def leaf(tq, T):
+        v, r = divmod(tq, T)
+        if not r:
+            counts[v] += 1
 
-    _enumerate(qgram, Fraction(mmax), leaf)
+    _enumerate(qgram, mmax, leaf)
     return counts
-
-
-def count_vectors(lattice_or_gram, m: int) -> int:
-    """Number of lattice vectors of norm exactly m (exact enumeration)."""
-    if m < 0:
-        return 0
-    qgram = _as_qgram(lattice_or_gram)
-    total = 0
-
-    def leaf(value, _x):
-        nonlocal total
-        if value == m:
-            total += 1
-
-    _enumerate(qgram, Fraction(m), leaf)
-    return total
-
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +134,13 @@ class RightIdeal:
         return (self.nrd, self.lattice.sort_key())
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
 def ideal_reduced_norm(lattice: OrderLattice) -> Fraction:
     """Positive generator of the fractional ideal generated by nrd on the lattice."""
     qg = lattice.q_gram()
-    g = Fraction(0)
-    for i in range(4):
-        g = _frac_gcd(g, qg[i][i])
-        for j in range(i + 1, 4):
-            g = _frac_gcd(g, qg[i][j] + qg[j][i])
-    return g
+    vals = [qg[i][j] + qg[j][i] if i != j else qg[i][i]
+            for i in range(4) for j in range(i, 4)]
+    den = math.lcm(*(v.denominator for v in vals))
+    return Fraction(math.gcd(*(int(v * den) for v in vals)), den)
 
 
 def make_right_ideal(lattice: OrderLattice, right_order: OrderLattice) -> RightIdeal:
@@ -194,7 +165,7 @@ def unit_weight(order: OrderLattice) -> int:
     """|units|/2 = half the number of norm-1 vectors of a definite order."""
     if not order.algebra.is_definite:
         raise ValueError("unit weights require a definite algebra")
-    n = count_vectors(order, 1)
+    n = theta_counts(order, 1)[1]
     if n % 2:
         raise ArithmeticError("unit count must be even")
     return n // 2
@@ -206,19 +177,21 @@ def _frame_mod_p(order: OrderLattice, p: int):
 
 
 def p_neighbors(ideal: RightIdeal, p: int):
-    """The p+1 right sub-ideals of index p^2, one per line of the residue module."""
+    """The p+1 right sub-ideals of index p^2, one per line of the residue module.
+
+    The lines are read in the left order O_L of I, where I is locally free
+    of rank one (I_p = O_L,p alpha): for a line W of F_p^2, P_W is the right
+    ideal of the y in O_L whose residue matrix has its columns in W, and the
+    neighbor is P_W * I.  (Reading I through its right order instead fails
+    once p divides nrd I, where I/pI -> O/pO is not injective.)
+    """
     order = ideal.right_order
     D, N = order.level
     if D * N % p == 0:
         raise ValueError("neighbor prime must be coprime to the level data")
-    frame = _frame_mod_p(order, p)
-    bas_rows = ideal.lattice.basis_rows()
-    coords = []
-    for row in bas_rows:
-        x = order.coordinates(order.algebra.element(*row))
-        coords.append(tuple(int(c) for c in x))
-    entries = [[frame.coord(c, i, j) for c in coords] for i in range(2) for j in range(2)]
-    c11, c12, c21, c22 = entries
+    ol = left_order(ideal)
+    (c11, c12), (c21, c22) = _frame_mod_p(ol, p).functionals
+    ol_rows = ol.basis_rows()
     out = []
     lines = [(1, t) for t in range(p)] + [(0, 1)]
     for w1, w2 in lines:
@@ -226,9 +199,9 @@ def p_neighbors(ideal: RightIdeal, p: int):
         v1 = [(c11[r] * w2 - c21[r] * w1) % p for r in range(4)]
         v2 = [(c12[r] * w2 - c22[r] * w1) % p for r in range(4)]
         kern = congruence_kernel([v1, v2], p)
-        rows = [[sum(Fraction(kern[r][t]) * bas_rows[t][c] for t in range(4))
+        rows = [[sum(kern[r][t] * ol_rows[t][c] for t in range(4))
                  for c in range(4)] for r in range(4)]
-        sub = OrderLattice.from_rows(order.algebra, rows)
+        sub = lattice_product(OrderLattice.from_rows(order.algebra, rows), ideal.lattice)
         if index_in(sub, ideal.lattice) != p * p:
             raise ArithmeticError("neighbor does not have index p^2")
         out.append(make_right_ideal(sub, order))
@@ -259,7 +232,7 @@ def ideals_equivalent(a: RightIdeal, b: RightIdeal) -> bool:
     if a.right_order != b.right_order:
         raise ValueError("ideals must share their right order")
     qg = pair_q_gram(a, b)
-    return count_vectors(qg, 1) > 0
+    return theta_counts(qg, 1)[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +247,7 @@ class IdealClassSet:
         self.weights = list(weights)
         self.mass = mass
         self.D, self.N = order.level
+        self._theta = []  # genus_theta at the largest m_max asked so far
 
     @property
     def class_number(self) -> int:
@@ -360,17 +334,21 @@ def genus_theta(cs: IdealClassSet, mmax: int):
     r_{D,N}(m) = (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j).
     The pair lattices for (i, j) and (j, i) are conjugate, since
     I conj(J) = conj(J conj(I)), so each unordered pair is enumerated once.
+    The class set keeps the series at the largest mmax computed so far and
+    serves smaller requests from it; each call returns a fresh list.
     """
-    reps, weights = cs.representatives, cs.weights
-    total = [Fraction(0)] * (mmax + 1)
-    for i in range(len(reps)):
-        for j in range(i, len(reps)):
-            coeff = Fraction(1 if i == j else 2, weights[i] * weights[j])
-            theta = theta_counts(pair_q_gram(reps[i], reps[j]), mmax)
-            for m in range(mmax + 1):
-                total[m] += coeff * theta[m]
-    mass2 = cs.mass * cs.mass
-    return [t / mass2 for t in total]
+    if len(cs._theta) <= mmax:
+        reps, weights = cs.representatives, cs.weights
+        total = [Fraction(0)] * (mmax + 1)
+        for i in range(len(reps)):
+            for j in range(i, len(reps)):
+                coeff = Fraction(1 if i == j else 2, weights[i] * weights[j])
+                theta = theta_counts(pair_q_gram(reps[i], reps[j]), mmax)
+                for m in range(mmax + 1):
+                    total[m] += coeff * theta[m]
+        mass2 = cs.mass * cs.mass
+        cs._theta = [t / mass2 for t in total]
+    return cs._theta[:mmax + 1]
 
 
 def genus_average(cs: IdealClassSet, m: int) -> Fraction:

@@ -70,9 +70,13 @@ class OrderLattice:
         return [QuatElement(self.algebra, tuple(row)) for row in self.basis_rows()]
 
     def gram(self):
-        """Matrix of (x, y) = trd(x conj(y)) on the basis."""
-        bas = self.basis()
-        return [[bas[r].pairing(bas[s]) for s in range(4)] for r in range(4)]
+        """Matrix of (x, y) = trd(x conj(y)) = sum_k w_k x_k y_k on the basis,
+        w = (2, -2a, -2b, 2ab), read off the integer HNF over den^2."""
+        a, b = self.algebra.a, self.algebra.b
+        w = (2, -2 * a, -2 * b, 2 * a * b)
+        den2 = self.den * self.den
+        return [[Fraction(sum(w[k] * r[k] * s[k] for k in range(4)), den2)
+                 for s in self.mat] for r in self.mat]
 
     def q_gram(self):
         """Matrix A with nrd(sum c_r b_r) = c A c^T; A = gram / 2."""

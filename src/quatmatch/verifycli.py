@@ -249,6 +249,9 @@ def default_suite_cases():
         TheoremCase("1.4", D=2, p=3, N=1, m_max=50),
         TheoremCase("1.4", D=3, p=2, N=1, m_max=50),
         TheoremCase("1.5", D=6, p=5, N=1, m_max=30),
+        # class sets that take two or more p-neighbor layers
+        TheoremCase("1.4", D=23, p=2, N=1, m_max=50),
+        TheoremCase("1.5", D=6, p=23, N=1, m_max=30),
     ]
     for D in (2, 3, 5):
         others = [r for r in (2, 3, 5, 7) if D % r]

@@ -9,15 +9,90 @@ check against: collect the H^2 pair lattices, keep one per isometry class
 (LLL reduction plus an exact isometry search), and weight each class by
 1/|Aut| with the full automorphism group, improper maps included.  It also
 holds the Kneser p-neighbour map used to certify that the classes found
-are closed in the genus.
+are closed in the genus, and a rational-Cholesky vector enumerator that
+builds a Fraction per lattice point, kept independent of the package's
+integer enumeration so that the two can be checked against each other.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from quatmatch.classsets import _enumerate, _as_qgram, pair_q_gram, theta_counts
+from quatmatch.classsets import pair_q_gram, theta_counts
 from quatmatch.matrices import congruence_kernel, det4, hnf_rows
+from quatmatch.orders import OrderLattice
+
+
+# ---------------------------------------------------------------------------
+# reference enumeration (rational Cholesky, ellipsoid pruning)
+
+def _as_qgram(lattice_or_gram):
+    if isinstance(lattice_or_gram, OrderLattice):
+        return lattice_or_gram.q_gram()
+    return lattice_or_gram
+
+
+def _ldl(qgram):
+    """Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, exact."""
+    a = [[Fraction(qgram[i][j] + qgram[j][i], 2) for j in range(4)] for i in range(4)]
+    d = [Fraction(0)] * 4
+    u = [[Fraction(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        val = a[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
+        if val <= 0:
+            raise ValueError("form is not positive definite")
+        d[i] = val
+        for j in range(i + 1, 4):
+            aij = a[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
+            u[i][j] = aij / val
+    return d, u
+
+
+def _enumerate(qgram, mmax, leaf):
+    """Call leaf(value, coords) for every x in Z^4 with Q(x) <= mmax."""
+    d, u = _ldl(qgram)
+    x = [0, 0, 0, 0]
+
+    def rec(i, used):
+        rem = mmax - used
+        off = sum(u[i][j] * x[j] for j in range(i + 1, 4)) if i < 3 else Fraction(0)
+        # integer bound: |x_i + off| <= sqrt(rem / d_i), with exact filtering
+        q = rem / d[i]
+        s_hi = math.isqrt(int(q)) + 1
+        on, od = off.numerator, off.denominator
+        dn, dd = d[i].numerator, d[i].denominator
+        rn, rd = rem.numerator, rem.denominator
+        # t = dn*(xi*od+on)^2 / (dd*od^2);  t <= rem  <=>  dn*(xi*od+on)^2 * rd <= rn*dd*od^2
+        rhs = rn * dd * od * od
+        lo = math.ceil(-off - s_hi)
+        hi = math.floor(-off + s_hi)
+        den_t = dd * od * od
+        for xi in range(lo, hi + 1):
+            w = xi * od + on
+            lhs = dn * w * w
+            if lhs * rd > rhs:
+                continue
+            t = Fraction(lhs, den_t)
+            x[i] = xi
+            if i == 0:
+                leaf(used + t, x)
+            else:
+                rec(i - 1, used + t)
+        x[i] = 0
+
+    rec(3, Fraction(0))
+
+
+def reference_theta_counts(lattice_or_gram, mmax: int):
+    """[r(0), ..., r(mmax)] by the rational enumerator."""
+    counts = [0] * (mmax + 1)
+
+    def leaf(value, _x):
+        if value.denominator == 1:
+            counts[int(value)] += 1
+
+    _enumerate(_as_qgram(lattice_or_gram), Fraction(mmax), leaf)
+    return counts
 
 
 def list_vectors(lattice_or_gram, m: int):

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from quatmatch import classsets
 from quatmatch.matrices import det4
 from quatmatch.orders import OrderLattice, maximal_order
 from quatmatch.quatalg import construct_algebra
 from quatmatch.classsets import (
     class_set_for,
-    count_vectors,
     genus_average,
     genus_theta,
     ideal_class_set,
@@ -31,6 +31,7 @@ from genus_reference import (
     kneser_neighbors,
     list_vectors,
     reference_genus_theta,
+    reference_theta_counts,
 )
 
 
@@ -46,11 +47,11 @@ def sigma_odd(m):
 
 def test_hurwitz_counts():
     order = maximal_order(construct_algebra(2))
-    assert count_vectors(order, 1) == 24
-    assert count_vectors(order, 2) == 24
-    assert count_vectors(order, 3) == 96
+    assert theta_counts(order, 1)[1] == 24
+    assert theta_counts(order, 2)[2] == 24
+    assert theta_counts(order, 3)[3] == 96
     assert theta_counts(order, 3) == [1, 24, 24, 96]
-    assert count_vectors(order, 0) == 1
+    assert theta_counts(order, 0)[0] == 1
     assert unit_weight(order) == 12
 
 
@@ -61,10 +62,11 @@ def test_counts_match_divisor_formula():
         assert theta[m] == 24 * sigma_odd(m)
 
 
-def test_count_vectors_basis_change_invariance():
-    order = maximal_order(construct_algebra(2))
-    qg = order.q_gram()
+def _scrambled_hurwitz_forms():
+    """The Hurwitz Q-Gram and five images under random unimodular maps."""
+    qg = maximal_order(construct_algebra(2)).q_gram()
     random.seed(3)
+    forms = []
     for _ in range(5):
         # random unimodular transform built from elementary row operations
         u = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -73,18 +75,24 @@ def test_count_vectors_basis_change_invariance():
             c = random.randint(-2, 2)
             u[i] = [a + c * b for a, b in zip(u[i], u[j])]
         assert abs(det4(u)) == 1
-        scrambled = [[sum(u[i][a] * qg[a][b] * u[j][b]
-                          for a in range(4) for b in range(4))
-                      for j in range(4)] for i in range(4)]
+        forms.append([[sum(u[i][a] * qg[a][b] * u[j][b]
+                           for a in range(4) for b in range(4))
+                       for j in range(4)] for i in range(4)])
+    return qg, forms
+
+
+def test_count_vectors_basis_change_invariance():
+    qg, forms = _scrambled_hurwitz_forms()
+    for scrambled in forms:
         for m in (1, 2, 5):
-            assert count_vectors(scrambled, m) == count_vectors(qg, m)
+            assert theta_counts(scrambled, m)[m] == theta_counts(qg, m)[m]
 
 
 def test_list_vectors_consistency():
     order = maximal_order(construct_algebra(3))
     for m in (1, 2, 3):
         vecs = list_vectors(order, m)
-        assert len(vecs) == count_vectors(order, m)
+        assert len(vecs) == theta_counts(order, m)[m]
         for v in vecs:
             x = sum((b * int(c) for b, c in zip(order.basis(), v)),
                     order.algebra.element(0))
@@ -94,7 +102,7 @@ def test_list_vectors_consistency():
 def test_non_positive_definite_rejected():
     order = maximal_order(construct_algebra(6))  # indefinite norm form
     with pytest.raises(ValueError):
-        count_vectors(order, 1)
+        theta_counts(order, 1)[1]
 
 
 def test_unit_weight_generic_large_prime():
@@ -175,9 +183,9 @@ def test_genus_lattice_invariants(pool):
                 assert qg[a][a].denominator == 1  # even integral (Q in Z)
                 for b in range(4):
                     assert bil[a][b].denominator == 1
-            assert count_vectors(qg, 0) == 1  # positive definite, min >= 1
+            assert theta_counts(qg, 0)[0] == 1  # positive definite, min >= 1
             if i == j:
-                assert count_vectors(qg, 1) == 2 * cs.weights[i]
+                assert theta_counts(qg, 1)[1] == 2 * cs.weights[i]
 
 
 def test_genus_average_frozen_values(pool):
@@ -198,14 +206,61 @@ def test_theta_qexpansion(pool):
     assert genus_theta(cs, 0) == [1]
 
 
+# (5, 7), (11, 3), (17, 2) and (7, 5) have four classes each; (23, 1) and
+# (7, 5) need two p-neighbor layers
+AUT_GRID = [(2, 1, 3), (2, 3, 3), (3, 2, 3), (5, 1, 3), (30, 1, 3),
+            (5, 7, 5), (11, 3, 5), (17, 2, 5), (23, 1, 3), (7, 5, 3)]
+
+
 def test_pair_weighted_equals_aut_weighted(pool):
-    # production (pair-lattice) average against the 1/|Aut| reference;
-    # (5, 7), (11, 3) and (17, 2) have four classes each
-    grid = [(2, 1, 3), (2, 3, 3), (3, 2, 3), (5, 1, 3), (30, 1, 3),
-            (5, 7, 5), (11, 3, 5), (17, 2, 5)]
-    for D, N, mmax in grid:
+    # production (pair-lattice) average against the 1/|Aut| reference
+    for D, N, mmax in AUT_GRID:
         cs = pool.get(D, N)
         assert genus_theta(cs, mmax) == reference_genus_theta(cs, mmax), (D, N)
+
+
+def test_theta_counts_match_rational_enumerator(pool):
+    # the integer enumeration against the Fraction one kept in tests/
+    forms = [qg for D, N, _m in AUT_GRID
+             for qg in genus_lattices(pool.get(D, N)).values()]
+    qg, scrambled = _scrambled_hurwitz_forms()
+    for form in forms + [qg] + scrambled:
+        assert theta_counts(form, 20) == reference_theta_counts(form, 20)
+
+
+def test_multilayer_class_sets(pool):
+    # both used to stop with "neighbor does not have index p^2"
+    for D, N, h in [(23, 1, 3), (7, 5, 4)]:
+        cs = pool.get(D, N)
+        assert cs.class_number == h
+        assert sum(Fraction(1, w) for w in cs.weights) == cs.mass == mass_formula(D, N)
+        for ideal, w in zip(cs.representatives, cs.weights):
+            assert unit_weight(left_order(ideal)) == w
+
+
+def test_genus_theta_memo(monkeypatch):
+    calls = []
+    counted = classsets.theta_counts
+
+    def counting(*args):
+        calls.append(args[1])
+        return counted(*args)
+
+    monkeypatch.setattr(classsets, "theta_counts", counting)
+    cs = class_set_for(2, 3)
+    first = genus_theta(cs, 50)
+    expected = list(first)
+    n_first = len(calls)
+    assert n_first > 0
+    second = genus_theta(cs, 30)
+    assert len(calls) == n_first  # served from the memo
+    assert second == expected[:31]
+    first[1] = second[2] = -1
+    assert genus_theta(cs, 50) == expected
+    assert genus_theta(cs, 30) == expected[:31]
+    longer = genus_theta(cs, 60)
+    assert len(calls) > n_first and calls[-1] == 60
+    assert longer == genus_theta(class_set_for(2, 3), 60)
 
 
 def test_traversal_prime_independence():

@@ -16,7 +16,6 @@ from .exactnum import (
     CyclotomicNumber,
     Rational,
     additive_character,
-    dft_matrix,
     e_frac,
     hilbert_symbol,
     kronecker_symbol,
@@ -49,7 +48,6 @@ __all__ = [
     "CyclotomicNumber",
     "Rational",
     "additive_character",
-    "dft_matrix",
     "e_frac",
     "hilbert_symbol",
     "kronecker_symbol",

@@ -3,7 +3,7 @@
 Conventions used across the package:
 
 * ``e(t)`` denotes ``exp(2*pi*i*t)``; ``zeta(n, k)`` is the exact value
-  ``e(k/n)`` in the power basis of the n-th cyclotomic field.
+  ``e(k/n)`` in the canonical basis of `CyclotomicNumber`.
 * The additive character of Q_p is ``psi_p(x) = e(-frac_p(x))`` where
   ``frac_p`` is the p-adic fractional part.  With this normalisation psi_p
   is trivial on p-adic integers and ``e(x) * prod_p psi_p(x) = 1`` on Q.
@@ -59,116 +59,71 @@ def is_squarefree(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense integer/rational polynomial helpers (ascending coefficients)
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod_monic(a, b):
-    """Divide by a monic polynomial; works over Z or Q, stays exact."""
-    a = list(a)
-    _poly_trim(a)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) >= db + 1:
-        shift = len(a) - 1 - db
-        coeff = a[-1]
-        quot[shift] = coeff
-        for i, y in enumerate(b):
-            a[i + shift] -= coeff * y
-        _poly_trim(a)
-    return quot, a
-
+# cyclotomic numbers
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of the n-th cyclotomic polynomial (ascending, integer)."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod_monic(poly, list(cyclotomic_polynomial(d)))
-            if _poly_trim(list(r)):
-                raise ArithmeticError("cyclotomic division failed")
-            poly = q
-    return tuple(int(c) for c in poly)
-
-
-def _euler_phi(n: int) -> int:
-    phi = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            phi -= phi // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        phi -= phi // m
-    return phi
-
-
-def _reduce_mod_cyclotomic(n, coeffs):
-    """Reduce an ascending coefficient list modulo Phi_n; pad to phi(n)."""
-    phi = _euler_phi(n)
-    _, rem = _poly_divmod_monic([Fraction(c) for c in coeffs],
-                                list(cyclotomic_polynomial(n)))
-    rem = list(rem) + [Fraction(0)] * (phi - len(rem))
-    return [Fraction(c) for c in rem[:phi]]
-
-
-@lru_cache(maxsize=None)
-def _monomial_coords(n: int, k: int) -> tuple:
-    """Coordinates of zeta_n^k in the power basis of Q(zeta_n)."""
-    k %= n
-    phi = _euler_phi(n)
-    if k < phi:
-        out = [Fraction(0)] * phi
-        out[k] = Fraction(1)
-        return tuple(out)
-    return tuple(_reduce_mod_cyclotomic(n, [0] * k + [1]))
+def _prime_powers(n: int) -> tuple:
+    """(q, p, phi(q), (n/q)^(-1) mod q, (q/p)*(n/q)) for each prime power q || n."""
+    out = []
+    for p, k in prime_power_factors(n):
+        q = p ** k
+        out.append((q, p, q - q // p, pow(n // q, -1, q), q // p * (n // q)))
+    return tuple(out)
 
 
 class CyclotomicNumber:
     """An element of some cyclotomic field, stored at its minimal conductor.
 
-    The representation is canonical: the conductor is the smallest n with
-    the value in Q(zeta_n) (never 2 mod 4), and the coordinates are taken in
-    the power basis 1, zeta, ..., zeta^(phi(n)-1).  Two values are equal iff
-    their (conductor, coordinates) pairs are equal.
+    The representation is canonical.  The conductor n is the smallest n with
+    the value in Q(zeta_n) (never 2 mod 4), and the value is sum c * zeta_n^r
+    over the sorted nonzero `terms` (r, c), where r runs over the basis
+    exponents: for each prime power q = p^k || n, e_q(r) = r * (n/q)^(-1)
+    mod q satisfies e_q(r) < phi(q).  Since zeta_n^r is the product of the
+    zeta_q^(e_q(r)), this basis is the tensor product of the power bases
+    1, zeta_q, ..., zeta_q^(phi(q)-1), so for a prime power n it is the
+    power basis.  It contains the basis of every cyclotomic subfield
+    (Bosma, "Canonical bases for cyclotomic fields", AAECC 1, 1990):
+    reduction is one rewrite pass per q and descent a gcd of exponents.
+    Two values are equal iff their (conductor, terms) pairs are equal.
+
+    `CyclotomicNumber(n, terms)` is the value sum c * zeta_n^r over any
+    (r, c) pairs with rational c (int or Fraction): exponents are taken
+    mod n and repeats add up.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n, coeffs, _canonical=False):
-        if _canonical:
-            self.n = n
-            self.coeffs = tuple(coeffs)
-            return
-        coeffs = _reduce_mod_cyclotomic(n, list(coeffs))
-        n, coeffs = _descend_conductor(n, coeffs)
-        self.n = n
-        self.coeffs = tuple(coeffs)
+    def __init__(self, n: int, terms=()):
+        acc = {}
+        for r, c in terms:
+            r %= n
+            acc[r] = acc.get(r, 0) + c
+        if n % 4 == 2:
+            # zeta_n = -zeta_h^((h+1)/2) with h = n/2 odd
+            h, acc2 = n // 2, {}
+            for r, c in acc.items():
+                s = r * ((h + 1) // 2) % h
+                acc2[s] = acc2.get(s, 0) + (-c if r % 2 else c)
+            n, acc = h, acc2
+        for q, p, phi, inv, step in _prime_powers(n):
+            # zeta_q^e with e >= phi(q) is -sum_{j=1}^{p-1} zeta_q^(e - j*q/p);
+            # in exponents of zeta_n this moves e_q(r) only, so one pass per
+            # q is enough
+            for r in [r for r in acc if r * inv % q >= phi]:
+                c = acc.pop(r)
+                for j in range(1, p):
+                    s = (r - j * step) % n
+                    acc[s] = acc.get(s, 0) - c
+        nonzero = [(r, c) for r, c in acc.items() if c]
+        # the value lies in Q(zeta_(n/p)) iff p divides every basis exponent
+        g = math.gcd(n, *(r for r, _c in nonzero))
+        self.n = n // g
+        self.terms = tuple(sorted((r // g, c) for r, c in nonzero))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_rational(q) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(q),), _canonical=True)
+        return CyclotomicNumber(1, ((0, Fraction(q)),))
 
     # -- predicates / conversions -------------------------------------------
     @property
@@ -178,23 +133,20 @@ class CyclotomicNumber:
     def rational_value(self) -> Fraction:
         if self.n != 1:
             raise ValueError("value is not rational: %s" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.terms[0][1]) if self.terms else Fraction(0)
 
     def is_zero(self) -> bool:
-        return self.n == 1 and self.coeffs[0] == 0
+        return not self.terms
 
     # -- arithmetic ----------------------------------------------------------
-    def _lift(self, m):
-        """Coefficient list of self inside Q(zeta_m); requires n | m."""
+    def _lifted(self, m):
+        """The (exponent, coefficient) pairs of self over zeta_m; requires n | m."""
         step = m // self.n
-        out = [Fraction(0)] * _euler_phi(m)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                mono = _monomial_coords(m, i * step)
-                for j, x in enumerate(mono):
-                    if x:
-                        out[j] += c * x
-        return out
+        return [(r * step, c) for r, c in self.terms]
+
+    def _galois(self, a):
+        """The automorphism zeta_n -> zeta_n^a, for a coprime to n."""
+        return CyclotomicNumber(self.n, [(a * r, c) for r, c in self.terms])
 
     @staticmethod
     def _coerce(x):
@@ -208,16 +160,13 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = _lcm(self.n, other.n)
-        a = self._lift(m)
-        b = other._lift(m)
-        return CyclotomicNumber(m, [x + y for x, y in zip(a, b)])
+        m = math.lcm(self.n, other.n)
+        return CyclotomicNumber(m, self._lifted(m) + other._lifted(m))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.n, tuple(-c for c in self.coeffs),
-                                _canonical=True)
+        return CyclotomicNumber(self.n, [(r, -c) for r, c in self.terms])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -232,15 +181,9 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.n == 1:
-            c = other.coeffs[0]
-            return CyclotomicNumber(self.n, tuple(x * c for x in self.coeffs),
-                                    _canonical=True) if c else CyclotomicNumber.from_rational(0)
-        if self.n == 1:
-            return other * self
-        m = _lcm(self.n, other.n)
-        prod = _poly_mul(self._lift(m), other._lift(m))
-        return CyclotomicNumber(m, prod)
+        m = math.lcm(self.n, other.n)
+        return CyclotomicNumber(m, [(r + s, c * d) for r, c in self._lifted(m)
+                                    for s, d in other._lifted(m)])
 
     __rmul__ = __mul__
 
@@ -254,25 +197,14 @@ class CyclotomicNumber:
         return self._coerce(other) * self._inverse()
 
     def _inverse(self):
+        """The product of the other Galois conjugates over the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("division by cyclotomic zero")
-        if self.n == 1:
-            return CyclotomicNumber.from_rational(Fraction(1) / self.coeffs[0])
-        from .matrices import rat_solve
-        phi = _euler_phi(self.n)
-        # multiplication-by-self matrix in the power basis (columns)
-        cols = []
-        for j in range(phi):
-            prod = _reduce_mod_cyclotomic(self.n,
-                                          _poly_mul(list(self.coeffs),
-                                                    [0] * j + [1]))
-            cols.append(prod)
-        mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = rat_solve(mat, rhs)
-        if sol is None:
-            raise ZeroDivisionError("non-invertible cyclotomic element")
-        return CyclotomicNumber(self.n, sol)
+        others = CyclotomicNumber.from_rational(1)
+        for a in range(2, self.n):
+            if math.gcd(a, self.n) == 1:
+                others = others * self._galois(a)
+        return others * (1 / (self * others).rational_value())
 
     def __pow__(self, k: int):
         if k < 0:
@@ -288,36 +220,28 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation (zeta -> zeta^{-1})."""
-        if self.n == 1:
-            return self
-        out = [0] * (self.n)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(-i) % self.n] += c
-        return CyclotomicNumber(self.n, out)
+        return self._galois(-1)
 
     # -- comparison / hashing -------------------------------------------------
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         if self.n == 1:
-            return hash(self.coeffs[0])
-        return hash((self.n, self.coeffs))
+            return hash(self.rational_value())
+        return hash((self.n, self.terms))
 
     def __repr__(self):
-        return "CyclotomicNumber(%d, %r)" % (self.n, list(self.coeffs))
+        return "CyclotomicNumber(%d, %r)" % (self.n, list(self.terms))
 
     def __str__(self):
         if self.n == 1:
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for i, c in self.terms:
             if i == 0:
                 parts.append(str(c))
             else:
@@ -334,40 +258,11 @@ class CyclotomicNumber:
         return out
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
-def _descend_conductor(n, coeffs):
-    """Push coordinates down to the smallest cyclotomic subfield, stepwise."""
-    from .matrices import rat_solve
-    changed = True
-    while changed and n > 1:
-        changed = False
-        for q in prime_factors(n):
-            d = n // q
-            step = n // d
-            phi_n, phi_d = _euler_phi(n), _euler_phi(d)
-            emb = [[Fraction(0)] * phi_d for _ in range(phi_n)]
-            for j in range(phi_d):
-                mono = _monomial_coords(n, j * step)
-                for i in range(phi_n):
-                    emb[i][j] = mono[i]
-            sol = rat_solve(emb, list(coeffs))
-            if sol is not None:
-                n, coeffs = d, sol
-                changed = True
-                break
-    return n, [Fraction(c) for c in coeffs]
-
-
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     """The exact root of unity e(k/n)."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    g = math.gcd(k % n if k % n else n, n)
-    return CyclotomicNumber(n // g, _monomial_coords(n // g, (k % n) // g),
-                            _canonical=False) if n > 1 else CyclotomicNumber.from_rational(1)
+    return CyclotomicNumber(n, ((k, 1),))
 
 
 def e_frac(x) -> CyclotomicNumber:
@@ -477,7 +372,3 @@ def hilbert_symbol(a, b, place) -> int:
     exponent = (eps_u * eps_w + alpha * omega_w + beta * omega_u) % 2
     return -1 if exponent else 1
 
-
-def dft_matrix(p: int):
-    """The p x p matrix with entries e(i*j/p), exact."""
-    return [[zeta(p, (i * j) % p) for j in range(p)] for i in range(p)]

@@ -86,6 +86,8 @@ def deg_T(D: int, N: int, m: int) -> int:
     """Degree (over one factor) of the determinant-m correspondence."""
     if D <= 1 or not is_squarefree(D) or len(prime_factors(D)) % 2:
         raise ValueError("D must be squarefree > 1 with an even number of primes")
+    if N < 1:
+        raise ValueError("N must be positive")
     if math.gcd(D, N) != 1:
         raise ValueError("N must be coprime to D")
     if m < 1:

@@ -147,36 +147,3 @@ def rat_inverse(a):
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
 
-
-def rat_solve(a, b):
-    """Solve a*x = b exactly (a: m x n Fractions, b: length m); None if inconsistent.
-
-    Returns one solution; used for subfield membership tests where the
-    solution, when it exists, is unique.
-    """
-    m, n = len(a), len(a[0])
-    work = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = Fraction(1) / work[row][col]
-        work[row] = [x * inv for x in work[row]]
-        for r in range(m):
-            if r != row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if work[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = work[r][n]
-    return x

@@ -57,6 +57,9 @@ class TheoremCase:
             raise ValueError("theorem %s needs a squarefree N" % self.theorem)
         if self.m_max < 1:
             raise ValueError("m_max must be at least 1")
+        for m, _value in self.pins:
+            if not 1 <= m <= self.m_max:
+                raise ValueError("pin m=%d is outside 1..m_max=%d" % (m, self.m_max))
         nprimes = len(prime_factors(self.D))
         needs_q = self.theorem in ("1.1", "1.3")
         if self.p is None or (needs_q and self.q is None):
@@ -314,7 +317,10 @@ def _parse_pins(pin_args):
     pins = []
     for text in pin_args or ():
         m_text, _, val_text = text.partition(":")
-        pins.append((int(m_text), Fraction(val_text)))
+        try:
+            pins.append((int(m_text), Fraction(val_text)))
+        except ZeroDivisionError:
+            raise ValueError("pin %r has a zero denominator" % (text,)) from None
     return tuple(pins)
 
 

@@ -134,26 +134,11 @@ class SchwartzCombo:
 
     @staticmethod
     def from_dict(space, data) -> "SchwartzCombo":
-        items = tuple(sorted((lab, c) for lab, c in data.items()
-                             if not _is_zero(c)))
+        items = tuple(sorted((lab, c) for lab, c in data.items() if c != 0))
         return SchwartzCombo(space, items)
 
     def as_dict(self):
         return dict(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SchwartzCombo):
-            return NotImplemented
-        if self.space != other.space:
-            return False
-        a, b = self.as_dict(), other.as_dict()
-        for lab in set(a) | set(b):
-            if not _values_equal(a.get(lab, 0), b.get(lab, 0)):
-                return False
-        return True
-
-    def __hash__(self):
-        return hash((self.space, self.terms))
 
     def __add__(self, other):
         if self.space != other.space:
@@ -162,16 +147,6 @@ class SchwartzCombo:
         for lab, v in other.terms:
             out[lab] = out.get(lab, Fraction(0)) + v
         return SchwartzCombo.from_dict(self.space, out)
-
-
-def _is_zero(c):
-    if isinstance(c, CyclotomicNumber):
-        return c.is_zero()
-    return c == 0
-
-
-def _values_equal(a, b):
-    return (a == b) is True
 
 
 def char_lattice(space: LocalQuadSpace) -> SchwartzCombo:
@@ -221,9 +196,7 @@ def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
             for mu, v in data.items():
                 total = total + v * space.psi(space.bilin(nu_vec,
                                                           space.coset_vector(mu)))
-            total = total * factor * space.gamma
-            if not _is_zero(total):
-                out[nu] = total
+            out[nu] = total * factor * space.gamma
         return SchwartzCombo.from_dict(space, out)
     if kind == "nminus":
         c = int(word[1])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from quatmatch.exactnum import (
     OO,
     CyclotomicNumber,
     additive_character,
-    dft_matrix,
     e_frac,
     hilbert_symbol,
     kronecker_symbol,
@@ -45,6 +45,36 @@ def test_cyclotomic_arithmetic():
     nz = zeta(7) + 2
     assert nz / nz == 1
     assert (nz * nz._inverse()) == 1
+
+
+def _moebius(n):
+    out = 1
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % d for d in range(2, p)):
+            out = 0 if n % (p * p) == 0 else -out
+    return out
+
+
+def test_cyclotomic_canonical_form():
+    for n in (8, 9, 12, 15, 20, 21, 25):
+        for k in range(n):
+            # e(k/n) has conductor n/gcd(k, n), or half that when it is 2 mod 4
+            g = n // math.gcd(k, n)
+            assert zeta(n, k).n == (g // 2 if g % 4 == 2 else g), (n, k)
+    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 20, 21, 24, 25, 30):
+        s = sum((zeta(n, k) for k in range(n) if math.gcd(k, n) == 1),
+                CyclotomicNumber.from_rational(0))
+        assert s == _moebius(n), n
+    assert zeta(15) == zeta(3, 2) * zeta(5, -3)
+    x = zeta(15) + 3 * zeta(15, 7) - zeta(21, 2)
+    y = zeta(20, 3) - Fraction(1, 2) * zeta(12) + zeta(7, 4)
+    z = 2 - zeta(35, 6) + zeta(8, 5)
+    assert x.n == 105
+    assert x * x._inverse() == 1
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert (x * y) * z == x * (y * z)
+    assert (x + y) + z == x + (y + z)
+    assert (x + y) * z == x * z + y * z
 
 
 def test_additive_character_values():
@@ -154,7 +184,7 @@ def test_kronecker_symbol():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_dft_matrix_unitary(p):
-    mat = dft_matrix(p)
+    mat = [[zeta(p, i * j) for j in range(p)] for i in range(p)]
     assert mat[0] == [CyclotomicNumber.from_rational(1)] * p
     for i in range(p):
         for j in range(p):
@@ -164,6 +194,6 @@ def test_dft_matrix_unitary(p):
 
 
 def test_dft_matrix_small_values():
-    assert dft_matrix(2) == [[1, 1], [1, -1]]
-    m3 = dft_matrix(3)
+    assert [[zeta(2, i * j) for j in range(2)] for i in range(2)] == [[1, 1], [1, -1]]
+    m3 = [[zeta(3, i * j) for j in range(3)] for i in range(3)]
     assert m3[1][1] == zeta(3) and m3[2][2] == zeta(3)

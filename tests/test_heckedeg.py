@@ -55,6 +55,8 @@ def test_deg_values():
         deg_T(2, 1, 5)  # odd number of prime factors
     with pytest.raises(ValueError):
         deg_T(6, 25, 5)  # non-squarefree level factor
+    with pytest.raises(ValueError, match="positive"):
+        deg_T(6, 0, 2)  # N = 0 is not a level, whatever gcd(D, N) says
 
 
 def test_deg_multiplicative():

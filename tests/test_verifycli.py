@@ -156,6 +156,10 @@ def test_cli_rejects_bad_local_input(argv, capsys):
     (["verify", "--theorem", "1.4"], "D=2\np=3\ncache_dir=cache\n"),
     (["verify", "--theorem", "1.4"], "theorem=1.3\nD=2\np=3\nq=5\n"),
     (["verify", "--theorem", "all"], "format=xml\n"),
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
+      "--pin", "1:1/0"], None),
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
+      "--pin", "7:1"], None),
     (["classset", "--D", "6"], None),
     (["classset", "--D", "4"], None),
     (["classset", "--D", "2", "--N", "2"], None),

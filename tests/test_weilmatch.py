@@ -154,7 +154,7 @@ def _p_and_psi(primes):
             for p in primes for s in (-1, 1)]
 
 
-@pytest.mark.parametrize("p, psi_sign", _p_and_psi([2, 3, 5, 7, 11]))
+@pytest.mark.parametrize("p, psi_sign", _p_and_psi([2, 3, 5, 7, 11, 13]))
 def test_basis_lemma(p, psi_sign):
     assert verify_basis_lemma(p, psi_sign)
 

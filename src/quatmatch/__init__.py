@@ -14,7 +14,6 @@ and verifies the identities relating the two sides over parameter grids.
 from .exactnum import (
     OO,
     CyclotomicNumber,
-    Rational,
     additive_character,
     e_frac,
     hilbert_symbol,
@@ -31,7 +30,6 @@ from .classsets import (
     ideal_class_set,
     mass_formula,
     theta_counts,
-    theta_qexpansion,
     unit_weight,
 )
 from .heckedeg import deg_T, oracle_local_orbits, r_prime, volume
@@ -46,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "OO",
     "CyclotomicNumber",
-    "Rational",
     "additive_character",
     "e_frac",
     "hilbert_symbol",
@@ -67,7 +64,6 @@ __all__ = [
     "ideal_class_set",
     "mass_formula",
     "theta_counts",
-    "theta_qexpansion",
     "unit_weight",
     "deg_T",
     "oracle_local_orbits",

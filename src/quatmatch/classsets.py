@@ -35,6 +35,7 @@ from .orders import (
     local_splitting,
     maximal_order,
     scale_lattice,
+    sublattice,
 )
 from .quatalg import construct_algebra
 
@@ -191,17 +192,14 @@ def p_neighbors(ideal: RightIdeal, p: int):
         raise ValueError("neighbor prime must be coprime to the level data")
     ol = left_order(ideal)
     (c11, c12), (c21, c22) = _frame_mod_p(ol, p).functionals
-    ol_rows = ol.basis_rows()
     out = []
     lines = [(1, t) for t in range(p)] + [(0, 1)]
     for w1, w2 in lines:
         # column space of the residue matrix inside the line spanned by (w1, w2)
         v1 = [(c11[r] * w2 - c21[r] * w1) % p for r in range(4)]
         v2 = [(c12[r] * w2 - c22[r] * w1) % p for r in range(4)]
-        kern = congruence_kernel([v1, v2], p)
-        rows = [[sum(kern[r][t] * ol_rows[t][c] for t in range(4))
-                 for c in range(4)] for r in range(4)]
-        sub = lattice_product(OrderLattice.from_rows(order.algebra, rows), ideal.lattice)
+        pw = sublattice(ol, congruence_kernel([v1, v2], p))
+        sub = lattice_product(pw, ideal.lattice)
         if index_in(sub, ideal.lattice) != p * p:
             raise ArithmeticError("neighbor does not have index p^2")
         out.append(make_right_ideal(sub, order))
@@ -279,8 +277,7 @@ def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
         raise ValueError("order has no level data; build it via maximal_order/eichler_order")
     D, N = order.level
     mass = mass_formula(D, N)
-    root = make_right_ideal(
-        OrderLattice.from_rows(order.algebra, order.basis_rows()), order)
+    root = make_right_ideal(OrderLattice(order.algebra, order.den, order.mat), order)
     reps = [root]
     weights = [unit_weight(order)]
     acc = Fraction(1, weights[0])
@@ -354,13 +351,6 @@ def genus_theta(cs: IdealClassSet, mmax: int):
 def genus_average(cs: IdealClassSet, m: int) -> Fraction:
     """The genus-averaged representation number r_{D,N}(m)."""
     return genus_theta(cs, m)[m]
-
-
-def theta_qexpansion(lattice_or_classset, m_max: int):
-    """Theta coefficients: plain counts for a lattice, averages for a genus."""
-    if isinstance(lattice_or_classset, IdealClassSet):
-        return genus_theta(lattice_or_classset, m_max)
-    return theta_counts(lattice_or_classset, m_max)
 
 
 def class_set_for(D: int, N: int, traversal_prime=None) -> IdealClassSet:

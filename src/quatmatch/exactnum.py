@@ -19,8 +19,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 #: marker for the archimedean place in `hilbert_symbol`
 OO = math.inf
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .classsets import mass_formula
@@ -40,6 +41,7 @@ from .exactnum import is_squarefree, prime_factors, prime_power_factors
 from .quatalg import ramified_model
 
 
+@lru_cache(maxsize=None)
 def volume(D: int, N: int) -> Fraction:
     """Exact (negative) volume of the level-N curve for discriminant D.
 

@@ -1,13 +1,11 @@
-"""Small exact linear algebra over Z and Q used by the lattice machinery.
+"""Small exact linear algebra over Z used by the lattice machinery.
 
 Everything is dense and tiny (rank 4, occasionally a few more rows), so the
-implementations favour clarity and exactness over asymptotics.  Integer
-matrices are lists of row lists; rational matrices use `fractions.Fraction`.
+implementations favour clarity and exactness over asymptotics.  Matrices
+are lists of integer row lists.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def hnf_rows(rows):
@@ -112,38 +110,4 @@ def congruence_kernel(vectors, modulus):
     if len(basis) != 4:
         raise ArithmeticError("congruence kernel is not full rank")
     return basis
-
-
-def det4(a):
-    """Exact determinant by fraction-free expansion (any small square size)."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if a[0][j] != 0:
-            minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            total += sign * a[0][j] * det4(minor)
-        sign = -sign
-    return total
-
-
-def rat_inverse(a):
-    """Inverse of a square matrix of Fractions by Gauss-Jordan elimination."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 

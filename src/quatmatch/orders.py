@@ -4,6 +4,11 @@ A lattice is stored by a canonical pair (den, mat): `mat` is the row
 Hermite normal form of an integer 4x4 matrix and the basis vectors are the
 rows of mat/den in the coordinates 1, i, j, k of the ambient algebra.  The
 canonical form makes equality, hashing and serialization deterministic.
+Every lattice operation here works on these integer rows and returns
+through `_lattice`.  A full-rank HNF is upper triangular, which is what
+`gram_det`, `index_in` and `coordinates` rely on: the basis determinant
+is the product of the diagonal over den^4, and coordinates come from
+forward substitution.
 
 The Gram matrix is taken with respect to (x, y) = trd(x * conj(y)), whose
 determinant equals the square of the reduced discriminant; a maximal order
@@ -12,34 +17,24 @@ of B(D) has |det| = D^2 and an Eichler order of level N has |det| = (DN)^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import prime_factors, prime_power_factors
-from .matrices import congruence_kernel, det4, hnf_rows, rat_inverse
-from .quatalg import QuatElement, QuaternionAlgebra
+from .matrices import congruence_kernel, hnf_rows
+from .quatalg import QuatElement, QuaternionAlgebra, quat_mul, quat_nrd
 
 
-def _canonical_den_mat(rows):
-    """Canonical (den, HNF matrix) for the lattice spanned by Fraction rows."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    mat = [[int(x * den) for x in row] for row in rows]
-    mat = hnf_rows(mat)
+def _lattice(algebra, den, rows, level=None) -> "OrderLattice":
+    """The canonical lattice spanned by the integer rows over den > 0."""
+    mat = hnf_rows(rows)
     if len(mat) != 4:
         raise ValueError("lattice is not of full rank 4")
-    g = den
-    for row in mat:
-        for x in row:
-            g = math.gcd(g, abs(x))
-    if g > 1:
-        den //= g
-        mat = [[x // g for x in row] for row in mat]
-    return den, tuple(tuple(row) for row in mat)
+    g = math.gcd(den, *(x for row in mat for x in row))
+    return OrderLattice(algebra, den // g,
+                        tuple(tuple(x // g for x in row) for row in mat), level)
 
 
 @dataclass(frozen=True)
@@ -53,14 +48,11 @@ class OrderLattice:
     # -- construction ---------------------------------------------------------
     @staticmethod
     def from_rows(algebra, rows, level=None) -> "OrderLattice":
-        frac_rows = [[Fraction(x) for x in row] for row in rows]
-        den, mat = _canonical_den_mat(frac_rows)
-        return OrderLattice(algebra, den, mat, level)
-
-    @staticmethod
-    def from_elements(elements, level=None) -> "OrderLattice":
-        algebra = elements[0].algebra
-        return OrderLattice.from_rows(algebra, [e.coords for e in elements], level)
+        """The lattice spanned by rational rows (ints or Fractions)."""
+        rows = [[Fraction(x) for x in row] for row in rows]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        return _lattice(algebra, den, [[int(x * den) for x in row] for row in rows],
+                        level)
 
     # -- basic data -----------------------------------------------------------
     def basis_rows(self):
@@ -83,38 +75,31 @@ class OrderLattice:
         return [[x / 2 for x in row] for row in self.gram()]
 
     def gram_det(self) -> Fraction:
-        return det4(self.gram())
+        """det(gram) = det(w) * det(mat)^2 / den^8, with det(w) = 16 a^2 b^2."""
+        ab = self.algebra.a * self.algebra.b
+        d = _diagonal_product(self)
+        return Fraction(16 * ab * ab * d * d, self.den ** 8)
 
     def contains(self, x: QuatElement) -> bool:
         return all(c.denominator == 1 for c in self.coordinates(x))
 
     def coordinates(self, x: QuatElement):
         """Coordinates of x with respect to the lattice basis (Fractions)."""
-        inv = _basis_inverse(self)
-        return [sum(Fraction(x.coords[k]) * inv[k][r] for k in range(4))
-                for r in range(4)]
+        return _coordinates(self, x.coords)
 
     def is_order(self) -> bool:
-        bas = self.basis()
-        if not self.contains(self.algebra.one()):
-            return False
-        for u in bas:
-            if u.reduced_trace().denominator != 1:
-                return False
-            if u.reduced_norm().denominator != 1:
-                return False
-        return all(self.contains(u * v) for u in bas for v in bas)
+        """1 lies in L, trd and nrd are integral on the basis, and L*L = L."""
+        return (all(c.denominator == 1 for c in _coordinates(self, (1, 0, 0, 0)))
+                and _integral_basis(self)
+                and lattice_sum(self, lattice_product(self, self)) == self)
 
     def is_even_integral(self) -> bool:
-        """nrd takes integer values on the lattice (checked on sums of pairs)."""
-        bas = self.basis()
-        for r in range(4):
-            if bas[r].reduced_norm().denominator != 1:
-                return False
-            for s in range(r + 1, 4):
-                if (bas[r] + bas[s]).reduced_norm().denominator != 1:
-                    return False
-        return True
+        """nrd takes integer values on the lattice.  Since
+        nrd(x + y) = nrd x + nrd y + (x, y), that holds exactly when the Gram
+        matrix is integral with an even diagonal."""
+        g = self.gram()
+        return (all(x.denominator == 1 for row in g for x in row)
+                and all(g[r][r] % 2 == 0 for r in range(4)))
 
     # -- serialization ---------------------------------------------------------
     def to_text(self) -> str:
@@ -125,57 +110,79 @@ class OrderLattice:
         return (self.den,) + self.mat
 
 
-@lru_cache(maxsize=None)
-def _basis_inverse(lat: OrderLattice):
-    return tuple(tuple(row) for row in rat_inverse(lat.basis_rows()))
+def _diagonal_product(lat: OrderLattice) -> int:
+    return math.prod(lat.mat[r][r] for r in range(4))
+
+
+def _coordinates(lat: OrderLattice, v):
+    """c with sum_r c_r mat[r] = den * v, by forward substitution (the HNF is
+    upper triangular)."""
+    c = []
+    for k in range(4):
+        t = lat.den * Fraction(v[k]) - sum(c[r] * lat.mat[r][k] for r in range(k))
+        c.append(t / lat.mat[k][k])
+    return c
+
+
+def _integral_basis(lat: OrderLattice) -> bool:
+    """trd and nrd take integer values on every basis vector."""
+    a, b, den = lat.algebra.a, lat.algebra.b, lat.den
+    return all(2 * row[0] % den == 0 and quat_nrd(a, b, row) % (den * den) == 0
+               for row in lat.mat)
 
 
 # ---------------------------------------------------------------------------
 # lattice operations
 
 def lattice_sum(a: OrderLattice, b: OrderLattice) -> OrderLattice:
-    return OrderLattice.from_rows(a.algebra, a.basis_rows() + b.basis_rows())
+    den = math.lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    return _lattice(a.algebra, den, [[x * sa for x in row] for row in a.mat]
+                    + [[x * sb for x in row] for row in b.mat])
 
 
 def lattice_product(a: OrderLattice, b: OrderLattice) -> OrderLattice:
     """Lattice spanned by all products x*y, x in a, y in b."""
-    return OrderLattice.from_rows(
-        a.algebra, [(u * v).coords for u in a.basis() for v in b.basis()])
+    alg = a.algebra
+    return _lattice(alg, a.den * b.den,
+                    [quat_mul(alg.a, alg.b, u, v) for u in a.mat for v in b.mat])
 
 
 def conjugate_lattice(a: OrderLattice) -> OrderLattice:
-    return OrderLattice.from_elements([x.conjugate() for x in a.basis()])
+    return _lattice(a.algebra, a.den,
+                    [(x0, -x1, -x2, -x3) for x0, x1, x2, x3 in a.mat])
 
 
 def scale_lattice(a: OrderLattice, c) -> OrderLattice:
     c = Fraction(c)
-    return OrderLattice.from_rows(a.algebra,
-                                  [[x * c for x in row] for row in a.basis_rows()])
+    return _lattice(a.algebra, a.den * c.denominator,
+                    [[x * c.numerator for x in row] for row in a.mat])
+
+
+def sublattice(lat: OrderLattice, coeffs, level=None) -> OrderLattice:
+    """The lattice spanned by the integer combinations `coeffs` of lat's basis."""
+    rows = [[sum(c[t] * lat.mat[t][col] for t in range(4)) for col in range(4)]
+            for c in coeffs]
+    return _lattice(lat.algebra, lat.den, rows, level)
 
 
 def dual_lattice(lat: OrderLattice) -> OrderLattice:
-    """Dual with respect to (x, y) = trd(x conj(y))."""
-    gram = lat.gram()
-    det = det4(gram)
-    if det == 0:
-        raise ValueError("degenerate Gram matrix")
-    ginv = rat_inverse(gram)
-    rows = lat.basis_rows()
-    dual_rows = [[sum(ginv[r][k] * rows[k][c] for k in range(4)) for c in range(4)]
-                 for r in range(4)]
-    return OrderLattice.from_rows(lat.algebra, dual_rows)
+    """Dual with respect to (x, y) = trd(x conj(y)).
 
-
-def dual_index(lat: OrderLattice) -> Fraction:
-    """[L_dual : L] as a positive rational; equals |det gram| when integral."""
-    return abs(lat.gram_det())
+    Its basis gram^-1 B equals B^-T w^-1, w = diag(2, -2a, -2b, 2ab), and
+    row c of B^-1 holds the coordinates of the c-th unit quaternion.
+    """
+    a, b = lat.algebra.a, lat.algebra.b
+    w = (2, -2 * a, -2 * b, 2 * a * b)
+    inv = [_coordinates(lat, [int(k == c) for k in range(4)]) for c in range(4)]
+    return OrderLattice.from_rows(
+        lat.algebra, [[inv[c][r] / w[c] for c in range(4)] for r in range(4)])
 
 
 def index_in(sub: OrderLattice, sup: OrderLattice) -> Fraction:
     """Index [sup : sub] (a positive rational for commensurable lattices)."""
-    det_sub = det4(sub.basis_rows())
-    det_sup = det4(sup.basis_rows())
-    return abs(Fraction(det_sub) / Fraction(det_sup))
+    return Fraction(_diagonal_product(sub) * sup.den ** 4,
+                    _diagonal_product(sup) * sub.den ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +190,13 @@ def index_in(sub: OrderLattice, sup: OrderLattice) -> Fraction:
 
 def multiplication_table(order: OrderLattice):
     """T[r][s] = integer coordinates of b_r * b_s in the order's basis."""
-    bas = order.basis()
+    a, b, den2 = order.algebra.a, order.algebra.b, order.den * order.den
     table = []
-    for u in bas:
+    for u in order.mat:
         row = []
-        for v in bas:
-            coords = order.coordinates(u * v)
+        for v in order.mat:
+            coords = _coordinates(
+                order, [Fraction(x, den2) for x in quat_mul(a, b, u, v)])
             if any(c.denominator != 1 for c in coords):
                 raise ValueError("lattice is not closed under multiplication")
             row.append(tuple(int(c) for c in coords))
@@ -217,25 +225,23 @@ def _vec_mul(table, x, y, mod):
 # maximal orders
 
 def standard_order(algebra: QuaternionAlgebra) -> OrderLattice:
-    return OrderLattice.from_elements(list(algebra.basis()))
+    return _lattice(algebra, 1, [[int(r == c) for c in range(4)] for r in range(4)])
 
 
-def _multiplicative_closure(algebra, rows, max_rounds=24):
-    """Smallest multiplicatively closed lattice containing the given rows.
+def _multiplicative_closure(algebra, den, rows, max_rounds=24):
+    """Smallest multiplicatively closed lattice containing the integer rows
+    over den.
 
-    Returns None if closure does not stabilise quickly or the result has a
-    non-integral Gram (the candidate generates no order).
+    Returns None if closure does not stabilise quickly or trd or nrd is not
+    integral on the result (the candidate generates no order).
     """
-    lat = OrderLattice.from_rows(algebra, rows)
+    lat = _lattice(algebra, den, rows)
     for _ in range(max_rounds):
-        closed = lattice_product(lat, lat)
-        merged = lattice_sum(lat, closed)
+        merged = lattice_sum(lat, lattice_product(lat, lat))
         if merged == lat:
             return lat
         lat = merged
-        bas = lat.basis()
-        if any(x.reduced_trace().denominator != 1
-               or x.reduced_norm().denominator != 1 for x in bas):
+        if not _integral_basis(lat):
             return None
     return None
 
@@ -249,7 +255,7 @@ def maximal_order(algebra: QuaternionAlgebra) -> OrderLattice:
     """
     target = algebra.discriminant ** 2
     lat = standard_order(algebra)
-    current = abs(lat.gram_det())
+    current = lat.gram_det()
     while current > target:
         excess = Fraction(current, target)
         assert excess.denominator == 1
@@ -259,7 +265,7 @@ def maximal_order(algebra: QuaternionAlgebra) -> OrderLattice:
             bigger = _enlarge_at(algebra, lat, p)
             if bigger is not None:
                 lat = bigger
-                current = abs(lat.gram_det())
+                current = lat.gram_det()
                 enlarged = True
                 break
         if not enlarged:
@@ -271,27 +277,21 @@ def maximal_order(algebra: QuaternionAlgebra) -> OrderLattice:
 
 
 def _enlarge_at(algebra, lat, p):
-    """One enlargement step: adjoin an integral element of (1/p)L, close up."""
-    bas = lat.basis()
-    import itertools
+    """One enlargement step: adjoin an integral x = sum_r c_r b_r / p, close up.
+
+    With 0 <= c_r < p not all zero, x is never in lat already.
+    """
+    a, b, den = algebra.a, algebra.b, lat.den * p
+    scaled = [[x * p for x in row] for row in lat.mat]
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
-        num = QuatElement(algebra, (0, 0, 0, 0))
-        for c, b in zip(coeffs, bas):
-            if c:
-                num = num + b * c
-        x = num * Fraction(1, p)
-        if x.reduced_trace().denominator != 1:
+        x = [sum(c * row[k] for c, row in zip(coeffs, lat.mat)) for k in range(4)]
+        if 2 * x[0] % den or quat_nrd(a, b, x) % (den * den):
             continue
-        if x.reduced_norm().denominator != 1:
-            continue
-        if lat.contains(x):
-            continue
-        closed = _multiplicative_closure(algebra, lat.basis_rows() + [list(x.coords)])
-        if closed is None:
-            continue
-        if abs(closed.gram_det()) < abs(lat.gram_det()) and closed.is_order():
+        closed = _multiplicative_closure(algebra, den, scaled + [x])
+        if closed is not None and closed.gram_det() < lat.gram_det() \
+                and closed.is_order():
             return closed
     return None
 
@@ -324,14 +324,14 @@ class SplitFrame:
 
 
 def _order_one_coords(order):
-    one = order.coordinates(order.algebra.one())
+    one = _coordinates(order, (1, 0, 0, 0))
     if any(c.denominator != 1 for c in one):
         raise ValueError("order does not contain 1")
     return tuple(int(c) for c in one)
 
 
 def _trd_vector(order):
-    return tuple(int(b.reduced_trace()) for b in order.basis())
+    return tuple(2 * row[0] // order.den for row in order.mat)
 
 
 def local_splitting(order: OrderLattice, p: int, k: int = 1) -> SplitFrame:
@@ -348,7 +348,6 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1) -> SplitFrame:
     modulus = p ** k
 
     e = None
-    import itertools
     for cand in itertools.product(range(p), repeat=4):
         if not any(cand):
             continue
@@ -446,10 +445,7 @@ def eichler_order(omax: OrderLattice, N: int) -> OrderLattice:
         kern = congruence_kernel([cond], mod)
         coords_mat = [[sum(kern[r][t] * coords_mat[t][s] for t in range(4))
                        for s in range(4)] for r in range(4)]
-    base = omax.basis_rows()
-    rows = [[sum(Fraction(coords_mat[r][t]) * base[t][c] for t in range(4))
-             for c in range(4)] for r in range(4)]
-    result = OrderLattice.from_rows(algebra, rows, level=(D, N))
+    result = sublattice(omax, coords_mat, level=(D, N))
     if index_in(result, omax) != N:
         raise ArithmeticError("Eichler order has wrong index")
     if not result.is_order() or not result.is_even_integral():

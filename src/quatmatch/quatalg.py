@@ -79,6 +79,22 @@ def _ram_cache(a, b):
     return tuple(finite), inf
 
 
+def quat_mul(a, b, x, y):
+    """Coordinates of x * y in (a, b | Q), for coordinate 4-tuples x and y."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def quat_nrd(a, b, x):
+    """nrd of the element with coordinate 4-tuple x in (a, b | Q)."""
+    x0, x1, x2, x3 = x
+    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+
 @dataclass(frozen=True)
 class QuatElement:
     algebra: QuaternionAlgebra
@@ -112,15 +128,8 @@ class QuatElement:
             return QuatElement(self.algebra,
                                tuple(x * other for x in self.coords))
         self._check(other)
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
-        return QuatElement(self.algebra, (
-            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-        ))
+        return QuatElement(self.algebra, quat_mul(
+            self.algebra.a, self.algebra.b, self.coords, other.coords))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -135,28 +144,11 @@ class QuatElement:
         return 2 * self.coords[0]
 
     def reduced_norm(self) -> Fraction:
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coords
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        return quat_nrd(self.algebra.a, self.algebra.b, self.coords)
 
     def pairing(self, other) -> Fraction:
         """(x, y) = trd(x * conj(y)); satisfies (x, x) = 2 nrd(x)."""
         return (self * other.conjugate()).reduced_trace()
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-def reduced_norm(x: QuatElement) -> Fraction:
-    return x.reduced_norm()
-
-
-def reduced_trace(x: QuatElement) -> Fraction:
-    return x.reduced_trace()
-
-
-def conjugate(x: QuatElement) -> QuatElement:
-    return x.conjugate()
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,23 @@ import math
 from fractions import Fraction
 
 from quatmatch.classsets import pair_q_gram, theta_counts
-from quatmatch.matrices import congruence_kernel, det4, hnf_rows
+from quatmatch.matrices import congruence_kernel, hnf_rows
 from quatmatch.orders import OrderLattice
+
+
+def det4(a):
+    """Exact determinant by cofactor expansion (any small square size)."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        if a[0][j] != 0:
+            minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
+            total += sign * a[0][j] * det4(minor)
+        sign = -sign
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from quatmatch import classsets
-from quatmatch.matrices import det4
 from quatmatch.orders import OrderLattice, maximal_order
 from quatmatch.quatalg import construct_algebra
 from quatmatch.classsets import (
@@ -19,12 +18,12 @@ from quatmatch.classsets import (
     p_neighbors,
     pair_q_gram,
     theta_counts,
-    theta_qexpansion,
     unit_weight,
 )
 
 from genus_reference import (
     automorphism_count,
+    det4,
     genus_closed_under_neighbors,
     genus_lattices,
     isometric,
@@ -200,9 +199,9 @@ def test_genus_average_frozen_values(pool):
 
 def test_theta_qexpansion(pool):
     order = maximal_order(construct_algebra(2))
-    assert theta_qexpansion(order, 3) == [1, 24, 24, 96]
+    assert theta_counts(order, 3) == [1, 24, 24, 96]
     cs = pool.get(2, 1)
-    assert theta_qexpansion(cs, 3) == [1, 24, 24, 96]  # H = 1 genus
+    assert genus_theta(cs, 3) == [1, 24, 24, 96]  # H = 1 genus
     assert genus_theta(cs, 0) == [1]
 
 

@@ -6,15 +6,21 @@ import pytest
 from quatmatch.quatalg import construct_algebra
 from quatmatch.orders import (
     OrderLattice,
+    conjugate_lattice,
     dual_lattice,
     eichler_order,
     index_in,
     lattice_product,
+    lattice_sum,
     local_splitting,
     maximal_order,
     multiplication_table,
+    scale_lattice,
     standard_order,
+    sublattice,
 )
+
+from genus_reference import det4
 
 
 def test_hurwitz_maximal_order():
@@ -145,3 +151,103 @@ def test_lattice_product_is_ideal_product():
     omax = maximal_order(alg)
     prod = lattice_product(omax, omax)
     assert prod == omax
+
+
+# ---------------------------------------------------------------------------
+# the integer-HNF lattice operations against their element-wise definitions
+
+def _random_lattices(alg, rng, count):
+    """Random full-rank lattices: rational ones over small denominators and
+    integer sublattices of the maximal order (which are even integral).
+
+    The list starts with two fixed ones: Z<(1+i)/2, 1, j, k>, whose Gram is
+    integral with the odd diagonal entry (1 - a)/2 = 1 (all algebras here
+    have a = -1), and Z<1, i, j, 2k>, which has 1 and integral trd and nrd
+    on its basis but is no order (ij = k).
+    """
+    omax = maximal_order(alg)
+    half = Fraction(1, 2)
+    out = [omax, standard_order(alg),
+           OrderLattice.from_rows(alg, [[half, half, 0, 0], [1, 0, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1]]),
+           sublattice(standard_order(alg), [[1, 0, 0, 0], [0, 1, 0, 0],
+                                            [0, 0, 1, 0], [0, 0, 0, 2]])]
+    while len(out) < count:
+        coeffs = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        if det4(coeffs) == 0:
+            continue
+        if len(out) % 2:
+            out.append(sublattice(omax, coeffs))
+        else:
+            den = rng.randint(1, 4)
+            out.append(OrderLattice.from_rows(
+                alg, [[Fraction(c, den) for c in row] for row in coeffs]))
+    return out
+
+
+def _inverse(m):
+    """Inverse of a small rational matrix by cofactors."""
+    n, d = len(m), det4(m)
+    return [[(-1) ** (i + j) * Fraction(det4(
+        [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]), d)
+        for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_integer_lattice_operations(D):
+    alg = construct_algebra(D)
+    rng = random.Random(D)
+    lats = _random_lattices(alg, rng, 10)
+    for a, b in zip(lats, lats[1:] + lats[:1]):
+        ea, eb = a.basis(), b.basis()
+        assert lattice_product(a, b) == OrderLattice.from_rows(
+            alg, [(u * v).coords for u in ea for v in eb])
+        assert conjugate_lattice(a) == OrderLattice.from_rows(
+            alg, [u.conjugate().coords for u in ea])
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 6))
+        assert scale_lattice(a, c) == OrderLattice.from_rows(
+            alg, [(u * c).coords for u in ea])
+        assert lattice_sum(a, b) == OrderLattice.from_rows(
+            alg, a.basis_rows() + b.basis_rows())
+        coeffs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        if det4(coeffs):
+            assert sublattice(a, coeffs) == OrderLattice.from_rows(
+                alg, [[sum(k[t] * a.basis_rows()[t][col] for t in range(4))
+                       for col in range(4)] for k in coeffs])
+
+
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_integer_lattice_invariants(D):
+    alg = construct_algebra(D)
+    rng = random.Random(10 + D)
+    lats = _random_lattices(alg, rng, 12) + [eichler_order(maximal_order(alg), 5)]
+    assert alg.a == -1
+    even, integral = [], []
+    for a, b in zip(lats, lats[1:] + lats[:1]):
+        assert a.gram_det() == det4(a.gram())
+        assert index_in(a, b) == abs(Fraction(det4(a.basis_rows()))
+                                     / det4(b.basis_rows()))
+        x = alg.element(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                          for _ in range(4)))
+        coords = a.coordinates(x)
+        assert sum((u * c for u, c in zip(a.basis(), coords)),
+                   alg.element(0)) == x
+        gram_inv = _inverse(a.gram())
+        rows = a.basis_rows()
+        assert dual_lattice(a) == OrderLattice.from_rows(
+            alg, [[sum(gram_inv[r][k] * rows[k][col] for k in range(4))
+                   for col in range(4)] for r in range(4)])
+        ea = a.basis()
+        pair_sums = [ea[r] + ea[s] for r in range(4) for s in range(r + 1, 4)]
+        expected = all(u.reduced_norm().denominator == 1 for u in ea + pair_sums)
+        assert a.is_even_integral() == expected
+        even.append(expected)
+        integral.append(all(x.denominator == 1 for row in a.gram() for x in row))
+        assert a.is_order() == (
+            a.contains(alg.one())
+            and all(u.reduced_trace().denominator == 1
+                    and u.reduced_norm().denominator == 1 for u in ea)
+            and all(a.contains(u * v) for u in ea for v in ea))
+    # even, integral with an odd diagonal, and not integral all occur
+    assert any(even) and any(i and not e for i, e in zip(integral, even))
+    assert not all(integral)

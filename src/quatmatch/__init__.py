@@ -21,7 +21,7 @@ from .exactnum import (
     zeta,
 )
 from .quatalg import QuaternionAlgebra, QuatElement, construct_algebra
-from .orders import OrderLattice, dual_lattice, eichler_order, local_splitting, maximal_order
+from .orders import OrderLattice, eichler_order, local_splitting, maximal_order
 from .classsets import (
     IdealClassSet,
     class_set_for,
@@ -53,7 +53,6 @@ __all__ = [
     "QuatElement",
     "construct_algebra",
     "OrderLattice",
-    "dual_lattice",
     "eichler_order",
     "local_splitting",
     "maximal_order",

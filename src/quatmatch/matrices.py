@@ -44,70 +44,20 @@ def hnf_rows(rows):
     return [r for r in mat[:top]]
 
 
-def hnf_with_transform(rows):
-    """Return (H, U) with U unimodular, U*A = H-padded (H includes zero rows)."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if not mat:
-        return [], u
-    ncols = len(mat[0])
-    top = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(top, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[top], mat[pivot] = mat[pivot], mat[top]
-        u[top], u[pivot] = u[pivot], u[top]
-        for r in range(top + 1, n):
-            while mat[r][col] != 0:
-                q = mat[top][col] // mat[r][col]
-                mat[top] = [a - q * b for a, b in zip(mat[top], mat[r])]
-                u[top] = [a - q * b for a, b in zip(u[top], u[r])]
-                mat[top], mat[r] = mat[r], mat[top]
-                u[top], u[r] = u[r], u[top]
-        if mat[top][col] < 0:
-            mat[top] = [-a for a in mat[top]]
-            u[top] = [-a for a in u[top]]
-        for r in range(top):
-            q = mat[r][col] // mat[top][col]
-            if q:
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[top])]
-                u[r] = [a - q * b for a, b in zip(u[r], u[top])]
-        top += 1
-    return mat, u
-
-
-def integer_kernel(rows):
-    """Basis (as rows) of {z in Z^n : z * A = 0} for A given by `rows`."""
-    mat, u = hnf_with_transform(rows)
-    kernel = []
-    for i, row in enumerate(mat):
-        if all(a == 0 for a in row):
-            kernel.append(u[i])
-    return hnf_rows(kernel)
-
-
 def congruence_kernel(vectors, modulus):
     """Basis of {c in Z^4 : sum_i c_i * v[i] == 0 (mod modulus) for each v}.
 
     `vectors` is a list of length-4 integer vectors (the linear conditions).
+    The rows [v_1[i] .. v_r[i] | e_i] and [modulus * e_j | 0] span
+    {(c V + modulus t, c)}; in its HNF the rows whose first r entries are 0
+    span the part with c V == 0 (mod modulus), and they are in HNF themselves.
     """
     r = len(vectors)
-    if r == 0:
-        return [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    # rows z = (c, t) with c*V^T - t*modulus = 0
-    a = [[vectors[j][i] for j in range(r)] for i in range(4)]
-    for j in range(r):
-        a.append([modulus if jj == j else 0 for jj in range(r)])
-    kern = integer_kernel(a)
-    proj = [row[:4] for row in kern]
-    basis = hnf_rows(proj)
+    rows = [[v[i] for v in vectors] + [int(i == s) for s in range(4)]
+            for i in range(4)]
+    rows += [[modulus * int(j == s) for s in range(r)] + [0] * 4
+             for j in range(r)]
+    basis = [row[r:] for row in hnf_rows(rows) if not any(row[:r])]
     if len(basis) != 4:
         raise ArithmeticError("congruence kernel is not full rank")
     return basis
-

@@ -166,19 +166,6 @@ def sublattice(lat: OrderLattice, coeffs, level=None) -> OrderLattice:
     return _lattice(lat.algebra, lat.den, rows, level)
 
 
-def dual_lattice(lat: OrderLattice) -> OrderLattice:
-    """Dual with respect to (x, y) = trd(x conj(y)).
-
-    Its basis gram^-1 B equals B^-T w^-1, w = diag(2, -2a, -2b, 2ab), and
-    row c of B^-1 holds the coordinates of the c-th unit quaternion.
-    """
-    a, b = lat.algebra.a, lat.algebra.b
-    w = (2, -2 * a, -2 * b, 2 * a * b)
-    inv = [_coordinates(lat, [int(k == c) for k in range(4)]) for c in range(4)]
-    return OrderLattice.from_rows(
-        lat.algebra, [[inv[c][r] / w[c] for c in range(4)] for r in range(4)])
-
-
 def index_in(sub: OrderLattice, sup: OrderLattice) -> Fraction:
     """Index [sup : sub] (a positive rational for commensurable lattices)."""
     return Fraction(_diagonal_product(sub) * sup.den ** 4,

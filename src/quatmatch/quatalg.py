@@ -63,12 +63,6 @@ class QuaternionAlgebra:
         return (self.element(1), self.element(0, 1),
                 self.element(0, 0, 1), self.element(0, 0, 0, 1))
 
-    def local_ramified_model(self, p: int) -> "RamifiedModel":
-        if p not in self.ramified_primes:
-            raise ValueError("%d does not divide the discriminant %d"
-                             % (p, self.discriminant))
-        return ramified_model(p)
-
     def __repr__(self):
         return "QuaternionAlgebra(a=%d, b=%d)" % (self.a, self.b)
 

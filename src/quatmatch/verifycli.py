@@ -324,7 +324,8 @@ def _parse_pins(pin_args):
     return tuple(pins)
 
 
-_CONFIG_KEYS = ("theorem", "D", "N", "p", "q", "m_max", "out_dir", "format", "pin")
+_CASE_KEYS = ("D", "N", "p", "q", "m_max", "pin")
+_CONFIG_KEYS = ("theorem", "out_dir", "format") + _CASE_KEYS
 _FORMATS = ("table", "json", "csv")
 
 
@@ -411,6 +412,11 @@ def _verify_config(args) -> SuiteConfig:
     if fmt not in _FORMATS:
         raise ValueError("unknown format %r; choose from %s" % (fmt, ", ".join(_FORMATS)))
     if args.theorem == "all":
+        given = [name for name in _CASE_KEYS
+                 if getattr(args, name) is not None or name in merged]
+        if given:
+            raise ValueError("--theorem all runs the default grid and takes no "
+                             "per-case input, got %s" % ", ".join(given))
         return SuiteConfig(default_suite_cases(), out_dir, fmt)
     D = pick("D", args.D, int)
     if D is None:

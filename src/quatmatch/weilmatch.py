@@ -40,7 +40,6 @@ def wn(i: int):
 @dataclass(frozen=True)
 class LocalQuadSpace:
     p: int
-    kind: str              # "split-maximal" | "split-level" | "ramified"
     qgram: tuple           # 4x4 Fractions; Q(v) = v qgram v^T
     dual_gens: tuple       # (v_I, v_J) spanning L_dual/L, or None if self-dual
     dual_index: int
@@ -85,7 +84,7 @@ def split_maximal_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuad
     h = Fraction(1, 2)
     qg = ((0, 0, 0, h), (0, 0, -h, 0), (0, -h, 0, 0), (h, 0, 0, 0))
     qg = tuple(tuple(Fraction(x) for x in row) for row in qg)
-    return LocalQuadSpace(p, "split-maximal", qg, None, 1, gamma, psi_sign)
+    return LocalQuadSpace(p, qg, None, 1, gamma, psi_sign)
 
 
 def split_level_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuadSpace:
@@ -98,7 +97,7 @@ def split_level_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuadSp
     qg = tuple(tuple(Fraction(x) for x in row) for row in qg)
     vi = (Fraction(0), Fraction(0), Fraction(1, p), Fraction(0))
     vj = (Fraction(0), Fraction(1, p), Fraction(0), Fraction(0))
-    return LocalQuadSpace(p, "split-level", qg, (vi, vj), p * p, gamma, psi_sign)
+    return LocalQuadSpace(p, qg, (vi, vj), p * p, gamma, psi_sign)
 
 
 def ramified_space(p: int, gamma: int = -1, psi_sign: int = -1) -> LocalQuadSpace:
@@ -120,7 +119,7 @@ def ramified_space(p: int, gamma: int = -1, psi_sign: int = -1) -> LocalQuadSpac
     qg = tuple(tuple(Fraction(x) for x in row) for row in qg)
     vi = (Fraction(0), Fraction(0), Fraction(1, p), Fraction(0))
     vj = (Fraction(0), Fraction(0), Fraction(0), Fraction(1, p))
-    return LocalQuadSpace(p, "ramified", qg, (vi, vj), p * p, gamma, psi_sign)
+    return LocalQuadSpace(p, qg, (vi, vj), p * p, gamma, psi_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +138,6 @@ class SchwartzCombo:
 
     def as_dict(self):
         return dict(self.terms)
-
-    def __add__(self, other):
-        if self.space != other.space:
-            raise ValueError("combos live on different spaces")
-        out = self.as_dict()
-        for lab, v in other.terms:
-            out[lab] = out.get(lab, Fraction(0)) + v
-        return SchwartzCombo.from_dict(self.space, out)
 
 
 def char_lattice(space: LocalQuadSpace) -> SchwartzCombo:
@@ -230,57 +221,8 @@ def lambda_eval(combo: SchwartzCombo, g) -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(value)
 
 
-def lambda_eval_bruteforce(combo: SchwartzCombo, i: int) -> CyclotomicNumber:
-    """lambda(phi)(w n(i)) as a raw character sum over (mu + L)/pL.
-
-    Independent of `weil_act`; used as a cross-check.  The sum runs over
-    p^4 residue points per coset.
-    """
-    space = combo.space
-    p = space.p
-    total = CyclotomicNumber.from_rational(0)
-    for lab, coeff in combo.terms:
-        mu = space.coset_vector(lab)
-        coset_sum = CyclotomicNumber.from_rational(0)
-        for r0 in range(p):
-            for r1 in range(p):
-                for r2 in range(p):
-                    for r3 in range(p):
-                        x = (mu[0] + r0, mu[1] + r1, mu[2] + r2, mu[3] + r3)
-                        coset_sum = coset_sum + space.psi(i * space.q(x))
-        total = total + coset_sum * coeff
-    return total * Fraction(space.gamma) * space.vol * Fraction(1, p ** 4)
-
-
 # ---------------------------------------------------------------------------
-# invariance and the matching statements
-
-_LEVELS = ("K0", "K0plus", "K")
-
-
-def _generator_words(space, level):
-    p = space.p
-    if level == "K0":
-        ns = [("n", b) for b in range(1, p)]
-        nms = [("nminus", p * t) for t in range(1, p)]
-    elif level == "K0plus":
-        ns = [("n", p * b) for b in range(1, p)]
-        nms = [("nminus", c) for c in range(1, p)]
-    elif level == "K":
-        ns = [("n", p * b) for b in range(1, p)]
-        nms = [("nminus", p * t) for t in range(1, p)]
-    else:
-        raise ValueError("level must be one of %r" % (_LEVELS,))
-    return ns + nms
-
-
-def verify_k_invariance(combo: SchwartzCombo, level: str) -> bool:
-    """True iff every listed generator of the level group fixes the combo."""
-    for word in _generator_words(combo.space, level):
-        if weil_act(word, combo) != combo:
-            return False
-    return True
-
+# the matching statements
 
 def verify_prop_3_1(p: int, gamma_split: int = 1, gamma_ram: int = -1,
                     psi_sign: int = -1) -> bool:
@@ -315,18 +257,6 @@ def verify_prop_3_1(p: int, gamma_split: int = 1, gamma_ram: int = -1,
     return True
 
 
-def lambda_value_matrix(p: int, psi_sign: int = -1):
-    """Rows: sections lambda(phi0), lambda(phi_{1,j}); columns: {1, w n(i)}."""
-    sp0 = split_maximal_space(p, 1, psi_sign)
-    sp1 = split_level_space(p, 1, psi_sign)
-    transversal = [IDENTITY] + [wn(i) for i in range(p)]
-    rows = [[lambda_eval(char_lattice(sp0), g) for g in transversal]]
-    for j in range(p):
-        phi = coset_char(sp1, 1, j)
-        rows.append([lambda_eval(phi, g) for g in transversal])
-    return rows
-
-
 @lru_cache(maxsize=None)
 def _dft_matrix(p: int, psi_sign: int):
     """A = (p * lambda(phi_{1,j})(w n(i))), checked entrywise to be the DFT
@@ -347,21 +277,21 @@ def _dft_matrix(p: int, psi_sign: int):
 def verify_basis_lemma(p: int, psi_sign: int = -1) -> bool:
     """The p+1 sections are a basis and coset sections depend only on ab mod p.
 
-    Column g = 1 of the value matrix is (c, 0, ..., 0) with c != 0 and the
-    remaining p x p block is A^T / p for the checked DFT matrix A, so the
-    matrix is invertible.
+    On the transversal {1, w n(i)} the sections lambda(phi0), lambda(phi_{1,j})
+    form a block-triangular matrix: column g = 1 is (c, 0, ..., 0) with
+    c != 0, and the remaining p x p block is A^T / p for the checked DFT
+    matrix A, so the matrix is invertible.
     """
-    rows = lambda_value_matrix(p, psi_sign)
     try:
-        amat = _dft_matrix(p, psi_sign)
+        _dft_matrix(p, psi_sign)
     except ArithmeticError:
         return False
-    if rows[0][0] == 0 or any(rows[j][0] != 0 for j in range(1, p + 1)):
-        return False
-    if any(rows[1 + j][1 + i] * p != amat[i][j]
-           for i in range(p) for j in range(p)):
-        return False
+    sp0 = split_maximal_space(p, 1, psi_sign)
     sp1 = split_level_space(p, 1, psi_sign)
+    if lambda_eval(char_lattice(sp0), IDENTITY) == 0:
+        return False
+    if any(lambda_eval(coset_char(sp1, 1, j), IDENTITY) != 0 for j in range(p)):
+        return False
     transversal = [IDENTITY] + [wn(i) for i in range(p)]
     values = {}
     for a in range(p):
@@ -383,45 +313,22 @@ def match_coefficients(p: int, k: int, l: int, psi_sign: int = -1):
     """Rational coefficients expressing the (k,l) division-order coset section
     in the split coset sections.
 
-    With both sides scaled by p the system is A x = t for the checked DFT
-    matrix A (see `_dft_matrix`); x is its inverse DFT, and A x = t is then
-    verified exactly.  The result is a 0/-1 vector with its single -1 at
-    j = d_{k,l} mod p, where d_{k,l} is the norm-form value of the residue
-    label.
+    The answer is the closed form x = -e_d: a single -1 at j = d_{k,l} mod p,
+    where d_{k,l} is the norm-form value of the residue label.  With both
+    sides scaled by p the matching is the system A x = t for the checked DFT
+    matrix A (see `_dft_matrix`); A is invertible, so checking A x = t
+    exactly, row by row, certifies x as its unique solution.
     """
     if (k % p, l % p) == (0, 0):
         raise ValueError("the zero coset has no matching of this shape")
-    ra = ramified_space(p, -1, psi_sign)
-    phi_kl = coset_char(ra, k, l)
+    phi_kl = coset_char(ramified_space(p, -1, psi_sign), k, l)
     amat = _dft_matrix(p, psi_sign)
-    tvec = [lambda_eval(phi_kl, wn(i)) * p for i in range(p)]
-
-    # inverse DFT: A^(-1) = (1/p) * conj(A)
-    out = []
-    for j in range(p):
-        s = CyclotomicNumber.from_rational(0)
-        for i in range(p):
-            s = s + zeta(p, (psi_sign * i * j) % p) * tvec[i]
-        c = s * Fraction(1, p)
-        if not c.is_rational:
-            raise ArithmeticError("matching coefficient is not rational: %s" % c)
-        out.append(c.rational_value())
-
+    d = ramified_model(p).d_value(k, l) % p
     for i in range(p):
-        s = CyclotomicNumber.from_rational(0)
-        for j in range(p):
-            if out[j]:
-                s = s + amat[i][j] * out[j]
-        if s != tvec[i]:
-            raise ArithmeticError("inverse-DFT solution fails A x = t at row %d" % i)
-
-    # structural check: a single -1 at the norm-form residue of the label
-    model = ramified_model(p)
-    d = model.d_value(k, l) % p
-    expected = [Fraction(-1) if j == d else Fraction(0) for j in range(p)]
-    if out != expected:
-        raise ArithmeticError("matching coefficients have unexpected shape: %r" % out)
-    return out
+        if -amat[i][d] != lambda_eval(phi_kl, wn(i)) * p:
+            raise ArithmeticError("closed-form matching x = -e_%d fails A x = t "
+                                  "at row %d" % (d, i))
+    return [Fraction(-1) if j == d else Fraction(0) for j in range(p)]
 
 
 def lambda_table_text(p: int) -> str:

@@ -12,6 +12,8 @@ holds the Kneser p-neighbour map used to certify that the classes found
 are closed in the genus, and a rational-Cholesky vector enumerator that
 builds a Fraction per lattice point, kept independent of the package's
 integer enumeration so that the two can be checked against each other.
+The dual lattice and the cofactor determinant are test-side helpers for
+the lattice checks.
 """
 
 import itertools
@@ -36,6 +38,19 @@ def det4(a):
             total += sign * a[0][j] * det4(minor)
         sign = -sign
     return total
+
+
+def dual_lattice(lat: OrderLattice) -> OrderLattice:
+    """Dual with respect to (x, y) = trd(x conj(y)).
+
+    Its basis gram^-1 B equals B^-T w^-1, w = diag(2, -2a, -2b, 2ab), and
+    row c of B^-1 holds the coordinates of the c-th unit quaternion.
+    """
+    alg = lat.algebra
+    w = (2, -2 * alg.a, -2 * alg.b, 2 * alg.a * alg.b)
+    inv = [lat.coordinates(unit) for unit in alg.basis()]
+    return OrderLattice.from_rows(
+        alg, [[inv[c][r] / w[c] for c in range(4)] for r in range(4)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from quatmatch.quatalg import construct_algebra
 from quatmatch.orders import (
     OrderLattice,
     conjugate_lattice,
-    dual_lattice,
     eichler_order,
     index_in,
     lattice_product,
@@ -20,7 +19,7 @@ from quatmatch.orders import (
     sublattice,
 )
 
-from genus_reference import det4
+from genus_reference import det4, dual_lattice
 
 
 def test_hurwitz_maximal_order():

@@ -120,9 +120,3 @@ def test_ramified_model_arithmetic():
             for y in elems:
                 assert m.nrd(m.mul(x, y)) == m.nrd(x) * m.nrd(y)
 
-
-def test_local_ramified_model_guard():
-    alg = construct_algebra(6)
-    assert alg.local_ramified_model(2).p == 2
-    with pytest.raises(ValueError):
-        alg.local_ramified_model(5)

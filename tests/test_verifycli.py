@@ -156,6 +156,15 @@ def test_cli_rejects_bad_local_input(argv, capsys):
     (["verify", "--theorem", "1.4"], "D=2\np=3\ncache_dir=cache\n"),
     (["verify", "--theorem", "1.4"], "theorem=1.3\nD=2\np=3\nq=5\n"),
     (["verify", "--theorem", "all"], "format=xml\n"),
+    (["verify", "--theorem", "all", "--D", "999", "--m-max", "3", "--pin", "1:5"],
+     None),
+    (["verify", "--theorem", "all", "--N", "5"], None),
+    (["verify", "--theorem", "all", "--p", "3"], None),
+    (["verify", "--theorem", "all", "--q", "5"], None),
+    (["verify", "--theorem", "all", "--m-max", "3"], None),
+    (["verify", "--theorem", "all", "--pin", "1:5"], None),
+    (["verify", "--theorem", "all"], "D=2\n"),
+    (["verify", "--theorem", "all"], "m_max=3\npin=1:5\n"),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
       "--pin", "1:1/0"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",

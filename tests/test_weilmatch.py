@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from quatmatch import weilmatch
 from quatmatch.exactnum import CyclotomicNumber, zeta
-from quatmatch.quatalg import ramified_model
+from quatmatch.quatalg import RamifiedModel, ramified_model
 from quatmatch.weilmatch import (
     IDENTITY,
     W,
@@ -11,18 +12,18 @@ from quatmatch.weilmatch import (
     char_lattice,
     coset_char,
     lambda_eval,
-    lambda_eval_bruteforce,
     lambda_table_text,
     match_coefficients,
     ramified_space,
     split_level_space,
     split_maximal_space,
     verify_basis_lemma,
-    verify_k_invariance,
     verify_prop_3_1,
     weil_act,
     wn,
 )
+
+from weil_reference import lambda_eval_bruteforce, verify_k_invariance
 
 
 def test_space_volumes_and_indices():
@@ -181,6 +182,43 @@ def test_match_coefficients(p, psi_sign):
                     if cj:
                         rhs = rhs + lambda_eval(coset_char(sp1, 1, j), g) * cj
                 assert lhs == rhs
+
+
+class _ShiftedResidue(RamifiedModel):
+    """A division-order model whose norm-form residue d is off by one."""
+
+    def d_value(self, k, l):
+        return super().d_value(k, l) + 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_match_coefficients_rejects_wrong_residue(p, monkeypatch):
+    # the closed form -e_d is only accepted because A x = t holds exactly
+    model = ramified_model(p)
+    monkeypatch.setattr(weilmatch, "ramified_model",
+                        lambda q: _ShiftedResidue(model.p, model.t, model.n))
+    for k in range(p):
+        for l in range(p):
+            if (k, l) != (0, 0):
+                with pytest.raises(ArithmeticError, match="fails A x = t"):
+                    match_coefficients(p, k, l)
+
+
+@pytest.fixture
+def flipped_dft(monkeypatch):
+    """`_dft_matrix` expects -zeta entries: the true lambda block is then not
+    the expected DFT matrix."""
+    monkeypatch.setattr(weilmatch, "zeta", lambda n, k=1: -zeta(n, k))
+    weilmatch._dft_matrix.cache_clear()
+    yield
+    weilmatch._dft_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_non_dft_block_is_rejected(p, flipped_dft):
+    assert not verify_basis_lemma(p)
+    with pytest.raises(ArithmeticError, match="not the DFT matrix"):
+        match_coefficients(p, 1, 0)
 
 
 def test_match_coefficients_rejects_zero_coset():

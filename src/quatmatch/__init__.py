@@ -14,8 +14,6 @@ and verifies the identities relating the two sides over parameter grids.
 from .exactnum import (
     OO,
     CyclotomicNumber,
-    additive_character,
-    e_frac,
     hilbert_symbol,
     kronecker_symbol,
     zeta,
@@ -44,8 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "OO",
     "CyclotomicNumber",
-    "additive_character",
-    "e_frac",
     "hilbert_symbol",
     "kronecker_symbol",
     "zeta",

@@ -4,9 +4,6 @@ Conventions used across the package:
 
 * ``e(t)`` denotes ``exp(2*pi*i*t)``; ``zeta(n, k)`` is the exact value
   ``e(k/n)`` in the canonical basis of `CyclotomicNumber`.
-* The additive character of Q_p is ``psi_p(x) = e(-frac_p(x))`` where
-  ``frac_p`` is the p-adic fractional part.  With this normalisation psi_p
-  is trivial on p-adic integers and ``e(x) * prod_p psi_p(x) = 1`` on Q.
 * The Hilbert symbol at odd p uses the Legendre symbols of the unit parts;
   at p = 2 it uses the classical (u-1)/2 and (u^2-1)/8 exponents.
 
@@ -261,33 +258,6 @@ def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     if n < 1:
         raise ValueError("conductor must be positive")
     return CyclotomicNumber(n, ((k, 1),))
-
-
-def e_frac(x) -> CyclotomicNumber:
-    """e(x) for rational x."""
-    x = Fraction(x)
-    return zeta(x.denominator, x.numerator % x.denominator)
-
-
-# ---------------------------------------------------------------------------
-# additive characters
-
-def padic_fractional_part(p: int, x) -> Fraction:
-    """The unique a/p^k in [0,1) with x - a/p^k a p-adic integer."""
-    x = Fraction(x)
-    den = x.denominator
-    m = den
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError("denominator of %s is not a power of %d" % (x, p))
-    return Fraction(x.numerator % den, den)
-
-
-def additive_character(p: int, x) -> CyclotomicNumber:
-    """psi_p(x) = e(-frac_p(x)) for x with p-power denominator."""
-    frac = padic_fractional_part(p, x)
-    return e_frac(-frac)
 
 
 # ---------------------------------------------------------------------------

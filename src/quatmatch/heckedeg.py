@@ -86,12 +86,7 @@ def local_degree_ramified(p: int, k: int) -> int:
 
 def deg_T(D: int, N: int, m: int) -> int:
     """Degree (over one factor) of the determinant-m correspondence."""
-    if D <= 1 or not is_squarefree(D) or len(prime_factors(D)) % 2:
-        raise ValueError("D must be squarefree > 1 with an even number of primes")
-    if N < 1:
-        raise ValueError("N must be positive")
-    if math.gcd(D, N) != 1:
-        raise ValueError("N must be coprime to D")
+    volume(D, N)  # the one check that (D, N) is an indefinite level
     if m < 1:
         raise ValueError("m must be a positive integer")
     total = 1

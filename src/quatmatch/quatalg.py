@@ -196,8 +196,8 @@ class RamifiedModel:
     the lexicographically least such pair.  A uniformizer pi satisfies
     pi^2 = p and pi * r = conj(r) * pi for r in the quadratic subfield.
     Elements are flat tuples (a1, a2, b1, b2) standing for
-    (a1 + a2 u) + (b1 + b2 u) pi, the coordinates of
-    `weilmatch.ramified_space`.
+    (a1 + a2 u) + (b1 + b2 u) pi, the coordinates in which
+    `weilmatch.ramified_space` derives its coset norms.
     """
     p: int
     t: int

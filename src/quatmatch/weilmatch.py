@@ -3,19 +3,26 @@
 The three standard local quadratic spaces are the 2x2 matrix algebra with
 its maximal lattice, the same algebra with the level lattice (lower-left
 entry divisible by p), and the division quaternion algebra with its maximal
-order.  Schwartz functions are rational combinations of indicator functions
-of dual cosets mu + L; the group action is generated by
+order.  The Weil representation of an even lattice L depends only on its
+discriminant module (L_dual/L, Q mod 1), so each space is stored as that
+module: the cosets mu_{i,j} + L carry labels (i, j) mod p, and a table
+holds the integers p*Q(mu_{i,j}) mod p.  Schwartz functions are rational
+combinations of indicator functions of these cosets; the group action is
+generated by
 
     n(b):  multiply the mu-coset coefficient by psi(b * Q(mu))
     m(a):  permute cosets by x -> a*x (unit a)
     w:     finite Fourier transform over L_dual / L, scaled by gamma * vol(L)
 
 with vol(L) = [L_dual : L]^(-1/2) and the Weil index gamma = +1 for the
-split spaces and -1 for the ramified one.  The section value lambda(phi)(g)
-is (omega(g) phi)(0).
+split spaces and -1 for the ramified one.  The Fourier kernel is
+psi(B(nu, mu)) with B(nu, mu) = Q(nu + mu) - Q(nu) - Q(mu).  The section
+value lambda(phi)(g) is (omega(g) phi)(0).
 
-Character convention: psi_p(x) = e(-frac_p(x)) (see `exactnum`); the
-`psi_sign` knob on a space flips it for convention-independence checks.
+Character convention: psi_p(x) = e(-frac_p(x)), where frac_p is the p-adic
+fractional part, so psi_p is trivial on Z_p and psi_p(a/p) = zeta_p^(-a).
+The `psi_sign` knob on a space flips it (psi_p(a/p) = zeta_p^(psi_sign*a))
+for convention-independence checks.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import CyclotomicNumber, additive_character, zeta
+from .exactnum import CyclotomicNumber, zeta
 from .quatalg import ramified_model
 
 IDENTITY = ()
@@ -39,87 +46,54 @@ def wn(i: int):
 
 @dataclass(frozen=True)
 class LocalQuadSpace:
+    """The discriminant module of a local lattice.
+
+    `table[i][j]` is p*Q(mu_{i,j}) mod p; the table is 1x1 for a self-dual
+    lattice (the single label (0, 0)) and p x p otherwise.
+    """
     p: int
-    qgram: tuple           # 4x4 Fractions; Q(v) = v qgram v^T
-    dual_gens: tuple       # (v_I, v_J) spanning L_dual/L, or None if self-dual
-    dual_index: int
+    table: tuple
     gamma: int
     psi_sign: int = -1
 
     @property
     def vol(self) -> Fraction:
-        root = math.isqrt(self.dual_index)
-        if root * root != self.dual_index:
-            raise ArithmeticError("dual index is not a perfect square")
-        return Fraction(1, root)
+        # [L_dual : L] is the square of the table's side
+        return Fraction(1, len(self.table))
 
     def labels(self):
-        if self.dual_gens is None:
-            return [(0, 0)]
-        return [(i, j) for i in range(self.p) for j in range(self.p)]
+        size = len(self.table)
+        return [(i, j) for i in range(size) for j in range(size)]
 
-    def coset_vector(self, label):
-        i, j = label
-        if self.dual_gens is None:
-            if (i, j) != (0, 0):
-                raise ValueError("self-dual lattice has a single coset")
-            return (Fraction(0),) * 4
-        vi, vj = self.dual_gens
-        return tuple(i * a + j * b for a, b in zip(vi, vj))
 
-    def q(self, v) -> Fraction:
-        return sum(self.qgram[r][s] * v[r] * v[s] for r in range(4) for s in range(4))
-
-    def bilin(self, v, w) -> Fraction:
-        return sum((self.qgram[r][s] + self.qgram[s][r]) * v[r] * w[s]
-                   for r in range(4) for s in range(4))
-
-    def psi(self, x) -> CyclotomicNumber:
-        x = Fraction(x)
-        return additive_character(self.p, x if self.psi_sign == -1 else -x)
+def _table(p: int, quad) -> tuple:
+    return tuple(tuple(quad(i, j) % p for j in range(p)) for i in range(p))
 
 
 def split_maximal_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuadSpace:
-    """2x2 matrices over Z_p with Q = det, coordinates (x11, x12, x21, x22)."""
-    h = Fraction(1, 2)
-    qg = ((0, 0, 0, h), (0, 0, -h, 0), (0, -h, 0, 0), (h, 0, 0, 0))
-    qg = tuple(tuple(Fraction(x) for x in row) for row in qg)
-    return LocalQuadSpace(p, qg, None, 1, gamma, psi_sign)
+    """2x2 matrices over Z_p with Q = det; self-dual."""
+    return LocalQuadSpace(p, ((0,),), gamma, psi_sign)
 
 
 def split_level_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuadSpace:
-    """The level lattice (lower-left entry in pZ_p), basis E11, E12, p*E21, E22.
+    """The level lattice (lower-left entry in pZ_p) with Q = det.
 
-    Q(y) = y1 y4 - p y2 y3; the dual cosets are mu_{i,j} = [[0, j/p],[i, 0]].
+    The dual cosets are mu_{i,j} = [[0, j/p],[i, 0]], so Q(mu_{i,j}) = -ij/p.
     """
-    h = Fraction(1, 2)
-    qg = ((0, 0, 0, h), (0, 0, -h * p, 0), (0, -h * p, 0, 0), (h, 0, 0, 0))
-    qg = tuple(tuple(Fraction(x) for x in row) for row in qg)
-    vi = (Fraction(0), Fraction(0), Fraction(1, p), Fraction(0))
-    vj = (Fraction(0), Fraction(1, p), Fraction(0), Fraction(0))
-    return LocalQuadSpace(p, qg, (vi, vj), p * p, gamma, psi_sign)
+    return LocalQuadSpace(p, _table(p, lambda i, j: -i * j), gamma, psi_sign)
 
 
 def ramified_space(p: int, gamma: int = -1, psi_sign: int = -1) -> LocalQuadSpace:
     """Maximal order of the division quaternion algebra at p.
 
-    Coordinates (a1, a2, b1, b2) stand for (a1 + a2 u) + (b1 + b2 u) pi with
-    u generating the unramified quadratic extension and pi^2 = p; then
-    Q = N(alpha) - p N(beta).  Dual cosets are mu_{i,j} = (i + j u)/pi.
+    In the coordinates (a1 + a2 u) + (b1 + b2 u) pi of `quatalg.RamifiedModel`
+    (u^2 = t*u - n, pi^2 = p), Q = N(alpha) - p N(beta).  The dual cosets are
+    mu_{i,j} = (i + j u)/pi, so Q(mu_{i,j}) = -(i^2 + t*ij + n*j^2)/p.
     """
     model = ramified_model(p)
     t, n = model.t, model.n
-    h = Fraction(1, 2)
-    qg = (
-        (Fraction(1), h * t, 0, 0),
-        (h * t, Fraction(n), 0, 0),
-        (0, 0, Fraction(-p), -h * t * p),
-        (0, 0, -h * t * p, Fraction(-n * p)),
-    )
-    qg = tuple(tuple(Fraction(x) for x in row) for row in qg)
-    vi = (Fraction(0), Fraction(0), Fraction(1, p), Fraction(0))
-    vj = (Fraction(0), Fraction(0), Fraction(0), Fraction(1, p))
-    return LocalQuadSpace(p, qg, (vi, vj), p * p, gamma, psi_sign)
+    return LocalQuadSpace(p, _table(p, lambda i, j: -(i * i + t * i * j + n * j * j)),
+                          gamma, psi_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +127,7 @@ def char_dual(space: LocalQuadSpace) -> SchwartzCombo:
 
 def coset_char(space: LocalQuadSpace, i: int, j: int) -> SchwartzCombo:
     """char(mu_{i,j} + L)."""
-    if space.dual_gens is None and (i, j) != (0, 0):
+    if len(space.table) == 1 and (i, j) != (0, 0):
         raise ValueError("self-dual lattice has only the zero coset")
     return SchwartzCombo.from_dict(space,
                                    {(i % space.p, j % space.p): Fraction(1)})
@@ -162,32 +136,33 @@ def coset_char(space: LocalQuadSpace, i: int, j: int) -> SchwartzCombo:
 def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
     """Apply a generator word: ("n", b), ("m", a), ("w",) or ("nminus", c)."""
     space = combo.space
+    p, table, sign = space.p, space.table, space.psi_sign
     kind = word[0]
     if kind == "n":
         b = int(word[1])
-        out = {lab: v * space.psi(b * space.q(space.coset_vector(lab)))
-               for lab, v in combo.terms}
+        out = {(i, j): v * zeta(p, sign * b * table[i][j])
+               for (i, j), v in combo.terms}
         return SchwartzCombo.from_dict(space, out)
     if kind == "m":
         a = int(word[1])
-        if math.gcd(a, space.p) != 1:
+        if math.gcd(a, p) != 1:
             raise ValueError("m(a) is implemented for units a only")
         out = {}
         for (i, j), v in combo.terms:
-            lab = ((a * i) % space.p, (a * j) % space.p)
+            lab = ((a * i) % p, (a * j) % p)
             out[lab] = out.get(lab, Fraction(0)) + v
         return SchwartzCombo.from_dict(space, out)
     if kind == "w":
         factor = space.vol
-        data = combo.as_dict()
         out = {}
-        for nu in space.labels():
-            nu_vec = space.coset_vector(nu)
+        for nu_i, nu_j in space.labels():
+            q_nu = table[nu_i][nu_j]
             total = Fraction(0)
-            for mu, v in data.items():
-                total = total + v * space.psi(space.bilin(nu_vec,
-                                                          space.coset_vector(mu)))
-            out[nu] = total * factor * space.gamma
+            for (i, j), v in combo.terms:
+                # p*B(nu, mu) = p*(Q(nu + mu) - Q(nu) - Q(mu)) mod p
+                pb = table[(nu_i + i) % p][(nu_j + j) % p] - q_nu - table[i][j]
+                total = total + v * zeta(p, sign * pb)
+            out[(nu_i, nu_j)] = total * factor * space.gamma
         return SchwartzCombo.from_dict(space, out)
     if kind == "nminus":
         c = int(word[1])

@@ -7,11 +7,8 @@ import pytest
 from quatmatch.exactnum import (
     OO,
     CyclotomicNumber,
-    additive_character,
-    e_frac,
     hilbert_symbol,
     kronecker_symbol,
-    padic_fractional_part,
     zeta,
 )
 
@@ -30,7 +27,6 @@ def test_canonical_conductor():
     assert zeta(6).n == 3
     assert zeta(12, 3).n == 4  # = i
     assert zeta(12, 4) == zeta(3)
-    assert e_frac(Fraction(5, 10)) == -1
     s = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
     assert s.is_rational and s.rational_value() == -1
 
@@ -75,29 +71,6 @@ def test_cyclotomic_canonical_form():
     assert (x * y) * z == x * (y * z)
     assert (x + y) + z == x + (y + z)
     assert (x + y) * z == x * z + y * z
-
-
-def test_additive_character_values():
-    assert additive_character(3, 0) == 1
-    v = additive_character(3, Fraction(1, 3))
-    assert v ** 3 == 1 and v != 1
-    x = additive_character(2, Fraction(7, 4))
-    assert x ** 4 == 1 and x ** 2 == -1
-
-
-def test_additive_character_additivity():
-    for p in (2, 3, 5):
-        pts = [Fraction(a, p ** k) for a in (-7, -1, 0, 2, 9) for k in (0, 1, 2)]
-        for x in pts:
-            for y in pts:
-                assert additive_character(p, x + y) == \
-                    additive_character(p, x) * additive_character(p, y)
-
-
-def test_additive_character_rejects_foreign_denominator():
-    with pytest.raises(ValueError):
-        additive_character(3, Fraction(1, 2))
-    assert padic_fractional_part(5, Fraction(7, 25)) == Fraction(7, 25)
 
 
 def _hilbert_search_oracle(a, b, p):

@@ -23,7 +23,12 @@ from quatmatch.weilmatch import (
     wn,
 )
 
-from weil_reference import lambda_eval_bruteforce, verify_k_invariance
+from weil_reference import (
+    lambda_eval_bruteforce,
+    level_form,
+    ramified_form,
+    verify_k_invariance,
+)
 
 
 def test_space_volumes_and_indices():
@@ -31,25 +36,37 @@ def test_space_volumes_and_indices():
         sp0 = split_maximal_space(p)
         sp1 = split_level_space(p)
         ra = ramified_space(p)
-        assert sp0.dual_index == 1 and sp0.vol == 1
-        assert sp1.dual_index == p * p and sp1.vol == Fraction(1, p)
-        assert ra.dual_index == p * p and ra.vol == Fraction(1, p)
+        assert sp0.labels() == [(0, 0)] and sp0.vol == 1
+        assert len(sp1.labels()) == p * p and sp1.vol == Fraction(1, p)
+        assert len(ra.labels()) == p * p and ra.vol == Fraction(1, p)
         for space in (sp0, sp1, ra):
-            assert space.vol ** 2 * space.dual_index == 1
+            # vol(L) = [L_dual : L]^(-1/2)
+            assert space.vol ** 2 * len(space.labels()) == 1
         assert sp0.gamma == -ra.gamma == 1
 
 
 def test_coset_norms():
-    p = 5
-    sp1 = split_level_space(p)
-    ra = ramified_space(p)
-    model = ramified_model(p)
-    for i in range(p):
-        for j in range(p):
-            v = sp1.coset_vector((i, j))
-            assert sp1.q(v) == Fraction(-i * j, p)
-            w_vec = ra.coset_vector((i, j))
-            assert (ra.q(w_vec) + Fraction(model.d_value(i, j), p)).denominator == 1
+    # the stored table is p*Q(mu) mod p of the 4-D reference form, and its
+    # polarisation is the 4-D bilinear form mod 1, on every label
+    for p in (2, 3, 5, 7, 11, 13):
+        for space, form in ((split_level_space(p), level_form(p)),
+                            (ramified_space(p), ramified_form(p))):
+            labels = space.labels()
+            assert labels == [(i, j) for i in range(p) for j in range(p)]
+            table = space.table
+            for i, j in labels:
+                pq = p * form.q(form.coset_vector((i, j)))
+                assert pq.denominator == 1 and table[i][j] == pq % p
+            # p*B on the generators v_i, v_j; the 4-D form is bilinear
+            gens = (form.v_i, form.v_j)
+            g = [[p * form.bilin(x, y) for y in gens] for x in gens]
+            assert all(e.denominator == 1 for row in g for e in row)
+            (g00, g01), (g10, g11) = [[int(e) for e in row] for row in g]
+            for a, b in labels:
+                for i, j in labels:
+                    pb = table[(a + i) % p][(b + j) % p] - table[a][b] - table[i][j]
+                    ref = a * i * g00 + a * j * g01 + b * i * g10 + b * j * g11
+                    assert (pb - ref) % p == 0
 
 
 def test_standard_lambda_values():
@@ -89,13 +106,13 @@ def test_coset_lambda_values():
 
 def test_lambda_bruteforce_cross_check():
     for p in (2, 3):
-        for space_fn in (split_level_space, ramified_space):
-            space = space_fn(p)
+        for space, form in ((split_level_space(p), level_form(p)),
+                            (ramified_space(p), ramified_form(p))):
             combos = [char_lattice(space), char_dual(space),
                       coset_char(space, 1, 0), coset_char(space, 1, 1)]
             for combo in combos:
                 for i in range(p):
-                    assert lambda_eval_bruteforce(combo, i) == \
+                    assert lambda_eval_bruteforce(combo, form, i) == \
                         lambda_eval(combo, wn(i))
 
 
@@ -206,9 +223,10 @@ def test_match_coefficients_rejects_wrong_residue(p, monkeypatch):
 
 @pytest.fixture
 def flipped_dft(monkeypatch):
-    """`_dft_matrix` expects -zeta entries: the true lambda block is then not
-    the expected DFT matrix."""
-    monkeypatch.setattr(weilmatch, "zeta", lambda n, k=1: -zeta(n, k))
+    """Every lambda-value is negated: the lambda block is then -A, not the
+    DFT matrix that `_dft_matrix` expects."""
+    monkeypatch.setattr(weilmatch, "lambda_eval",
+                        lambda combo, g: -lambda_eval(combo, g))
     weilmatch._dft_matrix.cache_clear()
     yield
     weilmatch._dft_matrix.cache_clear()

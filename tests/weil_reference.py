@@ -1,36 +1,91 @@
 """Reference checks for the local Weil layer, independent of `lambda_eval`.
 
-`lambda_eval_bruteforce` evaluates lambda(phi)(w n(i)) as a raw character
-sum over residue points, without the coset Fourier transform of
-`weil_act`.  `verify_k_invariance` checks that every listed generator of a
-level subgroup fixes a Schwartz combination.
+`Form4` is a local lattice written out in Z_p^4 coordinates: a 4x4 Gram
+matrix and the two generators of L_dual/L.  `level_form` and
+`ramified_form` are the level and division-order lattices that
+`weilmatch` stores only as discriminant modules.  `lambda_eval_bruteforce`
+evaluates lambda(phi)(w n(i)) as a raw character sum over residue points
+of such a form, without the coset Fourier transform of `weil_act`.
+`verify_k_invariance` checks that every listed generator of a level
+subgroup fixes a Schwartz combination.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from quatmatch.exactnum import CyclotomicNumber
+from quatmatch.exactnum import CyclotomicNumber, zeta
+from quatmatch.quatalg import ramified_model
 from quatmatch.weilmatch import SchwartzCombo, weil_act
 
 
-def lambda_eval_bruteforce(combo: SchwartzCombo, i: int) -> CyclotomicNumber:
-    """lambda(phi)(w n(i)) as a raw character sum over (mu + L)/pL.
+class Form4(NamedTuple):
+    """Q(v) = v qgram v^T on Z_p^4; L_dual/L = {i v_i + j v_j : i, j mod p}."""
+    p: int
+    qgram: tuple
+    v_i: tuple
+    v_j: tuple
 
-    The sum runs over p^4 residue points per coset.
+    def coset_vector(self, label):
+        i, j = label
+        return tuple(i * a + j * b for a, b in zip(self.v_i, self.v_j))
+
+    def q(self, v) -> Fraction:
+        return sum(self.qgram[r][s] * v[r] * v[s] for r in range(4) for s in range(4))
+
+    def bilin(self, v, w) -> Fraction:
+        return sum((self.qgram[r][s] + self.qgram[s][r]) * v[r] * w[s]
+                   for r in range(4) for s in range(4))
+
+
+def _vec(*xs):
+    return tuple(Fraction(x) for x in xs)
+
+
+def level_form(p: int) -> Form4:
+    """The level lattice, basis E11, E12, p*E21, E22: Q(y) = y1 y4 - p y2 y3;
+    the dual cosets are mu_{i,j} = [[0, j/p],[i, 0]]."""
+    h = Fraction(1, 2)
+    qg = (_vec(0, 0, 0, h), _vec(0, 0, -h * p, 0), _vec(0, -h * p, 0, 0), _vec(h, 0, 0, 0))
+    return Form4(p, qg, _vec(0, 0, Fraction(1, p), 0), _vec(0, Fraction(1, p), 0, 0))
+
+
+def ramified_form(p: int) -> Form4:
+    """The division order in the coordinates (a1, a2, b1, b2) of
+    (a1 + a2 u) + (b1 + b2 u) pi: Q = N(alpha) - p N(beta); the dual cosets
+    are mu_{i,j} = (i + j u)/pi."""
+    model = ramified_model(p)
+    t, n = model.t, model.n
+    h = Fraction(1, 2)
+    qg = (_vec(1, h * t, 0, 0), _vec(h * t, n, 0, 0),
+          _vec(0, 0, -p, -h * t * p), _vec(0, 0, -h * t * p, -n * p))
+    return Form4(p, qg, _vec(0, 0, Fraction(1, p), 0), _vec(0, 0, 0, Fraction(1, p)))
+
+
+def lambda_eval_bruteforce(combo: SchwartzCombo, form: Form4,
+                           i: int) -> CyclotomicNumber:
+    """lambda(phi)(w n(i)) as a raw character sum over (mu + L)/pL of `form`.
+
+    The sum runs over p^4 residue points per coset; [L_dual : L] = p^2, so
+    vol(L) = 1/p.
     """
     space = combo.space
-    p = space.p
+    p = form.p
     total = CyclotomicNumber.from_rational(0)
     for lab, coeff in combo.terms:
-        mu = space.coset_vector(lab)
+        mu = form.coset_vector(lab)
         coset_sum = CyclotomicNumber.from_rational(0)
         for r0 in range(p):
             for r1 in range(p):
                 for r2 in range(p):
                     for r3 in range(p):
                         x = (mu[0] + r0, mu[1] + r1, mu[2] + r2, mu[3] + r3)
-                        coset_sum = coset_sum + space.psi(i * space.q(x))
+                        # psi_p(y) = e(psi_sign * y) for y with denominator dividing p
+                        y = i * form.q(x)
+                        assert p % y.denominator == 0
+                        coset_sum = coset_sum + zeta(y.denominator,
+                                                     space.psi_sign * y.numerator)
         total = total + coset_sum * coeff
-    return total * Fraction(space.gamma) * space.vol * Fraction(1, p ** 4)
+    return total * Fraction(space.gamma, p) * Fraction(1, p ** 4)
 
 
 _LEVELS = ("K0", "K0plus", "K")

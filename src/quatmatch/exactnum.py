@@ -173,6 +173,14 @@ class CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # scaling by a nonzero rational keeps the terms canonical
+            out = CyclotomicNumber.__new__(CyclotomicNumber)
+            out.n, out.terms = 1, ()
+            if other:
+                out.n = self.n
+                out.terms = tuple((r, c * other) for r, c in self.terms)
+            return out
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -71,6 +71,13 @@ def test_cyclotomic_canonical_form():
     assert (x * y) * z == x * (y * z)
     assert (x + y) + z == x + (y + z)
     assert (x + y) * z == x * z + y * z
+    # a rational factor scales the terms: zero gives the rational zero, and
+    # a nonzero factor keeps the form the constructor would give
+    for v in (x, y, z, zeta(9, 4), CyclotomicNumber.from_rational(0)):
+        for r in (0, 1, -3, Fraction(2, 7), Fraction(0)):
+            want = CyclotomicNumber(v.n, [(e, c * r) for e, c in v.terms])
+            for w in (v * r, r * v):
+                assert (w.n, w.terms) == (want.n, want.terms), (v, r)
 
 
 def _hilbert_search_oracle(a, b, p):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,13 +137,24 @@ def test_oracle_guards():
         oracle_local_orbits("weird", 2, 1, 3)
 
 
+def _unit(order, p):
+    """The first unit of the order mod p, in product order, other than 1."""
+    return next(g for g in itertools.product(range(p), repeat=4)
+                if g != (1, 0, 0, 0) and order.member(g) and order.nrd(g) % p)
+
+
 # mutation -> (candidate family, the check that must catch it)
 _MUTATIONS = {
-    "duplicated": (lambda cands, p: cands + cands[:1], "are equivalent"),
-    "dropped": (lambda cands, p: cands[:-1], "matched 0 candidates"),
+    "duplicated": (lambda cands, order, p, M: cands + cands[:1], "are equivalent"),
+    "dropped": (lambda cands, order, p, M: cands[:-1], "matched 0 candidates"),
     # p * c has v_p(nrd) = k + 2; for ramified p * pi^k = pi^(k+2)
-    "wrong-valuation": (lambda cands, p: cands[:-1] + [tuple(p * v for v in cands[-1])],
+    "wrong-valuation": (lambda cands, order, p, M:
+                        cands[:-1] + [tuple(p * v for v in cands[-1])],
                         "matched 0 candidates"),
+    # c * g mod p^M lies in the bucket of c, so the pairwise test meets it
+    "translated-duplicate": (lambda cands, order, p, M: cands + [
+        tuple(v % p ** M for v in order.mul(cands[-1], _unit(order, p)))],
+        "are equivalent"),
 }
 
 
@@ -160,6 +173,112 @@ def test_oracle_rejects_mutated_candidates(mutation, pattern, p, k, M, side,
     assert isinstance(heckedeg._sample(order, cands, p, k, M), list) == (side == "panel")
     mutate, caught_by = _MUTATIONS[mutation]
     original = heckedeg._candidates
-    monkeypatch.setattr(heckedeg, "_candidates", lambda *a: mutate(original(*a), p))
+    monkeypatch.setattr(heckedeg, "_candidates",
+                        lambda *a: mutate(original(*a), order, p, M))
     with pytest.raises(ArithmeticError, match=caught_by):
         oracle_local_orbits(pattern, p, k, M)
+
+
+@pytest.mark.parametrize("pattern", ["split", "level"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_key_of_candidate_is_itself(pattern, p):
+    for k in range(4):
+        for c in heckedeg._candidates(pattern, p, k):
+            assert heckedeg._key(pattern, p, k, c) == c, (pattern, p, k, c)
+
+
+@pytest.mark.parametrize("pattern,p,k,M", [
+    ("split", 2, 2, 4), ("level", 2, 2, 4), ("split", 5, 3, 5),
+    ("level", 5, 3, 5), ("level", 7, 2, 4), ("ramified", 7, 3, 5),
+])
+def test_key_matches_every_sample(pattern, p, k, M):
+    # the key is what keeps the oracle linear: no element may need the scan
+    order = heckedeg._local_order(pattern, p)
+    cands = heckedeg._candidates(pattern, p, k)
+    for x in heckedeg._sample(order, cands, p, k, M):
+        key = heckedeg._key(pattern, p, k, x)
+        assert key in cands and heckedeg._equivalents(order, p, k, M, x, [key]), x
+
+
+@pytest.mark.parametrize("fake", ["none", "wrong"])
+@pytest.mark.parametrize("pattern,p,k", [
+    ("split", 2, 1), ("split", 3, 1), ("split", 2, 2),
+    ("level", 2, 1), ("level", 3, 1), ("level", 2, 2),
+    ("ramified", 2, 1), ("ramified", 3, 1), ("ramified", 2, 2),
+])
+def test_key_is_only_a_hint(fake, pattern, p, k, monkeypatch):
+    # a key that is no candidate, or the first candidate whatever the
+    # element, must not change the count, nor let a mutation through
+    M = k + 2
+    order = heckedeg._local_order(pattern, p)
+    first = heckedeg._candidates(pattern, p, k)[0]
+    monkeypatch.setattr(heckedeg, "_key",
+                        lambda *a: None if fake == "none" else first)
+    closed = {"split": local_degree_split,
+              "level": local_degree_level,
+              "ramified": local_degree_ramified}[pattern](p, k)
+    assert oracle_local_orbits(pattern, p, k, M) == closed
+    original = heckedeg._candidates
+    for mutate, caught_by in _MUTATIONS.values():
+        monkeypatch.setattr(heckedeg, "_candidates",
+                            lambda *a: mutate(original(*a), order, p, M))
+        with pytest.raises(ArithmeticError, match=caught_by):
+            oracle_local_orbits(pattern, p, k, M)
+
+
+@pytest.mark.parametrize("pattern", ["split", "level"])
+def test_rows_are_right_unit_invariant(pattern):
+    rng = random.Random(20240611)
+    for p in (2, 3, 5, 7):
+        order = heckedeg._local_order(pattern, p)
+        for M in (2, 3, 4, 5):
+            q = p ** M
+            seen = set()
+            for _ in range(300):
+                # rows of random content, so that every invariant varies
+                x = tuple(p ** e * rng.randrange(q) % q
+                          for e in [rng.randrange(M + 1)] * 2
+                          + [rng.randrange(M + 1)] * 2)
+                g = (0, 0, 0, 0)
+                while not (order.member(g) and order.nrd(g) % p):
+                    g = tuple(rng.randrange(q) for _ in range(4))
+                xg = tuple(v % q for v in order.mul(x, g))
+                rows = heckedeg._rows(pattern, p, M, x)
+                assert heckedeg._rows(pattern, p, M, xg) == rows, (p, M, x, g)
+                seen.add(rows)
+            assert len(seen) > M, (p, M)
+
+
+@pytest.mark.parametrize("pattern,p,k,M", [
+    ("split", 2, 1, 3), ("split", 2, 2, 4), ("level", 2, 1, 3),
+    ("level", 2, 2, 4), ("ramified", 2, 1, 3), ("ramified", 2, 2, 4),
+])
+def test_sweep_is_every_element_of_valuation_k(pattern, p, k, M):
+    order = heckedeg._local_order(pattern, p)
+    sweep = list(heckedeg._sample(order, heckedeg._candidates(pattern, p, k),
+                                  p, k, M))
+    want = [x for x in itertools.product(range(p ** M), repeat=4)
+            if order.member(x) and heckedeg._vp(order.nrd(x), p) == k]
+    assert len(sweep) == len(set(sweep)) and set(sweep) == set(want)
+
+
+# (pattern, p, k, M) -> panel size before the draws were conditioned on the
+# residues mod p (the cases that fell short of 125 hits + 250 translates)
+_PANEL_FLOOR = {
+    ("level", 5, 3, 5): 374, ("level", 7, 3, 5): 291,
+    ("ramified", 3, 3, 5): 304, ("ramified", 5, 2, 4): 328,
+    ("ramified", 5, 3, 5): 251, ("ramified", 7, 2, 4): 264,
+    ("ramified", 7, 3, 5): 250, ("ramified", 7, 3, 6): 250,
+    ("split", 11, 3, 5): 282, ("level", 11, 2, 4): 327,
+    ("level", 11, 3, 5): 253, ("ramified", 11, 3, 5): 250,
+}
+
+
+@pytest.mark.parametrize("pattern,p,k,M", sorted(_PANEL_FLOOR))
+def test_panel_coverage(pattern, p, k, M):
+    order = heckedeg._local_order(pattern, p)
+    panel = heckedeg._panel(order, heckedeg._candidates(pattern, p, k),
+                            p, k, M)
+    assert len(panel) >= _PANEL_FLOOR[pattern, p, k, M]
+    for x in panel:
+        assert order.member(x) and heckedeg._vp(order.nrd(x), p) == k, x

@@ -20,9 +20,12 @@ invariants of each row under right units.  The oracle is linear in the
 sample: an element is tested exactly against its key only, and falls back
 to a scan of every candidate, which must find exactly one, when the key is
 no candidate or fails the test.  Candidates are tested pairwise only within
-a bucket of equal row invariants.  Sweep and panel both visit only elements
-whose residue mod p a valuation-k element can have, and the panel's draws
-stay uniform over the elements of valuation k.
+a bucket of equal row invariants.  What the oracle reads of an element x
+with v_p(nrd x) = k is fixed by x mod p^(k+1), so a sweep visits each
+valuation-k residue mod p^(k+1) once rather than all its lifts mod p^M.
+A panel draws uniformly over the elements of valuation k mod p^M, from the
+residues mod p they can have, and in the ramified order from p^(k//2)
+times elements of valuation k mod 2.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -135,16 +138,21 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # for every lift x' of x and an exact unit g, so two hits would make two
 # candidates equivalent, which (i) excludes.  Otherwise x gets the full scan
 # over all candidates, which must find exactly one hit.
-# The sample is every element of the order mod p^M when there are at most
-# _SWEEP_CAP of them, and otherwise a deterministic splitmix panel: draws
-# uniform over the elements with v_p(nrd) = k, topped up with translates
-# u*c of the candidates by units u.  Both are built from `_residues`, the
-# residues mod p that elements of valuation k have, so neither visits an
-# element outside them.  Left units permute the right orbits, so the
-# translates reach orbits that uniform draws rarely hit at large k.  The
-# panel does not use pi^k * unit: it is right-equivalent to pi^k by
-# construction, so it tests nothing, whereas u * pi^k must pass the full
-# test.
+# For x with v_p(nrd x) = k, all of this reads x only mod p^(k+1):
+# nrd(x) and conj(x)*y are integer polynomials, so the p^k-divisibility of
+# conj(x)*y and g mod p agree across lifts of x; the unit and membership
+# tests read g only mod p; `_key` reads x mod p^(k+1).
+# When the order mod p^M has at most _SWEEP_CAP elements, the sample is
+# therefore every valuation-k element mod p^(k+1), each once, standing for
+# its p^(4(M-k-1)) lifts mod p^M.  Otherwise it is a deterministic splitmix
+# panel: draws uniform over the elements mod p^M with v_p(nrd) = k, topped
+# up with translates u*c of the candidates by units u.  Both are built from
+# `_residues`, the residues mod p that elements of valuation k have, so
+# neither visits an element outside them.  Left units permute the right
+# orbits, so the translates reach orbits that uniform draws rarely hit at
+# large k.  The panel does not use pi^k * unit: it is right-equivalent to
+# pi^k by construction, so it tests nothing, whereas u * pi^k must pass the
+# full test.
 
 _SWEEP_CAP = 600_000
 
@@ -154,6 +162,9 @@ class _LocalOrder(NamedTuple):
     conj: Callable
     nrd: Callable
     member: Callable
+    # pi^2 = p, so an element with v_p(nrd) = k is p^(k//2) times one with
+    # v_p(nrd) = k % 2 (the ramified order)
+    pi_squared_is_p: bool = False
 
 
 def _det2(x):
@@ -183,7 +194,7 @@ def _local_order(pattern: str, p: int) -> _LocalOrder:
     if pattern == "ramified":
         model = ramified_model(p)
         return _LocalOrder(model.mul, model.involution, model.nrd,
-                           lambda x: True)
+                           lambda x: True, pi_squared_is_p=True)
     if pattern == "level":
         return _LocalOrder(_mul2, _adj2, _det2, lambda x: x[2] % p == 0)
     return _LocalOrder(_mul2, _adj2, _det2, lambda x: True)
@@ -297,13 +308,16 @@ def _splitmix(state):
 
 
 def _panel(order, cands, p, k, M):
-    """Up to 125 uniform elements with v_p(nrd) = k among 50,000 draws, then
-    250 translates u*c, c running through the candidates in turn and u a
-    uniformly drawn unit of the order.
+    """Up to 125 uniform elements mod p^M with v_p(nrd) = k among 50,000
+    draws, then 250 translates u*c, c running through the candidates in turn
+    and u a uniformly drawn unit of the order.
 
     A draw takes its residue mod p uniformly from `_residues` and its higher
-    digits uniformly, so it is uniform over the elements with that residue,
-    and an element with v_p(nrd) = k among them is uniform over all such.
+    digits mod p^M uniformly, so it is uniform over the elements with that
+    residue, and an element with v_p(nrd) = k among them is uniform over all
+    such.  When pi^2 = p the draws are made at valuation k % 2 and scaled by
+    p^(k//2): x' -> p^(k//2)*x' mod p^M has fibres of equal size, so the
+    scaled draws stay uniform, and nearly every one has valuation k.
     """
     q = p ** M
     state = 987654321
@@ -324,12 +338,15 @@ def _panel(order, cands, p, k, M):
             vals.append(r + p * d)
         return tuple(vals)
 
-    residues, units = _residues(order, p, k), _residues(order, p, 0)
+    half = k // 2 if order.pi_squared_is_p else 0
+    scale = p ** half
+    residues = _residues(order, p, k - 2 * half)
+    units = _residues(order, p, 0)
     out = []
     for _ in range(50_000):
         if len(out) == 125:
             break
-        x = draw(residues)
+        x = tuple(scale * v % q for v in draw(residues))
         if _vp(order.nrd(x), p) == k:
             out.append(x)
     for c in itertools.islice(itertools.cycle(cands), 250):
@@ -338,13 +355,18 @@ def _panel(order, cands, p, k, M):
 
 
 def _sample(order, cands, p, k, M):
-    """Every element of the order mod p^M with v_p(nrd) = k, or a panel."""
+    """Every element of the order mod p^(k+1) with v_p(nrd) = k, each once,
+    when the order mod p^M has at most _SWEEP_CAP elements; else `_panel`.
+
+    The oracle reads a valuation-k element only mod p^(k+1), so the sweep
+    decides every element mod p^M.
+    """
     # membership is decided mod p
     size = p ** (4 * M - 4) * sum(map(order.member,
                                       itertools.product(range(p), repeat=4)))
     if size > _SWEEP_CAP:
         return _panel(order, cands, p, k, M)
-    q = p ** M
+    q = p ** (k + 1)
     return (x for r in _residues(order, p, k)
             for x in itertools.product(*(range(v, q, p) for v in r))
             if _vp(order.nrd(x), p) == k)
@@ -354,9 +376,11 @@ def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
     """Count orbits of determinant-p^k-unit elements under right unit action.
 
     `pattern` is "split", "level" or "ramified"; the computation is carried
-    out in the corresponding local order reduced mod p^M.  The margin
-    M >= k + 2 makes the reduced equivalence tests decide equivalence of
-    mod-p^M classes; callers check stability by re-running at M + 1.
+    out in the corresponding local order.  M is the modulus of the
+    equivalence tests and of the panel's digits, and the size of the order
+    mod p^M decides between sweep and panel; the margin M >= k + 2 makes
+    the reduced tests decide equivalence of mod-p^M classes.  A sweep visits
+    the valuation-k elements mod p^(k+1), which decide every test.
     """
     if pattern not in ("split", "level", "ramified"):
         raise ValueError("unknown pattern %r" % (pattern,))

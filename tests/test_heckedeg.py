@@ -249,28 +249,97 @@ def test_rows_are_right_unit_invariant(pattern):
             assert len(seen) > M, (p, M)
 
 
-@pytest.mark.parametrize("pattern,p,k,M", [
+# the sweeps small enough to check against every element mod p^M
+_SMALL_SWEEPS = [
     ("split", 2, 1, 3), ("split", 2, 2, 4), ("level", 2, 1, 3),
     ("level", 2, 2, 4), ("ramified", 2, 1, 3), ("ramified", 2, 2, 4),
-])
+]
+
+
+def _valuation_k(order, p, k, modulus):
+    """Every member mod `modulus` whose nrd has valuation exactly k."""
+    return [x for x in itertools.product(range(modulus), repeat=4)
+            if order.member(x) and order.nrd(x) % p ** k == 0
+            and order.nrd(x) % p ** (k + 1)]
+
+
+@pytest.mark.parametrize("pattern,p,k,M", _SMALL_SWEEPS)
 def test_sweep_is_every_element_of_valuation_k(pattern, p, k, M):
+    # the sweep is every valuation-k element mod p^(k+1), each once
     order = heckedeg._local_order(pattern, p)
     sweep = list(heckedeg._sample(order, heckedeg._candidates(pattern, p, k),
                                   p, k, M))
-    want = [x for x in itertools.product(range(p ** M), repeat=4)
-            if order.member(x) and heckedeg._vp(order.nrd(x), p) == k]
+    want = _valuation_k(order, p, k, p ** (k + 1))
     assert len(sweep) == len(set(sweep)) and set(sweep) == set(want)
 
 
-# (pattern, p, k, M) -> panel size before the draws were conditioned on the
-# residues mod p (the cases that fell short of 125 hits + 250 translates)
+@pytest.mark.parametrize("pattern,p,k,M", _SMALL_SWEEPS)
+def test_residue_decides_every_lift(pattern, p, k, M):
+    # each valuation-k element mod p^M gets the key, the key-test result
+    # and the scan hits of its residue mod p^(k+1), under every candidate
+    # family, so sweeping the residues decides every element mod p^M
+    order = heckedeg._local_order(pattern, p)
+    cands = heckedeg._candidates(pattern, p, k)
+    families = [cands] + [mutate(cands, order, p, M)
+                          for mutate, _ in _MUTATIONS.values()]
+
+    def outcome(x, family):
+        key = heckedeg._key(pattern, p, k, x)
+        passes = key in family and bool(
+            heckedeg._equivalents(order, p, k, M, x, (key,)))
+        return key, passes, heckedeg._equivalents(order, p, k, M, x, family)
+
+    of_residue = {}
+    for x in _valuation_k(order, p, k, p ** M):
+        r = tuple(v % p ** (k + 1) for v in x)
+        for i, family in enumerate(families):
+            if (r, i) not in of_residue:
+                of_residue[r, i] = outcome(r, family)
+            assert outcome(x, family) == of_residue[r, i], (x, i)
+    assert len(of_residue) == len(families) * len(
+        _valuation_k(order, p, k, p ** (k + 1)))
+
+
+_GRID = [(pattern, p, k, M) for pattern in ("split", "level", "ramified")
+         for p in (2, 3, 5, 7) for k in (1, 2, 3) for M in (k + 2, k + 3)]
+_CI_OPS = [(pattern, p, k, k + 2) for pattern in ("split", "level", "ramified")
+           for p in (11, 13) for k in (2, 3)]
+
+
+def test_sweep_selection(monkeypatch):
+    # the sweep-or-panel choice rests on the size of the order mod p^M
+    monkeypatch.setattr(heckedeg, "_panel", lambda *a: "panel")
+    swept = set()
+    for pattern, p, k, M in _GRID + _CI_OPS:
+        order = heckedeg._local_order(pattern, p)
+        members = sum(map(order.member, itertools.product(range(p), repeat=4)))
+        sample = heckedeg._sample(order, heckedeg._candidates(pattern, p, k),
+                                  p, k, M)
+        sweeps = p ** (4 * M - 4) * members <= heckedeg._SWEEP_CAP
+        assert (sample != "panel") == sweeps, (pattern, p, k, M)
+        if sweeps:
+            swept.add((pattern, p, k, M))
+    assert swept == {
+        ("split", 2, 1, 3), ("split", 2, 1, 4), ("split", 2, 2, 4),
+        ("split", 3, 1, 3), ("level", 2, 1, 3), ("level", 2, 1, 4),
+        ("level", 2, 2, 4), ("level", 2, 2, 5), ("level", 2, 3, 5),
+        ("level", 3, 1, 3), ("ramified", 2, 1, 3), ("ramified", 2, 1, 4),
+        ("ramified", 2, 2, 4), ("ramified", 3, 1, 3),
+    }
+
+
+# (pattern, p, k, M) -> least panel size.  Split and level: the size before
+# the draws were conditioned on the residues mod p (the cases that fell
+# short of 125 hits + 250 translates).  Ramified: the full 125 + 250, as
+# the draws are made at valuation k % 2 and scaled by p^(k//2).
 _PANEL_FLOOR = {
     ("level", 5, 3, 5): 374, ("level", 7, 3, 5): 291,
-    ("ramified", 3, 3, 5): 304, ("ramified", 5, 2, 4): 328,
-    ("ramified", 5, 3, 5): 251, ("ramified", 7, 2, 4): 264,
-    ("ramified", 7, 3, 5): 250, ("ramified", 7, 3, 6): 250,
+    ("ramified", 3, 3, 5): 375, ("ramified", 5, 2, 4): 375,
+    ("ramified", 5, 3, 5): 375, ("ramified", 7, 2, 4): 375,
+    ("ramified", 7, 3, 5): 375, ("ramified", 7, 3, 6): 375,
     ("split", 11, 3, 5): 282, ("level", 11, 2, 4): 327,
-    ("level", 11, 3, 5): 253, ("ramified", 11, 3, 5): 250,
+    ("level", 11, 3, 5): 253, ("ramified", 11, 3, 5): 375,
+    ("ramified", 13, 3, 5): 375,
 }
 
 

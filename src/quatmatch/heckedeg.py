@@ -16,16 +16,17 @@ The three patterns share one path: one right-equivalence test, one sweep of
 the order and one deterministic panel.  A pattern supplies its order's
 multiplication, conjugation, reduced norm and membership test, its candidate
 representatives, a key naming the candidate an element should match, and
-invariants of each row under right units.  The oracle is linear in the
-sample: an element is tested exactly against its key only, and falls back
-to a scan of every candidate, which must find exactly one, when the key is
-no candidate or fails the test.  Candidates are tested pairwise only within
-a bucket of equal row invariants.  What the oracle reads of an element x
-with v_p(nrd x) = k is fixed by x mod p^(k+1), so a sweep visits each
-valuation-k residue mod p^(k+1) once rather than all its lifts mod p^M.
-A panel draws uniformly over the elements of valuation k mod p^M, from the
-residues mod p they can have, and in the ramified order from p^(k//2)
-times elements of valuation k mod 2.
+right-unit invariants, the contents of row combinations.  The oracle is
+linear in the sample: an element is tested exactly against its key only,
+and falls back to a scan of every candidate, which must find exactly one,
+when the key is no candidate or fails the test.  Candidates are tested
+pairwise only within a bucket of equal invariants, of at most p(p-1) on
+the tested ops.  What the oracle reads of an element x with v_p(nrd x) = k
+is fixed by x mod p^(k+1), so a sweep visits each valuation-k residue mod
+p^(k+1) once rather than all its lifts mod p^M.  A panel draws uniformly
+over the elements of valuation k mod p^M, from the residues mod p they can
+have, and in the ramified order from p^(k//2) times elements of valuation
+k mod 2.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -131,28 +133,29 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 #   (i)  the candidate representatives are pairwise inequivalent, and
 #   (ii) every sampled element is equivalent to exactly one candidate.
 # (i) runs inside buckets of `_rows`, a right-unit invariant, so candidates
-# in different buckets are inequivalent without a test.  For (ii), `_key`
-# names the candidate x should match, its column-reduced form; the key is
-# only a hint.  When the key is a candidate and passes the exact test, x
-# matches no other candidate: the test passing for x and c means c = x'*g
-# for every lift x' of x and an exact unit g, so two hits would make two
-# candidates equivalent, which (i) excludes.  Otherwise x gets the full scan
-# over all candidates, which must find exactly one hit.
+# in different buckets are inequivalent without a test; candidates with
+# equal row contents differ in the contents of row combinations.  For (ii),
+# `_key` names the candidate x should match, its column-reduced form; the
+# key is only a hint.  When the key is a candidate and passes the exact
+# test, x matches no other candidate: the test passing for x and c means
+# c = x'*g for every lift x' of x and an exact unit g, so two hits would
+# make two candidates equivalent, which (i) excludes.  Otherwise x gets the
+# full scan over all candidates, which must find exactly one hit.
 # For x with v_p(nrd x) = k, all of this reads x only mod p^(k+1):
 # nrd(x) and conj(x)*y are integer polynomials, so the p^k-divisibility of
 # conj(x)*y and g mod p agree across lifts of x; the unit and membership
 # tests read g only mod p; `_key` reads x mod p^(k+1).
 # When the order mod p^M has at most _SWEEP_CAP elements, the sample is
 # therefore every valuation-k element mod p^(k+1), each once, standing for
-# its p^(4(M-k-1)) lifts mod p^M.  Otherwise it is a deterministic splitmix
-# panel: draws uniform over the elements mod p^M with v_p(nrd) = k, topped
-# up with translates u*c of the candidates by units u.  Both are built from
-# `_residues`, the residues mod p that elements of valuation k have, so
-# neither visits an element outside them.  Left units permute the right
-# orbits, so the translates reach orbits that uniform draws rarely hit at
-# large k.  The panel does not use pi^k * unit: it is right-equivalent to
-# pi^k by construction, so it tests nothing, whereas u * pi^k must pass the
-# full test.
+# its p^(4(M-k-1)) lifts mod p^M.  Otherwise it is a deterministic panel of
+# Mersenne Twister draws, uniform over the elements mod p^M with
+# v_p(nrd) = k, topped up with translates u*c of the candidates by units u.
+# Both are built from `_residues`, the residues mod p that elements of
+# valuation k have, so neither visits an element outside them.  Left units
+# permute the right orbits, so the translates reach orbits that uniform
+# draws rarely hit at large k.  The panel does not use pi^k * unit: it is
+# right-equivalent to pi^k by construction, so it tests nothing, whereas
+# u * pi^k must pass the full test.
 
 _SWEEP_CAP = 600_000
 
@@ -248,16 +251,21 @@ def _key(pattern: str, p: int, k: int, x):
 
 
 def _rows(pattern: str, p: int, M: int, x):
-    """Right-unit invariants of x mod p^M: p^min(v, M) of each row's content.
+    """Right-unit invariants of x mod p^M: p^min(v, M) of the content of
+    f*x for f = (s, p^j) and (p^j, s), 0 <= s < p, 0 <= j <= M - 2.
 
-    A right unit g acts on each row r by r -> r*g, which keeps the content.
-    An Iwahori unit adds to r0 only p times a multiple of r1, so it also
-    keeps min(v(r0), v(r1) + 1).  The ramified pattern has one candidate.
+    A right unit g keeps the content of each row vector f*x, as (f*x)*g =
+    f*(x*g); f = (0, 1) and (1, 0) give the rows.  An Iwahori unit adds to
+    column 0 only multiples of p*column 1, so it also keeps the content of
+    (r_0, p*r_1) for each row r.  The ramified pattern has one candidate.
     """
     if pattern == "ramified":
         return ()
     q = p ** M
-    rows = (math.gcd(x[0], x[1], q), math.gcd(x[2], x[3], q))
+    fs = [f for s in range(p) for t in (p ** j for j in range(M - 1))
+          for f in ((s, t), (t, s))]
+    rows = tuple(math.gcd(a * x[0] + b * x[2], a * x[1] + b * x[3], q)
+                 for a, b in fs)
     if pattern == "level":
         rows += (math.gcd(x[0], p * x[1], q), math.gcd(x[2], p * x[3], q))
     return rows
@@ -299,18 +307,11 @@ def _residues(order, p, k):
             if order.member(r) and (order.nrd(r) % p == 0) == (k > 0)]
 
 
-def _splitmix(state):
-    state = (state + 0x9E3779B97F4A7C15) % 2 ** 64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
-    return state, z ^ (z >> 31)
-
-
 def _panel(order, cands, p, k, M):
     """Up to 125 uniform elements mod p^M with v_p(nrd) = k among 50,000
-    draws, then 250 translates u*c, c running through the candidates in turn
-    and u a uniformly drawn unit of the order.
+    draws from a fixed-seed Mersenne Twister, then 250 translates u*c, c
+    running through the candidates in turn and u a uniformly drawn unit
+    of the order.
 
     A draw takes its residue mod p uniformly from `_residues` and its higher
     digits mod p^M uniformly, so it is uniform over the elements with that
@@ -320,18 +321,13 @@ def _panel(order, cands, p, k, M):
     scaled draws stay uniform, and nearly every one has valuation k.
     """
     q = p ** M
-    state = 987654321
-    # random words for the residue index and four digits mod p^(M-1), at
+    rng = random.Random(987654321)
+    # random bits for the residue index and four digits mod p^(M-1), at
     # most p^(4M) choices, with 32 bits to spare against modulo bias
-    words = (4 * M * p.bit_length() + 32) // 64 + 1
+    bits = 4 * M * p.bit_length() + 32
 
     def draw(residues):
-        nonlocal state
-        z = 0
-        for _ in range(words):
-            state, w = _splitmix(state)
-            z = z << 64 | w
-        z, i = divmod(z, len(residues))
+        z, i = divmod(rng.getrandbits(bits), len(residues))
         vals = []
         for r in residues[i]:
             z, d = divmod(z, q // p)

@@ -19,6 +19,7 @@ the normalised correspondence degree (indefinite side).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -349,6 +350,7 @@ def _read_config(path):
     return out
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quatmatch",

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -233,20 +234,29 @@ def test_rows_are_right_unit_invariant(pattern):
         order = heckedeg._local_order(pattern, p)
         for M in (2, 3, 4, 5):
             q = p ** M
-            seen = set()
-            for _ in range(300):
-                # rows of random content, so that every invariant varies
-                x = tuple(p ** e * rng.randrange(q) % q
-                          for e in [rng.randrange(M + 1)] * 2
-                          + [rng.randrange(M + 1)] * 2)
+
+            def invariant_under_a_unit(x):
                 g = (0, 0, 0, 0)
                 while not (order.member(g) and order.nrd(g) % p):
                     g = tuple(rng.randrange(q) for _ in range(4))
                 xg = tuple(v % q for v in order.mul(x, g))
                 rows = heckedeg._rows(pattern, p, M, x)
                 assert heckedeg._rows(pattern, p, M, xg) == rows, (p, M, x, g)
-                seen.add(rows)
+                return rows
+
+            seen = set()
+            for _ in range(300):
+                # rows of random content, so that every row content varies
+                x = tuple(p ** e * rng.randrange(q) % q
+                          for e in [rng.randrange(M + 1)] * 2
+                          + [rng.randrange(M + 1)] * 2)
+                seen.add(invariant_under_a_unit(x))
             assert len(seen) > M, (p, M)
+            # the candidates share row contents and differ in the contents
+            # of row combinations, which random rows rarely exercise
+            for k in range(M - 1):
+                for c in heckedeg._candidates(pattern, p, k):
+                    invariant_under_a_unit(c)
 
 
 # the sweeps small enough to check against every element mod p^M
@@ -306,6 +316,17 @@ _CI_OPS = [(pattern, p, k, k + 2) for pattern in ("split", "level", "ramified")
            for p in (11, 13) for k in (2, 3)]
 
 
+def test_rows_buckets_are_small():
+    # the candidates are tested pairwise within a bucket, so its size bounds
+    # the quadratic part of the oracle
+    for pattern, p, k, M in _GRID + _CI_OPS:
+        if pattern == "ramified":
+            continue
+        sizes = collections.Counter(heckedeg._rows(pattern, p, M, c) for c
+                                    in heckedeg._candidates(pattern, p, k))
+        assert max(sizes.values()) <= p * (p - 1), (pattern, p, k, M)
+
+
 def test_sweep_selection(monkeypatch):
     # the sweep-or-panel choice rests on the size of the order mod p^M
     monkeypatch.setattr(heckedeg, "_panel", lambda *a: "panel")
@@ -328,17 +349,17 @@ def test_sweep_selection(monkeypatch):
     }
 
 
-# (pattern, p, k, M) -> least panel size.  Split and level: the size before
-# the draws were conditioned on the residues mod p (the cases that fell
-# short of 125 hits + 250 translates).  Ramified: the full 125 + 250, as
-# the draws are made at valuation k % 2 and scaled by p^(k//2).
+# (pattern, p, k, M) -> least panel size: every panel op of the grid and of
+# CI whose draws once fell short reaches the full 125 hits + 250 translates.
+# Split and level draws are conditioned on the residues mod p; ramified
+# draws are made at valuation k % 2 and scaled by p^(k//2).
 _PANEL_FLOOR = {
-    ("level", 5, 3, 5): 374, ("level", 7, 3, 5): 291,
+    ("level", 5, 3, 5): 375, ("level", 7, 3, 5): 375,
     ("ramified", 3, 3, 5): 375, ("ramified", 5, 2, 4): 375,
     ("ramified", 5, 3, 5): 375, ("ramified", 7, 2, 4): 375,
     ("ramified", 7, 3, 5): 375, ("ramified", 7, 3, 6): 375,
-    ("split", 11, 3, 5): 282, ("level", 11, 2, 4): 327,
-    ("level", 11, 3, 5): 253, ("ramified", 11, 3, 5): 375,
+    ("split", 11, 3, 5): 375, ("level", 11, 2, 4): 375,
+    ("level", 11, 3, 5): 375, ("ramified", 11, 3, 5): 375,
     ("ramified", 13, 3, 5): 375,
 }
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,6 +131,28 @@ def test_cli_local_and_classset(capsys):
     out = capsys.readouterr().out
     assert "mass = 1/12" in out and "class number 1" in out
     assert "genus theta (m<=6) = [1, 24, 24, 96, 24, 144, 96]" in out
+
+
+def test_cli_parser_is_reused_across_calls(capsys):
+    # main() builds its parser once per process; each call, also after a
+    # usage error, prints what the same command prints in a fresh process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["certify", "--pattern", "level", "--p", "3", "--k", "1",
+                  "--M", "3"],
+                 ["local", "--p", "4"],
+                 ["degree", "--D", "6", "--N", "5", "--m", "25"]):
+        fresh = subprocess.run([sys.executable, "-m", "quatmatch"] + argv,
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        try:
+            code = vc.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert vc._build_parser() is vc._build_parser()
 
 
 @pytest.mark.parametrize("argv", [

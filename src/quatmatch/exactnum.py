@@ -1,9 +1,9 @@
-"""Exact arithmetic foundation: rationals, cyclotomic numbers, residue symbols.
+"""Exact arithmetic foundation: rationals, values in Q(zeta_p), residue symbols.
 
 Conventions used across the package:
 
 * ``e(t)`` denotes ``exp(2*pi*i*t)``; ``zeta(n, k)`` is the exact value
-  ``e(k/n)`` in the canonical basis of `CyclotomicNumber`.
+  ``e(k/n)`` for n = 1 or a prime, in the power basis of `CyclotomicNumber`.
 * The Hilbert symbol at odd p uses the Legendre symbols of the unit parts;
   at p = 2 it uses the classical (u-1)/2 and (u^2-1)/8 exponents.
 
@@ -54,94 +54,61 @@ def is_squarefree(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic numbers
+# values in Q(zeta_p)
 
 @lru_cache(maxsize=None)
-def _prime_powers(n: int) -> tuple:
-    """(q, p, phi(q), (n/q)^(-1) mod q, (q/p)*(n/q)) for each prime power q || n."""
-    out = []
-    for p, k in prime_power_factors(n):
-        q = p ** k
-        out.append((q, p, q - q // p, pow(n // q, -1, q), q // p * (n // q)))
-    return tuple(out)
+def _conductor(n: int) -> int:
+    """n, if it is 1 or a prime; the power-basis rewrite holds only there."""
+    if n != 1 and not is_prime(n):
+        raise ValueError("conductor must be 1 or a prime, got %r" % (n,))
+    return n
 
 
 class CyclotomicNumber:
-    """An element of some cyclotomic field, stored at its minimal conductor.
+    """An element of Q(zeta_p) for one prime p, in the power basis.
 
-    The representation is canonical.  The conductor n is the smallest n with
-    the value in Q(zeta_n) (never 2 mod 4), and the value is sum c * zeta_n^r
-    over the sorted nonzero `terms` (r, c), where r runs over the basis
-    exponents: for each prime power q = p^k || n, e_q(r) = r * (n/q)^(-1)
-    mod q satisfies e_q(r) < phi(q).  Since zeta_n^r is the product of the
-    zeta_q^(e_q(r)), this basis is the tensor product of the power bases
-    1, zeta_q, ..., zeta_q^(phi(q)-1), so for a prime power n it is the
-    power basis.  It contains the basis of every cyclotomic subfield
-    (Bosma, "Canonical bases for cyclotomic fields", AAECC 1, 1990):
-    reduction is one rewrite pass per q and descent a gcd of exponents.
-    Two values are equal iff their (conductor, terms) pairs are equal.
-
-    `CyclotomicNumber(n, terms)` is the value sum c * zeta_n^r over any
-    (r, c) pairs with rational c (int or Fraction): exponents are taken
-    mod n and repeats add up.
+    The value is sum c * zeta_n^r over the sorted nonzero `terms` (r, c),
+    r < p - 1: the basis 1, zeta_p, ..., zeta_p^(p-2) of Washington,
+    "Introduction to Cyclotomic Fields", ch. 1.  The conductor n is p, or 1
+    for a rational value (its only term is r = 0), so two values are equal
+    iff their (n, terms) pairs are.  `CyclotomicNumber(n, terms)` takes any
+    (r, c) pairs with rational c, for n = 1 or a prime: exponents are read
+    mod n, repeats add up, and zeta_p^(p-1) becomes -(1 + ... + zeta_p^(p-2)).
+    Values add, scale by a rational and rotate; two primes do not mix.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=()):
+        n = _conductor(n)
         acc = {}
         for r, c in terms:
             r %= n
-            acc[r] = acc.get(r, 0) + c
-        if n % 4 == 2:
-            # zeta_n = -zeta_h^((h+1)/2) with h = n/2 odd
-            h, acc2 = n // 2, {}
-            for r, c in acc.items():
-                s = r * ((h + 1) // 2) % h
-                acc2[s] = acc2.get(s, 0) + (-c if r % 2 else c)
-            n, acc = h, acc2
-        for q, p, phi, inv, step in _prime_powers(n):
-            # zeta_q^e with e >= phi(q) is -sum_{j=1}^{p-1} zeta_q^(e - j*q/p);
-            # in exponents of zeta_n this moves e_q(r) only, so one pass per
-            # q is enough
-            for r in [r for r in acc if r * inv % q >= phi]:
-                c = acc.pop(r)
-                for j in range(1, p):
-                    s = (r - j * step) % n
-                    acc[s] = acc.get(s, 0) - c
-        nonzero = [(r, c) for r, c in acc.items() if c]
-        # the value lies in Q(zeta_(n/p)) iff p divides every basis exponent
-        g = math.gcd(n, *(r for r, _c in nonzero))
-        self.n = n // g
-        self.terms = tuple(sorted((r // g, c) for r, c in nonzero))
+            acc[r] = acc[r] + c if r in acc else c
+        top = acc.pop(n - 1, 0) if n > 1 else 0
+        if top:
+            for r in range(n - 1):
+                acc[r] = acc[r] - top if r in acc else -top
+        terms = tuple(sorted((r, c) for r, c in acc.items() if c))
+        self.n = n if terms and terms[-1][0] else 1
+        self.terms = terms
 
-    # -- constructors ------------------------------------------------------
     @staticmethod
     def from_rational(q) -> "CyclotomicNumber":
         return CyclotomicNumber(1, ((0, Fraction(q)),))
-
-    # -- predicates / conversions -------------------------------------------
-    @property
-    def is_rational(self) -> bool:
-        return self.n == 1
 
     def rational_value(self) -> Fraction:
         if self.n != 1:
             raise ValueError("value is not rational: %s" % (self,))
         return Fraction(self.terms[0][1]) if self.terms else Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- arithmetic ----------------------------------------------------------
-    def _lifted(self, m):
-        """The (exponent, coefficient) pairs of self over zeta_m; requires n | m."""
-        step = m // self.n
-        return [(r * step, c) for r, c in self.terms]
-
-    def _galois(self, a):
-        """The automorphism zeta_n -> zeta_n^a, for a coprime to n."""
-        return CyclotomicNumber(self.n, [(a * r, c) for r, c in self.terms])
+    def rotate(self, p: int, k: int) -> "CyclotomicNumber":
+        """self * zeta_p^k, for self in Q(zeta_p)."""
+        if self.n not in (1, p):
+            raise ValueError("cannot rotate a value of conductor %d by zeta_%d"
+                             % (self.n, p))
+        return CyclotomicNumber(p, [(r + k, c) for r, c in self.terms])
 
     @staticmethod
     def _coerce(x):
@@ -155,75 +122,35 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = math.lcm(self.n, other.n)
-        return CyclotomicNumber(m, self._lifted(m) + other._lifted(m))
+        if self.n != other.n and 1 not in (self.n, other.n):
+            raise ValueError("cannot add values of conductors %d and %d"
+                             % (self.n, other.n))
+        return CyclotomicNumber(max(self.n, other.n), self.terms + other.terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.n, [(r, -c) for r, c in self.terms])
+        return self * -1
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # scaling by a nonzero rational keeps the terms canonical
-            out = CyclotomicNumber.__new__(CyclotomicNumber)
-            out.n, out.terms = 1, ()
-            if other:
-                out.n = self.n
-                out.terms = tuple((r, c * other) for r, c in self.terms)
-            return out
-        other = self._coerce(other)
-        if other is NotImplemented:
+        """Scaling by a rational: an int, a Fraction or a rational value."""
+        if isinstance(other, CyclotomicNumber):
+            if self.n == 1:
+                self, other = other, self
+            if other.n != 1:
+                return NotImplemented
+            other = other.rational_value()
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        m = math.lcm(self.n, other.n)
-        return CyclotomicNumber(m, [(r + s, c * d) for r, c in self._lifted(m)
-                                    for s, d in other._lifted(m)])
+        return CyclotomicNumber(self.n, [(r, c * other) for r, c in self.terms])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other._inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self._inverse()
-
-    def _inverse(self):
-        """The product of the other Galois conjugates over the rational norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by cyclotomic zero")
-        others = CyclotomicNumber.from_rational(1)
-        for a in range(2, self.n):
-            if math.gcd(a, self.n) == 1:
-                others = others * self._galois(a)
-        return others * (1 / (self * others).rational_value())
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return (self ** (-k))._inverse()
-        out = CyclotomicNumber.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conjugate(self) -> "CyclotomicNumber":
-        """Complex conjugation (zeta -> zeta^{-1})."""
-        return self._galois(-1)
 
     # -- comparison / hashing -------------------------------------------------
     def __eq__(self, other):
@@ -262,9 +189,7 @@ class CyclotomicNumber:
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
-    """The exact root of unity e(k/n)."""
-    if n < 1:
-        raise ValueError("conductor must be positive")
+    """The exact root of unity e(k/n), for n = 1 or a prime."""
     return CyclotomicNumber(n, ((k, 1),))
 
 

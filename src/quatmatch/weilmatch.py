@@ -6,9 +6,9 @@ entry divisible by p), and the division quaternion algebra with its maximal
 order.  The Weil representation of an even lattice L depends only on its
 discriminant module (L_dual/L, Q mod 1), so each space is stored as that
 module: the cosets mu_{i,j} + L carry labels (i, j) mod p, and a table
-holds the integers p*Q(mu_{i,j}) mod p.  Schwartz functions are rational
-combinations of indicator functions of these cosets; the group action is
-generated by
+holds the integers p*Q(mu_{i,j}) mod p.  Schwartz functions are
+combinations of indicator functions of these cosets with coefficients in
+Q(zeta_p); the group action is generated by
 
     n(b):  multiply the mu-coset coefficient by psi(b * Q(mu))
     m(a):  permute cosets by x -> a*x (unit a)
@@ -35,6 +35,8 @@ from functools import lru_cache
 from .exactnum import CyclotomicNumber, zeta
 from .quatalg import ramified_model
 
+ZERO = CyclotomicNumber.from_rational(0)
+ONE = CyclotomicNumber.from_rational(1)
 IDENTITY = ()
 W = (("w",),)
 
@@ -83,6 +85,7 @@ def split_level_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuadSp
     return LocalQuadSpace(p, _table(p, lambda i, j: -i * j), gamma, psi_sign)
 
 
+@lru_cache(maxsize=None)
 def ramified_space(p: int, gamma: int = -1, psi_sign: int = -1) -> LocalQuadSpace:
     """Maximal order of the division quaternion algebra at p.
 
@@ -101,28 +104,26 @@ def ramified_space(p: int, gamma: int = -1, psi_sign: int = -1) -> LocalQuadSpac
 
 @dataclass(frozen=True)
 class SchwartzCombo:
-    """Finite combination sum_label coeff * char(mu_label + L)."""
+    """Finite combination sum_label coeff * char(mu_label + L); every
+    coefficient is a `CyclotomicNumber` in Q(zeta_p)."""
     space: LocalQuadSpace
     terms: tuple  # sorted tuple of (label, coefficient)
 
     @staticmethod
     def from_dict(space, data) -> "SchwartzCombo":
-        items = tuple(sorted((lab, c) for lab, c in data.items() if c != 0))
+        items = tuple(sorted((lab, c) for lab, c in data.items() if c != ZERO))
         return SchwartzCombo(space, items)
-
-    def as_dict(self):
-        return dict(self.terms)
 
 
 def char_lattice(space: LocalQuadSpace) -> SchwartzCombo:
     """char(L): the zero coset with coefficient 1."""
-    return SchwartzCombo.from_dict(space, {(0, 0): Fraction(1)})
+    return SchwartzCombo.from_dict(space, {(0, 0): ONE})
 
 
 def char_dual(space: LocalQuadSpace) -> SchwartzCombo:
     """char(L_dual): every coset with coefficient 1."""
     return SchwartzCombo.from_dict(space,
-                                   {lab: Fraction(1) for lab in space.labels()})
+                                   {lab: ONE for lab in space.labels()})
 
 
 def coset_char(space: LocalQuadSpace, i: int, j: int) -> SchwartzCombo:
@@ -130,7 +131,7 @@ def coset_char(space: LocalQuadSpace, i: int, j: int) -> SchwartzCombo:
     if len(space.table) == 1 and (i, j) != (0, 0):
         raise ValueError("self-dual lattice has only the zero coset")
     return SchwartzCombo.from_dict(space,
-                                   {(i % space.p, j % space.p): Fraction(1)})
+                                   {(i % space.p, j % space.p): ONE})
 
 
 def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
@@ -140,29 +141,27 @@ def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
     kind = word[0]
     if kind == "n":
         b = int(word[1])
-        out = {(i, j): v * zeta(p, sign * b * table[i][j])
+        out = {(i, j): v.rotate(p, sign * b * table[i][j])
                for (i, j), v in combo.terms}
         return SchwartzCombo.from_dict(space, out)
     if kind == "m":
         a = int(word[1])
         if math.gcd(a, p) != 1:
             raise ValueError("m(a) is implemented for units a only")
-        out = {}
-        for (i, j), v in combo.terms:
-            lab = ((a * i) % p, (a * j) % p)
-            out[lab] = out.get(lab, Fraction(0)) + v
+        # x -> a*x permutes the labels, so no two terms meet
+        out = {((a * i) % p, (a * j) % p): v for (i, j), v in combo.terms}
         return SchwartzCombo.from_dict(space, out)
     if kind == "w":
-        factor = space.vol
+        factor = space.vol * space.gamma
         out = {}
         for nu_i, nu_j in space.labels():
             q_nu = table[nu_i][nu_j]
-            total = Fraction(0)
+            total = ZERO
             for (i, j), v in combo.terms:
                 # p*B(nu, mu) = p*(Q(nu + mu) - Q(nu) - Q(mu)) mod p
                 pb = table[(nu_i + i) % p][(nu_j + j) % p] - q_nu - table[i][j]
-                total = total + v * zeta(p, sign * pb)
-            out[(nu_i, nu_j)] = total * factor * space.gamma
+                total = total + v.rotate(p, sign * pb)
+            out[(nu_i, nu_j)] = total * factor
         return SchwartzCombo.from_dict(space, out)
     if kind == "nminus":
         c = int(word[1])
@@ -183,17 +182,13 @@ def lambda_eval(combo: SchwartzCombo, g) -> CyclotomicNumber:
         current = weil_act(words.pop(), current)
     if len(words) == 1 and words[0][0] == "w":
         # only the zero-coset output coefficient is needed
-        total = Fraction(0)
+        total = ZERO
         for _lab, v in current.terms:
             total = total + v
-        value = total * space.vol * space.gamma
-    else:
-        if words:
-            current = weil_act(words[0], current)
-        value = current.as_dict().get((0, 0), Fraction(0))
-    if isinstance(value, CyclotomicNumber):
-        return value
-    return CyclotomicNumber.from_rational(value)
+        return total * (space.vol * space.gamma)
+    if words:
+        current = weil_act(words[0], current)
+    return dict(current.terms).get((0, 0), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,7 @@ def match_coefficients(p: int, k: int, l: int, psi_sign: int = -1):
     amat = _dft_matrix(p, psi_sign)
     d = ramified_model(p).d_value(k, l) % p
     for i in range(p):
-        if -amat[i][d] != lambda_eval(phi_kl, wn(i)) * p:
+        if amat[i][d] != lambda_eval(phi_kl, wn(i)) * -p:
             raise ArithmeticError("closed-form matching x = -e_%d fails A x = t "
                                   "at row %d" % (d, i))
     return [Fraction(-1) if j == d else Fraction(0) for j in range(p)]

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -13,71 +12,142 @@ from quatmatch.exactnum import (
 )
 
 
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _sample(p, rng, size=4):
+    """A random value of Q(zeta_p) with small rational coordinates."""
+    return sum((zeta(p, rng.randrange(p))
+                * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                for _ in range(size)), CyclotomicNumber.from_rational(0))
+
+
 def test_zeta_basics():
     assert zeta(1) == 1
     assert zeta(2) == -1
-    assert zeta(4) ** 2 == -1
     z3 = zeta(3)
-    assert z3 ** 3 == 1 and z3 != 1
-    assert z3 ** 2 + z3 + 1 == 0
+    assert zeta(3, 3) == 1 and z3 != 1
+    assert z3.rotate(3, 2) == 1
+    assert zeta(3, 2) + z3 + 1 == 0
 
 
 def test_canonical_conductor():
-    # zeta_6 lives in the conductor-3 field; values equal iff coordinates equal
-    assert zeta(6).n == 3
-    assert zeta(12, 3).n == 4  # = i
-    assert zeta(12, 4) == zeta(3)
+    # a value whose only term is r = 0 is rational; values equal iff coordinates equal
+    assert zeta(5, 5).n == 1 and zeta(5, 10) == 1
+    assert zeta(5, 6) == zeta(5) and zeta(5, -1) == zeta(5, 4)
     s = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
-    assert s.is_rational and s.rational_value() == -1
+    assert s.n == 1 and s.rational_value() == -1
+    d = zeta(7) - zeta(7)
+    assert (d.n, d.terms) == (1, ()) and d == 0
 
 
 def test_cyclotomic_arithmetic():
-    random.seed(11)
-    vals = [zeta(12, k) * Fraction(random.randint(-3, 3), random.randint(1, 4))
-            for k in range(5)]
-    a, b, c = vals[0] + vals[1], vals[2], vals[3] - vals[4]
-    assert (a + b) * c == a * c + b * c
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-    nz = zeta(7) + 2
-    assert nz / nz == 1
-    assert (nz * nz._inverse()) == 1
-
-
-def _moebius(n):
-    out = 1
-    for p in range(2, n + 1):
-        if n % p == 0 and all(p % d for d in range(2, p)):
-            out = 0 if n % (p * p) == 0 else -out
-    return out
+    rng = random.Random(11)
+    for p in (5, 7):
+        a, b, c = (_sample(p, rng) for _ in range(3))
+        assert (a + b) + c == a + (b + c) and a + b == b + a
+        assert a - a == 0 and a + (-a) == 0 and -(-a) == a
+        assert 3 - a == -(a - 3)
+        r = Fraction(-2, 5)
+        assert (a + b) * r == a * r + b * r == r * (a + b)
+        assert a * CyclotomicNumber.from_rational(r) == a * r
+        assert CyclotomicNumber.from_rational(r) * a == a * r
+        # rotation is Q-linear
+        assert (a + b).rotate(p, 3) == a.rotate(p, 3) + b.rotate(p, 3)
+        assert (a * r).rotate(p, 2) == a.rotate(p, 2) * r
+    # there is no field product of two irrational values
+    with pytest.raises(TypeError):
+        zeta(7) * zeta(7, 2)
 
 
 def test_cyclotomic_canonical_form():
-    for n in (8, 9, 12, 15, 20, 21, 25):
-        for k in range(n):
-            # e(k/n) has conductor n/gcd(k, n), or half that when it is 2 mod 4
-            g = n // math.gcd(k, n)
-            assert zeta(n, k).n == (g // 2 if g % 4 == 2 else g), (n, k)
-    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 20, 21, 24, 25, 30):
-        s = sum((zeta(n, k) for k in range(n) if math.gcd(k, n) == 1),
-                CyclotomicNumber.from_rational(0))
-        assert s == _moebius(n), n
-    assert zeta(15) == zeta(3, 2) * zeta(5, -3)
-    x = zeta(15) + 3 * zeta(15, 7) - zeta(21, 2)
-    y = zeta(20, 3) - Fraction(1, 2) * zeta(12) + zeta(7, 4)
-    z = 2 - zeta(35, 6) + zeta(8, 5)
-    assert x.n == 105
-    assert x * x._inverse() == 1
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-    assert (x * y) * z == x * (y * z)
-    assert (x + y) + z == x + (y + z)
-    assert (x + y) * z == x * z + y * z
+    for p in PRIMES:
+        for k in range(-p, 2 * p):
+            # e(k/p) is rational iff p | k, or p = 2
+            v = zeta(p, k)
+            assert v.n == (1 if k % p == 0 or p == 2 else p), (p, k)
+            assert all(0 <= r < max(p - 1, 1) and c for r, c in v.terms)
+            assert [r for r, _c in v.terms] == sorted(r for r, _c in v.terms)
+        # the primitive p-th roots of unity sum to mu(p) = -1
+        s = sum((zeta(p, k) for k in range(1, p)), CyclotomicNumber.from_rational(0))
+        assert s == -1, p
     # a rational factor scales the terms: zero gives the rational zero, and
     # a nonzero factor keeps the form the constructor would give
-    for v in (x, y, z, zeta(9, 4), CyclotomicNumber.from_rational(0)):
+    x = zeta(7) + 3 * zeta(7, 6) - zeta(7, 2)
+    y = zeta(5, 3) - Fraction(1, 2) * zeta(5) + 2
+    for v in (x, y, zeta(11, 4), CyclotomicNumber.from_rational(0)):
         for r in (0, 1, -3, Fraction(2, 7), Fraction(0)):
             want = CyclotomicNumber(v.n, [(e, c * r) for e, c in v.terms])
             for w in (v * r, r * v):
                 assert (w.n, w.terms) == (want.n, want.terms), (v, r)
+
+
+def test_zeta_top_power_rewrite():
+    for p in PRIMES:
+        rest = sum((zeta(p, k) for k in range(p - 1)),
+                   CyclotomicNumber.from_rational(0))
+        assert zeta(p, p - 1) == -rest, p
+        if p > 2:
+            assert zeta(p, p - 1).terms == tuple((r, -1) for r in range(p - 1))
+
+
+def test_roots_of_unity_sum_to_zero():
+    for p in PRIMES:
+        s = sum((zeta(p, k) for k in range(p)), CyclotomicNumber.from_rational(0))
+        assert (s.n, s.terms) == (1, ()), p
+
+
+def test_rotation():
+    rng = random.Random(5)
+    for p in PRIMES:
+        for _ in range(5):
+            v = _sample(p, rng)
+            a, b = rng.randrange(-2 * p, 2 * p), rng.randrange(-2 * p, 2 * p)
+            assert v.rotate(p, p) == v and v.rotate(p, 0) == v
+            assert v.rotate(p, a).rotate(p, b) == v.rotate(p, a + b)
+            assert zeta(p, a).rotate(p, b) == zeta(p, a + b)
+        # a rational value rotates into Q(zeta_p)
+        assert CyclotomicNumber.from_rational(3).rotate(p, 1) == 3 * zeta(p)
+    with pytest.raises(ValueError):
+        zeta(5).rotate(7, 1)
+
+
+def test_rational_value_equals_and_hashes_as_fraction():
+    for q in (0, 1, -4, Fraction(3, 7), Fraction(-5, 2)):
+        for v in (CyclotomicNumber.from_rational(q), zeta(7, 7) * q,
+                  (zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)) * -q):
+            assert v == Fraction(q) and Fraction(q) == v
+            assert hash(v) == hash(Fraction(q))
+            assert {v: 1}[Fraction(q)] == 1
+    assert zeta(7) != Fraction(1) and zeta(7) != zeta(7, 2) and zeta(5) != zeta(7)
+
+
+def test_adding_different_primes_raises():
+    with pytest.raises(ValueError):
+        zeta(5) + zeta(7)
+    with pytest.raises(ValueError):
+        zeta(3) - zeta(5, 2)
+    # a rational value adds to either
+    assert (zeta(5) + zeta(7, 7)) - 1 == zeta(5)
+
+
+def test_str_format():
+    assert str(zeta(7, 3)) == "z7^3"
+    assert str(zeta(7)) == "z7"
+    assert str(2 * zeta(7) - zeta(7, 3) + Fraction(1, 2)) == "1/2 + 2*z7 - z7^3"
+    assert str(zeta(5, 4)) == "-1 - z5 - z5^2 - z5^3"
+    assert str(Fraction(-3, 4) * zeta(5, 2)) == "-3/4*z5^2"
+    assert str(zeta(3, 3) * Fraction(2, 6)) == "1/3"
+
+
+def test_zeta_rejects_composite_conductor():
+    for n in (0, -3, 4, 6, 12, 15):
+        with pytest.raises(ValueError):
+            zeta(n)
+        with pytest.raises(ValueError):
+            CyclotomicNumber.from_rational(1).rotate(n, 1)
+    with pytest.raises(ValueError):
+        CyclotomicNumber(12, [(1, 1)])
 
 
 def _hilbert_search_oracle(a, b, p):
@@ -164,11 +234,12 @@ def test_kronecker_symbol():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_dft_matrix_unitary(p):
+    # row i times the conjugate of row j is sum_k zeta_p^((i - j) k)
     mat = [[zeta(p, i * j) for j in range(p)] for i in range(p)]
     assert mat[0] == [CyclotomicNumber.from_rational(1)] * p
     for i in range(p):
         for j in range(p):
-            s = sum((mat[i][k] * mat[j][k].conjugate() for k in range(p)),
+            s = sum((zeta(p, (i - j) * k) for k in range(p)),
                     CyclotomicNumber.from_rational(0))
             assert s == (p if i == j else 0)
 

@@ -250,6 +250,13 @@ def _key(pattern: str, p: int, k: int, x):
     return (p ** a, 0, c, p ** b)
 
 
+@lru_cache(maxsize=None)
+def _row_vectors(p: int, M: int):
+    """The vectors f of `_rows`, built once per (p, M)."""
+    return tuple(f for s in range(p) for t in (p ** j for j in range(M - 1))
+                 for f in ((s, t), (t, s)))
+
+
 def _rows(pattern: str, p: int, M: int, x):
     """Right-unit invariants of x mod p^M: p^min(v, M) of the content of
     f*x for f = (s, p^j) and (p^j, s), 0 <= s < p, 0 <= j <= M - 2.
@@ -262,10 +269,8 @@ def _rows(pattern: str, p: int, M: int, x):
     if pattern == "ramified":
         return ()
     q = p ** M
-    fs = [f for s in range(p) for t in (p ** j for j in range(M - 1))
-          for f in ((s, t), (t, s))]
     rows = tuple(math.gcd(a * x[0] + b * x[2], a * x[1] + b * x[3], q)
-                 for a, b in fs)
+                 for a, b in _row_vectors(p, M))
     if pattern == "level":
         rows += (math.gcd(x[0], p * x[1], q), math.gcd(x[2], p * x[3], q))
     return rows

@@ -1,11 +1,10 @@
 """Identity verification harness and command-line interface.
 
-Each theorem check computes both sides of one identity family exactly, row
-by row over 1 <= m <= m_max, and records (m, lhs, rhs, pass).  A report is
-pure data: re-running it is byte-identical (timings are kept out of report
-files).
+`run_case` computes both sides of one identity exactly, row by row over
+1 <= m <= m_max, and records (m, lhs, rhs, pass).  A report is pure data:
+re-running it is byte-identical (timings are kept out of report files).
 
-The identity families, with w(p) = -2/(p-1) and W(p) = (p+1)/(p-1):
+The identities, with w(p) = -2/(p-1) and W(p) = (p+1)/(p-1):
 
     1.1  w(q) r_{Dp,N}(m)  + W(q) r_{Dp,Nq}(m)  =  w(p) r_{Dq,N}(m)  + W(p) r_{Dq,Np}(m)
     1.3  w(q) r'_{Dp,N}(m) + W(q) r'_{Dp,Nq}(m) =  w(p) r'_{Dq,N}(m) + W(p) r'_{Dq,Np}(m)
@@ -13,7 +12,8 @@ The identity families, with w(p) = -2/(p-1) and W(p) = (p+1)/(p-1):
     1.5  r_{Dp,N}(m)   =  w(p) r'_{D,N}(m) + W(p) r'_{D,Np}(m)
 
 where r is the genus-averaged representation number (definite side) and r'
-the normalised correspondence degree (indefinite side).
+the normalised correspondence degree (indefinite side).  IDENTITIES is the
+single definition of the four; `run_case` and `TheoremCase.validate` read it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,34 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import heckedeg, weilmatch
 from .classsets import class_set_for, genus_theta
 from .exactnum import is_prime, is_squarefree, prime_factors
 
 
-THEOREMS = ("1.1", "1.3", "1.4", "1.5")
+class Identity(NamedTuple):
+    primes: tuple  # the primes a case names, in order
+    m_max: int     # default m_max of a single case on the command line
+    lhs: tuple     # terms (weight, side, D', N'); side "r" or "r'"
+    rhs: tuple
+
+
+IDENTITIES = {
+    "1.1": Identity(("p", "q"), 50,
+                    (("w(q)", "r", "Dp", "N"), ("W(q)", "r", "Dp", "Nq")),
+                    (("w(p)", "r", "Dq", "N"), ("W(p)", "r", "Dq", "Np"))),
+    "1.3": Identity(("p", "q"), 100,
+                    (("w(q)", "r'", "Dp", "N"), ("W(q)", "r'", "Dp", "Nq")),
+                    (("w(p)", "r'", "Dq", "N"), ("W(p)", "r'", "Dq", "Np"))),
+    "1.4": Identity(("p",), 50,
+                    (("1", "r'", "Dp", "N"),),
+                    (("w(p)", "r", "D", "N"), ("W(p)", "r", "D", "Np"))),
+    "1.5": Identity(("p",), 30,
+                    (("1", "r", "Dp", "N"),),
+                    (("w(p)", "r'", "D", "N"), ("W(p)", "r'", "D", "Np"))),
+}
 
 
 @dataclass(frozen=True)
@@ -47,43 +68,50 @@ class TheoremCase:
     pins: tuple = field(default=(), compare=False)  # ((m, expected lhs), ...)
 
     def validate(self):
-        if self.theorem not in THEOREMS:
+        if self.theorem not in IDENTITIES:
             raise ValueError("unknown theorem %r" % (self.theorem,))
         if self.D < 1 or not is_squarefree(self.D):
             raise ValueError("D must be a squarefree positive integer")
         if self.N < 1:
             raise ValueError("N must be positive")
-        if self.theorem in ("1.3", "1.4", "1.5") and not is_squarefree(self.N):
-            # these read r', whose level factors exist for squarefree N only
-            raise ValueError("theorem %s needs a squarefree N" % self.theorem)
         if self.m_max < 1:
             raise ValueError("m_max must be at least 1")
         for m, _value in self.pins:
             if not 1 <= m <= self.m_max:
                 raise ValueError("pin m=%d is outside 1..m_max=%d" % (m, self.m_max))
-        nprimes = len(prime_factors(self.D))
-        needs_q = self.theorem in ("1.1", "1.3")
-        if self.p is None or (needs_q and self.q is None):
-            raise ValueError("theorem %s needs primes p%s"
-                             % (self.theorem, " and q" if needs_q else ""))
-        primes = [self.p] + ([self.q] if needs_q else [])
-        for r in primes:
+        names = IDENTITIES[self.theorem].primes
+        if [n for n in ("p", "q") if getattr(self, n) is not None] != list(names):
+            raise ValueError("theorem %s takes exactly these primes: %s"
+                             % (self.theorem, ", ".join(names)))
+        for r in (getattr(self, n) for n in names):
             if not is_prime(r):
                 raise ValueError("%r is not prime" % (r,))
-            if self.D % r == 0:
-                raise ValueError("prime %d must not divide D=%d" % (r, self.D))
-        if needs_q and self.p == self.q:
-            raise ValueError("p and q must be distinct")
-        if self.theorem in ("1.1",) and nprimes % 2:
-            raise ValueError("theorem 1.1 needs D with an even number of primes")
-        if self.theorem in ("1.3", "1.4") and nprimes % 2 == 0:
-            raise ValueError("theorem %s needs D with an odd number of primes"
-                             % self.theorem)
-        if self.theorem == "1.5" and (self.D == 1 or nprimes % 2):
-            raise ValueError("theorem 1.5 needs D > 1 with an even number of primes")
-        modulus = self.D * math.prod(primes)
-        if math.gcd(self.N, modulus) != 1:
-            raise ValueError("N must be coprime to D and the chosen primes")
+        # a term reads the Eichler order of level N' in the algebra of
+        # discriminant D': definite for r; indefinite for r', whose level
+        # factors exist for squarefree N' only
+        for _weight, side, D, N in sum(self.terms(), []):
+            needs = "theorem %s: %s_{%d,%d} needs" % (self.theorem, side, D, N)
+            if not is_squarefree(D) or math.gcd(D, N) != 1:
+                raise ValueError("%s a squarefree D' coprime to N'" % needs)
+            odd = len(prime_factors(D)) % 2
+            if side == "r" and not odd:
+                raise ValueError("%s D' with an odd number of primes" % needs)
+            if side == "r'" and (D == 1 or odd or not is_squarefree(N)):
+                raise ValueError("%s D' > 1 with an even number of primes and a "
+                                 "squarefree N'" % needs)
+
+    def terms(self):
+        """(lhs, rhs): lists of the (weight, side, D', N') terms in numbers."""
+        def weight(text):  # "1", "w(r)" or "W(r)"
+            if text == "1":
+                return Fraction(1)
+            r = getattr(self, text[2])
+            return Fraction(-2 if text[0] == "w" else r + 1, r - 1)
+        def value(text):  # "D", "Dp", "Nq", ...: a product of fields
+            return math.prod(getattr(self, c) for c in text)
+        identity = IDENTITIES[self.theorem]
+        return tuple([(weight(w), side, value(d), value(n)) for w, side, d, n in terms]
+                     for terms in (identity.lhs, identity.rhs))
 
     def key(self) -> str:
         parts = ["theorem=%s" % self.theorem, "D=%d" % self.D]
@@ -164,86 +192,26 @@ class ClassSetPool:
         return genus_theta(self.get(D, N), m_max)
 
 
-def _weights(p: int):
-    return Fraction(-2, p - 1), Fraction(p + 1, p - 1)
-
-
-def _finish(case, lhs_list, rhs_list, started):
-    rows = []
-    pins = dict(case.pins)
-    for m in range(1, case.m_max + 1):
-        lhs, rhs = lhs_list[m], rhs_list[m]
-        ok = lhs == rhs
-        if m in pins and lhs != Fraction(pins[m]):
-            ok = False
-        rows.append((m, lhs, rhs, ok))
-    return VerificationReport(case, rows, time.monotonic() - started)
-
-
-def check_theorem_1_1(case: TheoremCase, pool: ClassSetPool) -> VerificationReport:
-    case.validate()
-    started = time.monotonic()
-    D, p, q, N, mm = case.D, case.p, case.q, case.N, case.m_max
-    wq, wq2 = _weights(q)
-    wp, wp2 = _weights(p)
-    a = pool.averages(D * p, N, mm)
-    b = pool.averages(D * p, N * q, mm)
-    c = pool.averages(D * q, N, mm)
-    d = pool.averages(D * q, N * p, mm)
-    lhs = [wq * a[m] + wq2 * b[m] for m in range(mm + 1)]
-    rhs = [wp * c[m] + wp2 * d[m] for m in range(mm + 1)]
-    return _finish(case, lhs, rhs, started)
-
-
-def check_theorem_1_3(case: TheoremCase, pool=None) -> VerificationReport:
-    case.validate()
-    started = time.monotonic()
-    D, p, q, N, mm = case.D, case.p, case.q, case.N, case.m_max
-    wq, wq2 = _weights(q)
-    wp, wp2 = _weights(p)
-    lhs = [Fraction(1)] + [
-        wq * heckedeg.r_prime(D * p, N, m) + wq2 * heckedeg.r_prime(D * p, N * q, m)
-        for m in range(1, mm + 1)]
-    rhs = [Fraction(1)] + [
-        wp * heckedeg.r_prime(D * q, N, m) + wp2 * heckedeg.r_prime(D * q, N * p, m)
-        for m in range(1, mm + 1)]
-    return _finish(case, lhs, rhs, started)
-
-
-def check_theorem_1_4(case: TheoremCase, pool: ClassSetPool) -> VerificationReport:
-    case.validate()
-    started = time.monotonic()
-    D, p, N, mm = case.D, case.p, case.N, case.m_max
-    wp, wp2 = _weights(p)
-    lhs = [Fraction(1)] + [heckedeg.r_prime(D * p, N, m) for m in range(1, mm + 1)]
-    a = pool.averages(D, N, mm)
-    b = pool.averages(D, N * p, mm)
-    rhs = [wp * a[m] + wp2 * b[m] for m in range(mm + 1)]
-    return _finish(case, lhs, rhs, started)
-
-
-def check_theorem_1_5(case: TheoremCase, pool: ClassSetPool) -> VerificationReport:
-    case.validate()
-    started = time.monotonic()
-    D, p, N, mm = case.D, case.p, case.N, case.m_max
-    wp, wp2 = _weights(p)
-    lhs = pool.averages(D * p, N, mm)
-    rhs = [Fraction(1)] + [
-        wp * heckedeg.r_prime(D, N, m) + wp2 * heckedeg.r_prime(D, N * p, m)
-        for m in range(1, mm + 1)]
-    return _finish(case, lhs, rhs, started)
-
-
-_CHECKERS = {
-    "1.1": check_theorem_1_1,
-    "1.3": check_theorem_1_3,
-    "1.4": check_theorem_1_4,
-    "1.5": check_theorem_1_5,
-}
+def _column(weight, side, D, N, m_max: int, pool: ClassSetPool):
+    """The weighted values of the term (weight, side, D, N) at m = 1 .. m_max."""
+    if side == "r":
+        values = pool.averages(D, N, m_max)[1:]
+    else:
+        values = [heckedeg.r_prime(D, N, m) for m in range(1, m_max + 1)]
+    return values if weight == 1 else [weight * v for v in values]
 
 
 def run_case(case: TheoremCase, pool: ClassSetPool) -> VerificationReport:
-    return _CHECKERS[case.theorem](case, pool)
+    """Both sides of the case's identity, row by row."""
+    case.validate()
+    started = time.monotonic()
+    lhs, rhs = ([sum(rest, first) for first, *rest in
+                 zip(*(_column(*t, case.m_max, pool) for t in terms))]
+                for terms in case.terms())
+    pins = {m: Fraction(value) for m, value in case.pins}
+    rows = [(m, left, right, left == right and (m not in pins or pins[m] == left))
+            for m, left, right in zip(range(1, case.m_max + 1), lhs, rhs)]
+    return VerificationReport(case, rows, time.monotonic() - started)
 
 
 def default_suite_cases():
@@ -359,7 +327,7 @@ def _build_parser():
 
     pv = sub.add_parser("verify", help="verify one identity family or the full grid")
     pv.add_argument("--theorem", required=True,
-                    choices=list(THEOREMS) + ["all"])
+                    choices=list(IDENTITIES) + ["all"])
     pv.add_argument("--D", type=int, default=None)
     pv.add_argument("--N", type=int, default=None, help="default 1")
     pv.add_argument("--p", type=int, default=None)
@@ -394,9 +362,6 @@ def _build_parser():
     return parser
 
 
-_DEFAULT_MMAX = {"1.1": 50, "1.3": 100, "1.4": 50, "1.5": 30}
-
-
 def _verify_config(args) -> SuiteConfig:
     """The suite a `verify` invocation asks for; ValueError on invalid input."""
     merged = _read_config(args.config) if args.config else {}
@@ -428,7 +393,7 @@ def _verify_config(args) -> SuiteConfig:
         N=pick("N", args.N, int, 1),
         p=pick("p", args.p, int),
         q=pick("q", args.q, int),
-        m_max=pick("m_max", args.m_max, int, _DEFAULT_MMAX[args.theorem]),
+        m_max=pick("m_max", args.m_max, int, IDENTITIES[args.theorem].m_max),
         pins=_parse_pins(args.pin if args.pin is not None else merged.get("pin")))
     case.validate()
     return SuiteConfig([case], out_dir, fmt)

@@ -127,7 +127,7 @@ def test_criterion_09_theorem_1_3_sweeps():
     for case in vc.default_suite_cases():
         if case.theorem != "1.3":
             continue
-        report = vc.check_theorem_1_3(case)
+        report = vc.run_case(case, vc.ClassSetPool())
         ok = ok and report.all_pass
     _report(9, "theorem family 1.3 sweeps, m <= 100", started, ok)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quatmatch import heckedeg, verifycli as vc
+from quatmatch.exactnum import is_prime, is_squarefree, prime_factors
 
 
 def test_case_validation_errors():
@@ -20,7 +22,7 @@ def test_case_validation_errors():
         vc.TheoremCase("1.1", D=1, p=3, q=3, N=1).validate()  # p == q
     with pytest.raises(ValueError):
         vc.TheoremCase("1.1", D=1, p=2, q=3, N=6).validate()  # N not coprime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="squarefree D'"):
         vc.TheoremCase("1.4", D=3, p=3, N=1).validate()  # p | D
     with pytest.raises(ValueError):
         vc.TheoremCase("1.4", D=3, p=4, N=1).validate()  # p not prime
@@ -32,6 +34,12 @@ def test_case_validation_errors():
         vc.TheoremCase("1.4", D=2, p=3, N=25).validate()  # N not squarefree
     with pytest.raises(ValueError):
         vc.TheoremCase("1.5", D=6, p=5, N=49).validate()  # N not squarefree
+    with pytest.raises(ValueError):
+        vc.TheoremCase("1.4", D=2, p=3, q=5, N=1).validate()  # 1.4 takes p only
+    with pytest.raises(ValueError):
+        vc.TheoremCase("1.4", D=2, p=3, q=2, N=1).validate()  # and q | D
+    with pytest.raises(ValueError):
+        vc.TheoremCase("1.3", D=2, p=3, N=1).validate()  # 1.3 needs q
     vc.TheoremCase("1.3", D=2, p=3, q=5, N=7, m_max=10).validate()
 
 
@@ -50,7 +58,7 @@ def test_single_case_report(pool):
 
 def test_theorem_13_formula_side():
     case = vc.TheoremCase("1.3", D=2, p=3, q=5, N=1, m_max=60)
-    report = vc.check_theorem_1_3(case)
+    report = vc.run_case(case, vc.ClassSetPool())
     assert report.all_pass
     # m = 1 row reduces to an identity among volumes
     m, lhs, rhs, ok = report.rows[0]
@@ -176,6 +184,9 @@ def test_cli_rejects_bad_local_input(argv, capsys):
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "0"], None),
     (["verify", "--theorem", "1.4", "--D", "4", "--p", "3"], None),
     (["verify", "--theorem", "1.4", "--p", "3"], None),
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--q", "5"], None),
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--q", "2"], None),
+    (["verify", "--theorem", "1.4"], "D=2\np=3\nq=5\n"),
     (["verify", "--theorem", "1.4"], "D=2\np=3\nformat=xml\n"),
     (["verify", "--theorem", "1.4"], "D=2\np=3\ncache_dir=cache\n"),
     (["verify", "--theorem", "1.4"], "theorem=1.3\nD=2\np=3\nq=5\n"),
@@ -237,3 +248,82 @@ def test_identities_off_the_main_grid(case, pool):
     # unequal unit weights, multi-class genera and multi-prime levels all
     # appear in these cases
     assert vc.run_case(case, pool).all_pass
+
+
+def _hand_written_rules(case):
+    """The per-theorem validation rules as they were written out by hand
+    before the identity table; False where they reject the case."""
+    if case.theorem not in ("1.1", "1.3", "1.4", "1.5"):
+        return False
+    if case.D < 1 or not is_squarefree(case.D) or case.N < 1 or case.m_max < 1:
+        return False
+    if case.theorem in ("1.3", "1.4", "1.5") and not is_squarefree(case.N):
+        return False
+    nprimes = len(prime_factors(case.D))
+    needs_q = case.theorem in ("1.1", "1.3")
+    if case.p is None or (needs_q and case.q is None):
+        return False
+    primes = [case.p] + ([case.q] if needs_q else [])
+    if any(not is_prime(r) or case.D % r == 0 for r in primes):
+        return False
+    if needs_q and case.p == case.q:
+        return False
+    if case.theorem == "1.1" and nprimes % 2:
+        return False
+    if case.theorem in ("1.3", "1.4") and nprimes % 2 == 0:
+        return False
+    if case.theorem == "1.5" and (case.D == 1 or nprimes % 2):
+        return False
+    return math.gcd(case.N, case.D * math.prod(primes)) == 1
+
+
+def _accepts(case):
+    try:
+        case.validate()
+    except ValueError:
+        return False
+    return True
+
+
+def test_validation_matches_hand_written_rules():
+    # the table-derived rules accept exactly what the hand-written ones did,
+    # except a q that the theorem does not take, which is now rejected
+    accepted = 0
+    for theorem in ("1.1", "1.3", "1.4", "1.5"):
+        for D in filter(is_squarefree, range(1, 43)):
+            for p in (2, 3, 5, 7):
+                for q in (None, 2, 3, 5, 7):
+                    for N in range(1, 8):
+                        case = vc.TheoremCase(theorem, D=D, N=N, p=p, q=q)
+                        got = _accepts(case)
+                        if q is not None and theorem in ("1.4", "1.5"):
+                            assert not got, case
+                        else:
+                            assert got == _hand_written_rules(case), case
+                        accepted += got
+    assert accepted > 500
+
+
+# the identities as the module docstring prints them, with
+# w(p) = -2/(p-1) and W(p) = (p+1)/(p-1) worked out by hand
+@pytest.mark.parametrize("case, lhs, rhs", [
+    # 1.1  w(q) r_{Dp,N} + W(q) r_{Dp,Nq} = w(p) r_{Dq,N} + W(p) r_{Dq,Np}
+    (vc.TheoremCase("1.1", D=1, p=2, q=5, N=3),
+     [(Fraction(-1, 2), "r", 2, 3), (Fraction(3, 2), "r", 2, 15)],
+     [(Fraction(-2), "r", 5, 3), (Fraction(3), "r", 5, 6)]),
+    # 1.3  w(q) r'_{Dp,N} + W(q) r'_{Dp,Nq} = w(p) r'_{Dq,N} + W(p) r'_{Dq,Np}
+    (vc.TheoremCase("1.3", D=7, p=2, q=3, N=5),
+     [(Fraction(-1), "r'", 14, 5), (Fraction(2), "r'", 14, 15)],
+     [(Fraction(-2), "r'", 21, 5), (Fraction(3), "r'", 21, 10)]),
+    # 1.4  r'_{Dp,N} = w(p) r_{D,N} + W(p) r_{D,Np}
+    (vc.TheoremCase("1.4", D=5, p=3, N=2),
+     [(Fraction(1), "r'", 15, 2)],
+     [(Fraction(-1), "r", 5, 2), (Fraction(2), "r", 5, 6)]),
+    # 1.5  r_{Dp,N} = w(p) r'_{D,N} + W(p) r'_{D,Np}
+    (vc.TheoremCase("1.5", D=10, p=7, N=3),
+     [(Fraction(1), "r", 70, 3)],
+     [(Fraction(-1, 3), "r'", 10, 3), (Fraction(4, 3), "r'", 10, 21)]),
+], ids=["1.1", "1.3", "1.4", "1.5"])
+def test_identity_terms_as_printed(case, lhs, rhs):
+    case.validate()
+    assert case.terms() == (lhs, rhs)

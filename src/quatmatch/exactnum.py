@@ -148,7 +148,11 @@ class CyclotomicNumber:
             other = other.rational_value()
         elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return CyclotomicNumber(self.n, [(r, c * other) for r, c in self.terms])
+        if not other:
+            return CyclotomicNumber(1)
+        out = object.__new__(CyclotomicNumber)  # the terms stay canonical
+        out.n, out.terms = self.n, tuple((r, c * other) for r, c in self.terms)
+        return out
 
     __rmul__ = __mul__
 

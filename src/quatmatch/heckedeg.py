@@ -23,10 +23,9 @@ when the key is no candidate or fails the test.  Candidates are tested
 pairwise only within a bucket of equal invariants, of at most p(p-1) on
 the tested ops.  What the oracle reads of an element x with v_p(nrd x) = k
 is fixed by x mod p^(k+1), so a sweep visits each valuation-k residue mod
-p^(k+1) once rather than all its lifts mod p^M.  A panel draws uniformly
-over the elements of valuation k mod p^M, from the residues mod p they can
-have, and in the ramified order from p^(k//2) times elements of valuation
-k mod 2.
+p^(k+1) once rather than all its lifts mod p^M.  A panel unranks uniform
+indices through a bijection onto the elements of valuation k mod p^M, so
+it draws uniformly over them and rejects no draw.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -147,17 +146,20 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # tests read g only mod p; `_key` reads x mod p^(k+1).
 # When the order mod p^M has at most _SWEEP_CAP elements, the sample is
 # therefore every valuation-k element mod p^(k+1), each once, standing for
-# its p^(4(M-k-1)) lifts mod p^M.  Otherwise it is a deterministic panel of
-# Mersenne Twister draws, uniform over the elements mod p^M with
-# v_p(nrd) = k, topped up with translates u*c of the candidates by units u.
-# Both are built from `_residues`, the residues mod p that elements of
-# valuation k have, so neither visits an element outside them.  Left units
-# permute the right orbits, so the translates reach orbits that uniform
-# draws rarely hit at large k.  The panel does not use pi^k * unit: it is
-# right-equivalent to pi^k by construction, so it tests nothing, whereas
-# u * pi^k must pass the full test.
+# its p^(4(M-k-1)) lifts mod p^M.  Otherwise it is a deterministic panel:
+# `_unrank` of uniform indices from a fixed-seed Mersenne Twister, which are
+# uniform elements mod p^M with v_p(nrd) = k, as no draw is rejected, then
+# translates u*c of the candidates by uniform units u.  Both read residue
+# tables built once per oracle call.  Left units permute the right orbits,
+# so the translates reach orbits that uniform draws rarely hit at large k.
+# The panel does not use pi^k * unit: it is right-equivalent to pi^k by
+# construction, so it tests nothing, whereas u * pi^k must pass the full
+# test.
 
 _SWEEP_CAP = 600_000
+
+# (j, s) for each entry i of a 2x2 x: det x = s*x_i*x_j + terms free of x_j
+_PARTNER = ((3, 1), (2, -1), (1, -1), (0, 1))
 
 
 class _LocalOrder(NamedTuple):
@@ -165,8 +167,10 @@ class _LocalOrder(NamedTuple):
     conj: Callable
     nrd: Callable
     member: Callable
-    # pi^2 = p, so an element with v_p(nrd) = k is p^(k//2) times one with
-    # v_p(nrd) = k % 2 (the ramified order)
+    units: list  # the unit residues mod p
+    singular: list  # the nonzero nonunit residues mod p
+    inner: object = None  # the order of x' for x = p*x' (None: this one)
+    # pi^2 = p, so a nonzero nonunit residue lifts only to v_p(nrd) = 1
     pi_squared_is_p: bool = False
 
 
@@ -194,13 +198,22 @@ def _vp(n: int, p: int):
 
 
 def _local_order(pattern: str, p: int) -> _LocalOrder:
+    """The pattern's order and its residue tables mod p, which decide
+    membership.  An x = p*x' of the level order has any split x'."""
+    inner = _local_order("split", p) if pattern == "level" else None
     if pattern == "ramified":
         model = ramified_model(p)
-        return _LocalOrder(model.mul, model.involution, model.nrd,
-                           lambda x: True, pi_squared_is_p=True)
-    if pattern == "level":
-        return _LocalOrder(_mul2, _adj2, _det2, lambda x: x[2] % p == 0)
-    return _LocalOrder(_mul2, _adj2, _det2, lambda x: True)
+        ops = (model.mul, model.involution, model.nrd, lambda x: True)
+    elif inner:
+        ops = (_mul2, _adj2, _det2, lambda x: x[2] % p == 0)
+    else:
+        ops = (_mul2, _adj2, _det2, lambda x: True)
+    units, singular = [], []
+    # every member residue but zero, the first in product order
+    for r in itertools.islice(itertools.product(range(p), repeat=4), 1, None):
+        if ops[3](r):
+            (units if ops[2](r) % p else singular).append(r)
+    return _LocalOrder(*ops, units, singular, inner, pattern == "ramified")
 
 
 def _pi_power(p: int, k: int):
@@ -302,73 +315,82 @@ def _equivalents(order, p, k, M, x, ys):
     return out
 
 
-def _residues(order, p, k):
-    """The members mod p whose nrd is divisible by p exactly when k > 0.
+def _count(order, p, k, M):
+    """The number of elements of the order mod p^M with v_p(nrd) = k."""
+    if k == 0:
+        return len(order.units) * p ** (4 * M - 4)
+    zero = _count(order.inner or order, p, k - 2, M - 1) if k >= 2 else 0
+    if order.pi_squared_is_p:
+        return zero + (k == 1) * len(order.singular) * p ** (4 * M - 4)
+    return zero + len(order.singular) * (p - 1) * p ** (4 * M - k - 4)
 
-    Membership is decided mod p, so these are the residues of the elements
-    with v_p(nrd) = k; at k = 0 they are the residues of the units.
+
+def _unrank(order, p, k, M, z):
+    """The z-th element of the order mod p^M with v_p(nrd) = k, a bijection
+    from range(_count(order, p, k, M)) onto those elements.
+
+    k = 0: a unit residue and four digits mod p^(M-1).  k >= 2 first: p*x'
+    for x' of valuation k - 2 mod p^(M-1).  Then a nonzero nonunit residue
+    r: with four digits when pi^2 = p (so k = 1), else with digits for the
+    entries but the partner j of r's first unit entry i, and x_j solving
+    nrd x = p^k*u for a unit u mod p^(M-k); nrd is linear in x_j with unit
+    coefficient +-x_i, and x_j = r_j mod p as nrd r = 0 mod p.
     """
-    return [r for r in itertools.product(range(p), repeat=4)
-            if order.member(r) and (order.nrd(r) % p == 0) == (k > 0)]
+    if k >= 2:
+        inner = order.inner or order
+        zero = _count(inner, p, k - 2, M - 1)
+        if z < zero:
+            return tuple(p * v for v in _unrank(inner, p, k - 2, M - 1, z))
+        z -= zero
+    table = order.singular if k else order.units
+    z, i = divmod(z, len(table))
+    x, free, j = list(table[i]), p ** (M - 1), None
+    if k and not order.pi_squared_is_p:
+        i = next(filter(x.__getitem__, range(4)))
+        j, sign = _PARTNER[i]
+        x[j] = 0
+    for n in range(4):
+        if n != j:
+            z, d = divmod(z, free)
+            x[n] += p * d
+    if j is not None:
+        z, d = divmod(z, p - 1)
+        q = p ** M
+        x[j] = ((p ** k * (1 + d + p * z) - order.nrd(x))
+                * pow(sign * x[i], -1, q) % q)
+    return tuple(x)
 
 
 def _panel(order, cands, p, k, M):
-    """Up to 125 uniform elements mod p^M with v_p(nrd) = k among 50,000
-    draws from a fixed-seed Mersenne Twister, then 250 translates u*c, c
-    running through the candidates in turn and u a uniformly drawn unit
-    of the order.
-
-    A draw takes its residue mod p uniformly from `_residues` and its higher
-    digits mod p^M uniformly, so it is uniform over the elements with that
-    residue, and an element with v_p(nrd) = k among them is uniform over all
-    such.  When pi^2 = p the draws are made at valuation k % 2 and scaled by
-    p^(k//2): x' -> p^(k//2)*x' mod p^M has fibres of equal size, so the
-    scaled draws stay uniform, and nearly every one has valuation k.
-    """
+    """125 uniform elements mod p^M with v_p(nrd) = k, then 250 translates
+    u*c, c running through the candidates in turn and u a uniform unit: each
+    `_unrank` of a uniform index from a fixed-seed Mersenne Twister."""
     q = p ** M
     rng = random.Random(987654321)
-    # random bits for the residue index and four digits mod p^(M-1), at
-    # most p^(4M) choices, with 32 bits to spare against modulo bias
-    bits = 4 * M * p.bit_length() + 32
 
-    def draw(residues):
-        z, i = divmod(rng.getrandbits(bits), len(residues))
-        vals = []
-        for r in residues[i]:
-            z, d = divmod(z, q // p)
-            vals.append(r + p * d)
-        return tuple(vals)
+    def draw(j, count):
+        x = _unrank(order, p, j, M, rng.randrange(count))
+        if not (order.member(x) and _vp(order.nrd(x), p) == j):
+            raise ArithmeticError("%r is no member of valuation %d" % (x, j))
+        return x
 
-    half = k // 2 if order.pi_squared_is_p else 0
-    scale = p ** half
-    residues = _residues(order, p, k - 2 * half)
-    units = _residues(order, p, 0)
-    out = []
-    for _ in range(50_000):
-        if len(out) == 125:
-            break
-        x = tuple(scale * v % q for v in draw(residues))
-        if _vp(order.nrd(x), p) == k:
-            out.append(x)
+    count, units = _count(order, p, k, M), _count(order, p, 0, M)
+    out = [draw(k, count) for _ in range(125)]
     for c in itertools.islice(itertools.cycle(cands), 250):
-        out.append(tuple(v % q for v in order.mul(draw(units), c)))
+        out.append(tuple(v % q for v in order.mul(draw(0, units), c)))
     return out
 
 
 def _sample(order, cands, p, k, M):
     """Every element of the order mod p^(k+1) with v_p(nrd) = k, each once,
-    when the order mod p^M has at most _SWEEP_CAP elements; else `_panel`.
-
-    The oracle reads a valuation-k element only mod p^(k+1), so the sweep
-    decides every element mod p^M.
-    """
-    # membership is decided mod p
-    size = p ** (4 * M - 4) * sum(map(order.member,
-                                      itertools.product(range(p), repeat=4)))
-    if size > _SWEEP_CAP:
+    which decide every element mod p^M, when the order mod p^M has at most
+    _SWEEP_CAP elements; else `_panel`."""
+    members = len(order.units) + len(order.singular) + 1
+    if p ** (4 * M - 4) * members > _SWEEP_CAP:
         return _panel(order, cands, p, k, M)
     q = p ** (k + 1)
-    return (x for r in _residues(order, p, k)
+    residues = order.singular + [(0, 0, 0, 0)] if k else order.units
+    return (x for r in residues
             for x in itertools.product(*(range(v, q, p) for v in r))
             if _vp(order.nrd(x), p) == k)
 

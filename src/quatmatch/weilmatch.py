@@ -156,12 +156,14 @@ def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
         out = {}
         for nu_i, nu_j in space.labels():
             q_nu = table[nu_i][nu_j]
-            total = ZERO
+            bins = [0] * p  # the coefficient of zeta_p^r, r mod p
             for (i, j), v in combo.terms:
                 # p*B(nu, mu) = p*(Q(nu + mu) - Q(nu) - Q(mu)) mod p
                 pb = table[(nu_i + i) % p][(nu_j + j) % p] - q_nu - table[i][j]
-                total = total + v.rotate(p, sign * pb)
-            out[(nu_i, nu_j)] = total * factor
+                for r, c in v.terms:
+                    bins[(r + sign * pb) % p] += c
+            out[(nu_i, nu_j)] = CyclotomicNumber(
+                p, [(r, c * factor) for r, c in enumerate(bins)])
         return SchwartzCombo.from_dict(space, out)
     if kind == "nminus":
         c = int(word[1])

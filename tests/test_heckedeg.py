@@ -327,6 +327,17 @@ def test_rows_buckets_are_small():
         assert max(sizes.values()) <= p * (p - 1), (pattern, p, k, M)
 
 
+# the ops of _GRID + _CI_OPS whose order mod p^M is small enough to sweep
+_SWEPT = {
+    ("split", 2, 1, 3), ("split", 2, 1, 4), ("split", 2, 2, 4),
+    ("split", 3, 1, 3), ("level", 2, 1, 3), ("level", 2, 1, 4),
+    ("level", 2, 2, 4), ("level", 2, 2, 5), ("level", 2, 3, 5),
+    ("level", 3, 1, 3), ("ramified", 2, 1, 3), ("ramified", 2, 1, 4),
+    ("ramified", 2, 2, 4), ("ramified", 3, 1, 3),
+}
+_PANEL_OPS = [op for op in _GRID + _CI_OPS if op not in _SWEPT]
+
+
 def test_sweep_selection(monkeypatch):
     # the sweep-or-panel choice rests on the size of the order mod p^M
     monkeypatch.setattr(heckedeg, "_panel", lambda *a: "panel")
@@ -340,35 +351,47 @@ def test_sweep_selection(monkeypatch):
         assert (sample != "panel") == sweeps, (pattern, p, k, M)
         if sweeps:
             swept.add((pattern, p, k, M))
-    assert swept == {
-        ("split", 2, 1, 3), ("split", 2, 1, 4), ("split", 2, 2, 4),
-        ("split", 3, 1, 3), ("level", 2, 1, 3), ("level", 2, 1, 4),
-        ("level", 2, 2, 4), ("level", 2, 2, 5), ("level", 2, 3, 5),
-        ("level", 3, 1, 3), ("ramified", 2, 1, 3), ("ramified", 2, 1, 4),
-        ("ramified", 2, 2, 4), ("ramified", 3, 1, 3),
-    }
+    assert swept == _SWEPT
 
 
-# (pattern, p, k, M) -> least panel size: every panel op of the grid and of
-# CI whose draws once fell short reaches the full 125 hits + 250 translates.
-# Split and level draws are conditioned on the residues mod p; ramified
-# draws are made at valuation k % 2 and scaled by p^(k//2).
-_PANEL_FLOOR = {
-    ("level", 5, 3, 5): 375, ("level", 7, 3, 5): 375,
-    ("ramified", 3, 3, 5): 375, ("ramified", 5, 2, 4): 375,
-    ("ramified", 5, 3, 5): 375, ("ramified", 7, 2, 4): 375,
-    ("ramified", 7, 3, 5): 375, ("ramified", 7, 3, 6): 375,
-    ("split", 11, 3, 5): 375, ("level", 11, 2, 4): 375,
-    ("level", 11, 3, 5): 375, ("ramified", 11, 3, 5): 375,
-    ("ramified", 13, 3, 5): 375,
-}
-
-
-@pytest.mark.parametrize("pattern,p,k,M", sorted(_PANEL_FLOOR))
+@pytest.mark.parametrize("pattern,p,k,M", _PANEL_OPS)
 def test_panel_coverage(pattern, p, k, M):
+    # no draw is rejected: every panel is 125 elements of valuation k and
+    # 250 translates of the candidates
     order = heckedeg._local_order(pattern, p)
     panel = heckedeg._panel(order, heckedeg._candidates(pattern, p, k),
                             p, k, M)
-    assert len(panel) >= _PANEL_FLOOR[pattern, p, k, M]
+    assert len(panel) == 125 + 250
     for x in panel:
         assert order.member(x) and heckedeg._vp(order.nrd(x), p) == k, x
+
+
+# (pattern, p, k) with M = k + 2 and at most 2*10^6 elements mod p^M
+_SMALL_UNRANKS = [(pattern, p, k) for pattern in ("split", "level", "ramified")
+                  for p in (2, 3, 5) for k in range(4)
+                  if p ** (4 * k + 8) <= 2 * 10 ** 6]
+
+
+@pytest.mark.parametrize("pattern,p", sorted({op[:2] for op in _SMALL_UNRANKS}))
+def test_unrank_is_a_bijection(pattern, p):
+    order = heckedeg._local_order(pattern, p)
+    for k in (k for pat, q, k in _SMALL_UNRANKS if (pat, q) == (pattern, p)):
+        M = k + 2
+        count = heckedeg._count(order, p, k, M)
+        got = [heckedeg._unrank(order, p, k, M, z) for z in range(count)]
+        assert len(set(got)) == count
+        assert set(got) == set(_valuation_k(order, p, k, p ** M)), (k, M)
+
+
+@pytest.mark.parametrize("pattern,p,k,M", [
+    ("split", 3, 1, 4), ("split", 7, 3, 5), ("level", 5, 2, 4),
+    ("level", 7, 3, 6),
+])
+def test_wrong_partner_sign_raises(pattern, p, k, M, monkeypatch):
+    # solving nrd x = p^k*u with the wrong sign of x_i*x_j misses valuation
+    # k, and the panel checks every element it unranks
+    monkeypatch.setattr(heckedeg, "_PARTNER",
+                        tuple((j, -s) for j, s in heckedeg._PARTNER))
+    order = heckedeg._local_order(pattern, p)
+    with pytest.raises(ArithmeticError, match="valuation %d" % k):
+        heckedeg._panel(order, heckedeg._candidates(pattern, p, k), p, k, M)

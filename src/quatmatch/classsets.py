@@ -106,11 +106,9 @@ def _enumerate(qgram, mmax, leaf):
     rec(3, top)
 
 
-def theta_counts(lattice_or_gram, mmax: int):
-    """[r(0), r(1), ..., r(mmax)] for an integral positive definite form."""
-    qgram = lattice_or_gram
-    if isinstance(qgram, OrderLattice):
-        qgram = qgram.q_gram()
+def theta_counts(qgram, mmax: int):
+    """[r(0), r(1), ..., r(mmax)] for the integral positive definite form with
+    Q-Gram `qgram`."""
     counts = [0] * (mmax + 1)
 
     def leaf(tq, T):
@@ -166,7 +164,7 @@ def unit_weight(order: OrderLattice) -> int:
     """|units|/2 = half the number of norm-1 vectors of a definite order."""
     if not order.algebra.is_definite:
         raise ValueError("unit weights require a definite algebra")
-    n = theta_counts(order, 1)[1]
+    n = theta_counts(order.q_gram(), 1)[1]
     if n % 2:
         raise ArithmeticError("unit count must be even")
     return n // 2
@@ -346,11 +344,6 @@ def genus_theta(cs: IdealClassSet, mmax: int):
         mass2 = cs.mass * cs.mass
         cs._theta = [t / mass2 for t in total]
     return cs._theta[:mmax + 1]
-
-
-def genus_average(cs: IdealClassSet, m: int) -> Fraction:
-    """The genus-averaged representation number r_{D,N}(m)."""
-    return genus_theta(cs, m)[m]
 
 
 def class_set_for(D: int, N: int, traversal_prime=None) -> IdealClassSet:

@@ -6,7 +6,7 @@ rows of mat/den in the coordinates 1, i, j, k of the ambient algebra.  The
 canonical form makes equality, hashing and serialization deterministic.
 Every lattice operation here works on these integer rows and returns
 through `_lattice`.  A full-rank HNF is upper triangular, which is what
-`gram_det`, `index_in` and `coordinates` rely on: the basis determinant
+`gram_det`, `index_in` and `_coordinates` rely on: the basis determinant
 is the product of the diagonal over den^4, and coordinates come from
 forward substitution.
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .exactnum import prime_factors, prime_power_factors
 from .matrices import congruence_kernel, hnf_rows
-from .quatalg import QuatElement, QuaternionAlgebra, quat_mul, quat_nrd
+from .quatalg import QuaternionAlgebra, quat_mul, quat_nrd
 
 
 def _lattice(algebra, den, rows, level=None) -> "OrderLattice":
@@ -45,22 +45,6 @@ class OrderLattice:
     # (D, N) tag set by eichler_order; informative only, not part of identity
     level: tuple | None = field(default=None, compare=False)
 
-    # -- construction ---------------------------------------------------------
-    @staticmethod
-    def from_rows(algebra, rows, level=None) -> "OrderLattice":
-        """The lattice spanned by rational rows (ints or Fractions)."""
-        rows = [[Fraction(x) for x in row] for row in rows]
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        return _lattice(algebra, den, [[int(x * den) for x in row] for row in rows],
-                        level)
-
-    # -- basic data -----------------------------------------------------------
-    def basis_rows(self):
-        return [[Fraction(x, self.den) for x in row] for row in self.mat]
-
-    def basis(self):
-        return [QuatElement(self.algebra, tuple(row)) for row in self.basis_rows()]
-
     def gram(self):
         """Matrix of (x, y) = trd(x conj(y)) = sum_k w_k x_k y_k on the basis,
         w = (2, -2a, -2b, 2ab), read off the integer HNF over den^2."""
@@ -79,13 +63,6 @@ class OrderLattice:
         ab = self.algebra.a * self.algebra.b
         d = _diagonal_product(self)
         return Fraction(16 * ab * ab * d * d, self.den ** 8)
-
-    def contains(self, x: QuatElement) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates(x))
-
-    def coordinates(self, x: QuatElement):
-        """Coordinates of x with respect to the lattice basis (Fractions)."""
-        return _coordinates(self, x.coords)
 
     def is_order(self) -> bool:
         """1 lies in L, trd and nrd are integral on the basis, and L*L = L."""

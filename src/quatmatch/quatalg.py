@@ -1,4 +1,4 @@
-"""Rational quaternion algebras (a,b | Q): elements, norms, local invariants.
+"""Rational quaternion algebras (a,b | Q): local invariants, coordinate arithmetic.
 
 An algebra is presented by structure constants (a, b): i^2 = a, j^2 = b,
 ij = -ji = k.  The reduced norm is the quadratic form
@@ -7,14 +7,15 @@ ij = -ji = k.  The reduced norm is the quadratic form
 
 the reduced trace is 2 x0, and conjugation negates the pure part.  The
 bilinear form used everywhere is (x, y) = trd(x * conj(y)), so that
-(x, x) = 2 nrd(x).
+(x, x) = 2 nrd(x).  An element is its coordinate 4-tuple (x0, x1, x2, x3);
+`quat_mul` and `quat_nrd` act on such tuples.  The element-wise reference
+the tests check the lattice code against is in tests/genus_reference.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import OO, hilbert_symbol, is_squarefree, prime_factors
@@ -52,17 +53,6 @@ class QuaternionAlgebra:
     def is_definite(self) -> bool:
         return self.ramified_at_infinity
 
-    def element(self, x0, x1=0, x2=0, x3=0) -> "QuatElement":
-        return QuatElement(self, (Fraction(x0), Fraction(x1),
-                                  Fraction(x2), Fraction(x3)))
-
-    def one(self) -> "QuatElement":
-        return self.element(1)
-
-    def basis(self):
-        return (self.element(1), self.element(0, 1),
-                self.element(0, 0, 1), self.element(0, 0, 0, 1))
-
     def __repr__(self):
         return "QuaternionAlgebra(a=%d, b=%d)" % (self.a, self.b)
 
@@ -87,62 +77,6 @@ def quat_nrd(a, b, x):
     """nrd of the element with coordinate 4-tuple x in (a, b | Q)."""
     x0, x1, x2, x3 = x
     return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
-
-
-@dataclass(frozen=True)
-class QuatElement:
-    algebra: QuaternionAlgebra
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           tuple(Fraction(c) for c in self.coords))
-        if len(self.coords) != 4:
-            raise ValueError("quaternion elements have 4 coordinates")
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuatElement(self.algebra,
-                           tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuatElement(self.algebra,
-                           tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return QuatElement(self.algebra, tuple(-x for x in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuatElement(self.algebra,
-                               tuple(x * other for x in self.coords))
-        self._check(other)
-        return QuatElement(self.algebra, quat_mul(
-            self.algebra.a, self.algebra.b, self.coords, other.coords))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def conjugate(self) -> "QuatElement":
-        x0, x1, x2, x3 = self.coords
-        return QuatElement(self.algebra, (x0, -x1, -x2, -x3))
-
-    def reduced_trace(self) -> Fraction:
-        return 2 * self.coords[0]
-
-    def reduced_norm(self) -> Fraction:
-        return quat_nrd(self.algebra.a, self.algebra.b, self.coords)
-
-    def pairing(self, other) -> Fraction:
-        """(x, y) = trd(x * conj(y)); satisfies (x, x) = 2 nrd(x)."""
-        return (self * other.conjugate()).reduced_trace()
 
 
 # ---------------------------------------------------------------------------

@@ -188,14 +188,11 @@ class ClassSetPool:
             self._memo[key] = class_set_for(D, N)
         return self._memo[key]
 
-    def averages(self, D: int, N: int, m_max: int):
-        return genus_theta(self.get(D, N), m_max)
-
 
 def _column(weight, side, D, N, m_max: int, pool: ClassSetPool):
     """The weighted values of the term (weight, side, D, N) at m = 1 .. m_max."""
     if side == "r":
-        values = pool.averages(D, N, m_max)[1:]
+        values = genus_theta(pool.get(D, N), m_max)[1:]
     else:
         values = [heckedeg.r_prime(D, N, m) for m in range(1, m_max + 1)]
     return values if weight == 1 else [weight * v for v in values]

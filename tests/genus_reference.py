@@ -14,15 +14,93 @@ builds a Fraction per lattice point, kept independent of the package's
 integer enumeration so that the two can be checked against each other.
 The dual lattice and the cofactor determinant are test-side helpers for
 the lattice checks.
+
+The package works on coordinate 4-tuples and integer HNF rows only.  The
+element-wise reference the lattice tests check it against is here:
+`QuatElement` with its ring operations, and the free functions `element`,
+`from_rows`, `basis`, `coordinates` and `contains`.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from quatmatch.classsets import pair_q_gram, theta_counts
 from quatmatch.matrices import congruence_kernel, hnf_rows
-from quatmatch.orders import OrderLattice
+from quatmatch.orders import OrderLattice, _coordinates, _lattice
+from quatmatch.quatalg import QuaternionAlgebra, quat_mul, quat_nrd
+
+
+# ---------------------------------------------------------------------------
+# elements and lattices, element-wise
+
+@dataclass(frozen=True)
+class QuatElement:
+    """x0 + x1 i + x2 j + x3 k in (a, b | Q), by its Fraction coordinates."""
+    algebra: QuaternionAlgebra
+    coords: tuple
+
+    def __add__(self, other):
+        return element(self.algebra,
+                       *(x + y for x, y in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return element(self.algebra,
+                       *(x - y for x, y in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return element(self.algebra, *(-x for x in self.coords))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return element(self.algebra, *(x * other for x in self.coords))
+        alg = self.algebra
+        return element(alg, *quat_mul(alg.a, alg.b, self.coords, other.coords))
+
+    def __rmul__(self, other):
+        return self * other
+
+    def conjugate(self):
+        x0, x1, x2, x3 = self.coords
+        return element(self.algebra, x0, -x1, -x2, -x3)
+
+    def reduced_trace(self) -> Fraction:
+        return 2 * self.coords[0]
+
+    def reduced_norm(self) -> Fraction:
+        return quat_nrd(self.algebra.a, self.algebra.b, self.coords)
+
+    def pairing(self, other) -> Fraction:
+        """(x, y) = trd(x * conj(y)); satisfies (x, x) = 2 nrd(x)."""
+        return (self * other.conjugate()).reduced_trace()
+
+
+def element(alg, *xs) -> QuatElement:
+    """x0 + x1 i + x2 j + x3 k from the leading coordinates xs (the rest 0)."""
+    return QuatElement(alg, tuple(Fraction(x) for x in xs + (0,) * (4 - len(xs))))
+
+
+def from_rows(alg, rows) -> OrderLattice:
+    """The lattice spanned by rational rows (ints or Fractions)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return _lattice(alg, den, [[int(x * den) for x in row] for row in rows])
+
+
+def basis(lat: OrderLattice):
+    """The lattice's basis rows mat/den, as elements."""
+    return [element(lat.algebra, *(Fraction(x, lat.den) for x in row))
+            for row in lat.mat]
+
+
+def coordinates(lat: OrderLattice, x: QuatElement):
+    """Coordinates of x with respect to the lattice basis (Fractions)."""
+    return _coordinates(lat, x.coords)
+
+
+def contains(lat: OrderLattice, x: QuatElement) -> bool:
+    return all(c.denominator == 1 for c in coordinates(lat, x))
 
 
 def det4(a):
@@ -48,8 +126,8 @@ def dual_lattice(lat: OrderLattice) -> OrderLattice:
     """
     alg = lat.algebra
     w = (2, -2 * alg.a, -2 * alg.b, 2 * alg.a * alg.b)
-    inv = [lat.coordinates(unit) for unit in alg.basis()]
-    return OrderLattice.from_rows(
+    inv = [_coordinates(lat, [int(r == c) for c in range(4)]) for r in range(4)]
+    return from_rows(
         alg, [[inv[c][r] / w[c] for c in range(4)] for r in range(4)])
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from quatmatch.quatalg import construct_algebra
 from quatmatch.orders import (
-    OrderLattice,
     conjugate_lattice,
     eichler_order,
     index_in,
@@ -19,7 +18,15 @@ from quatmatch.orders import (
     sublattice,
 )
 
-from genus_reference import det4, dual_lattice
+from genus_reference import (
+    basis,
+    contains,
+    coordinates,
+    det4,
+    dual_lattice,
+    element,
+    from_rows,
+)
 
 
 def test_hurwitz_maximal_order():
@@ -27,8 +34,8 @@ def test_hurwitz_maximal_order():
     order = maximal_order(alg)
     assert abs(order.gram_det()) == 4
     assert order.is_order() and order.is_even_integral()
-    half = alg.element(*([Fraction(1, 2)] * 4))
-    assert order.contains(half)
+    half = element(alg, *([Fraction(1, 2)] * 4))
+    assert contains(order, half)
     assert order.level == (2, 1)
 
 
@@ -56,7 +63,7 @@ def test_dual_examples():
     assert dual_lattice(dual) == order
     # rank-deficient input is rejected before any Gram is formed
     with pytest.raises(ValueError):
-        OrderLattice.from_rows(
+        from_rows(
             construct_algebra(1),
             [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [2, 0, 0, 0]])
 
@@ -92,7 +99,7 @@ def test_local_splitting_frames():
     for p, k in [(3, 1), (3, 3), (5, 1), (7, 2)]:
         frame = local_splitting(omax, p, k)
         mod = p ** k
-        one = omax.coordinates(alg.one())
+        one = coordinates(omax, element(alg, 1))
         e11, e12 = frame.units[0]
         e21, e22 = frame.units[1]
         assert tuple((a + b) % mod for a, b in zip(e11, e22)) == \
@@ -132,7 +139,7 @@ def test_serialization_roundtrip():
     assert text == "2 1 1 1 3 0 2 0 4 0 0 2 2 0 0 0 6"
     den, *cells = (int(x) for x in text.split())
     rows = [[Fraction(x, den) for x in cells[4 * r:4 * r + 4]] for r in range(4)]
-    assert OrderLattice.from_rows(alg, rows) == e3
+    assert from_rows(alg, rows) == e3
 
 
 def test_multiplication_table_integrality():
@@ -167,8 +174,8 @@ def _random_lattices(alg, rng, count):
     omax = maximal_order(alg)
     half = Fraction(1, 2)
     out = [omax, standard_order(alg),
-           OrderLattice.from_rows(alg, [[half, half, 0, 0], [1, 0, 0, 0],
-                                        [0, 0, 1, 0], [0, 0, 0, 1]]),
+           from_rows(alg, [[half, half, 0, 0], [1, 0, 0, 0],
+                           [0, 0, 1, 0], [0, 0, 0, 1]]),
            sublattice(standard_order(alg), [[1, 0, 0, 0], [0, 1, 0, 0],
                                             [0, 0, 1, 0], [0, 0, 0, 2]])]
     while len(out) < count:
@@ -179,7 +186,7 @@ def _random_lattices(alg, rng, count):
             out.append(sublattice(omax, coeffs))
         else:
             den = rng.randint(1, 4)
-            out.append(OrderLattice.from_rows(
+            out.append(from_rows(
                 alg, [[Fraction(c, den) for c in row] for row in coeffs]))
     return out
 
@@ -198,20 +205,20 @@ def test_integer_lattice_operations(D):
     rng = random.Random(D)
     lats = _random_lattices(alg, rng, 10)
     for a, b in zip(lats, lats[1:] + lats[:1]):
-        ea, eb = a.basis(), b.basis()
-        assert lattice_product(a, b) == OrderLattice.from_rows(
+        ea, eb = basis(a), basis(b)
+        assert lattice_product(a, b) == from_rows(
             alg, [(u * v).coords for u in ea for v in eb])
-        assert conjugate_lattice(a) == OrderLattice.from_rows(
+        assert conjugate_lattice(a) == from_rows(
             alg, [u.conjugate().coords for u in ea])
         c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 6))
-        assert scale_lattice(a, c) == OrderLattice.from_rows(
+        assert scale_lattice(a, c) == from_rows(
             alg, [(u * c).coords for u in ea])
-        assert lattice_sum(a, b) == OrderLattice.from_rows(
-            alg, a.basis_rows() + b.basis_rows())
+        assert lattice_sum(a, b) == from_rows(
+            alg, [u.coords for u in ea + eb])
         coeffs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
         if det4(coeffs):
-            assert sublattice(a, coeffs) == OrderLattice.from_rows(
-                alg, [[sum(k[t] * a.basis_rows()[t][col] for t in range(4))
+            assert sublattice(a, coeffs) == from_rows(
+                alg, [[sum(k[t] * ea[t].coords[col] for t in range(4))
                        for col in range(4)] for k in coeffs])
 
 
@@ -224,29 +231,29 @@ def test_integer_lattice_invariants(D):
     even, integral = [], []
     for a, b in zip(lats, lats[1:] + lats[:1]):
         assert a.gram_det() == det4(a.gram())
-        assert index_in(a, b) == abs(Fraction(det4(a.basis_rows()))
-                                     / det4(b.basis_rows()))
-        x = alg.element(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                          for _ in range(4)))
-        coords = a.coordinates(x)
-        assert sum((u * c for u, c in zip(a.basis(), coords)),
-                   alg.element(0)) == x
+        ea = basis(a)
+        rows = [u.coords for u in ea]
+        assert index_in(a, b) == abs(Fraction(det4(rows))
+                                     / det4([u.coords for u in basis(b)]))
+        x = element(alg, *(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           for _ in range(4)))
+        coords = coordinates(a, x)
+        assert sum((u * c for u, c in zip(ea, coords)),
+                   element(alg, 0)) == x
         gram_inv = _inverse(a.gram())
-        rows = a.basis_rows()
-        assert dual_lattice(a) == OrderLattice.from_rows(
+        assert dual_lattice(a) == from_rows(
             alg, [[sum(gram_inv[r][k] * rows[k][col] for k in range(4))
                    for col in range(4)] for r in range(4)])
-        ea = a.basis()
         pair_sums = [ea[r] + ea[s] for r in range(4) for s in range(r + 1, 4)]
         expected = all(u.reduced_norm().denominator == 1 for u in ea + pair_sums)
         assert a.is_even_integral() == expected
         even.append(expected)
         integral.append(all(x.denominator == 1 for row in a.gram() for x in row))
         assert a.is_order() == (
-            a.contains(alg.one())
+            contains(a, element(alg, 1))
             and all(u.reduced_trace().denominator == 1
                     and u.reduced_norm().denominator == 1 for u in ea)
-            and all(a.contains(u * v) for u in ea for v in ea))
+            and all(contains(a, u * v) for u in ea for v in ea))
     # even, integral with an odd diagonal, and not integral all occur
     assert any(even) and any(i and not e for i, e in zip(integral, even))
     assert not all(integral)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -327,3 +328,41 @@ def test_validation_matches_hand_written_rules():
 def test_identity_terms_as_printed(case, lhs, rhs):
     case.validate()
     assert case.terms() == (lhs, rhs)
+
+
+def test_package_root_is_bare():
+    # the root exports only __version__: library use imports the submodules
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vc.__file__)))
+    probe = ("import json, sys, quatmatch\n"
+             "print(json.dumps([sorted(n for n in sys.modules"
+             " if n.startswith('quatmatch')), sorted(vars(quatmatch))]))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60, check=True).stdout
+    loaded, names = json.loads(out)
+    assert loaded == ["quatmatch"]
+    module_attrs = {"__builtins__", "__cached__", "__doc__", "__file__",
+                    "__loader__", "__name__", "__package__", "__path__",
+                    "__spec__"}
+    assert set(names) - module_attrs == {"__version__"}
+
+
+def test_src_imports_stdlib_only():
+    package = os.path.dirname(os.path.abspath(vc.__file__))
+    checked = 0
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names, (name, top)
+                checked += 1
+    assert checked > 0

@@ -11,14 +11,16 @@ Pipeline:
       r_{D,N}(m) = (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j),
   which equals the 1/|Aut|-weighted average over isometry classes (the
   reference in tests/).
-* All vector counting is exact lattice-point enumeration: one rational
-  LDL^T per form, scaled to integers, then a Fincke-Pohst recursion on
-  integer remainders with `isqrt` bounds (no floating point anywhere, and
-  no Fraction per lattice point).
+* All vector counting is exact lattice-point enumeration: one
+  fraction-free (Bareiss) elimination of the even Gram per form, in
+  integers, then a Fincke-Pohst recursion on integer remainders with
+  `isqrt` bounds (no floating point anywhere, and no Fraction per lattice
+  point).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,70 +55,58 @@ def mass_formula(D: int, N: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact vector enumeration (integer Fincke-Pohst)
 
-def _ldl(qgram):
-    """(T, a, c, U) with T*Q(x) = sum_i a_i (c_i x_i + sum_{j>i} U_ij x_j)^2.
+def theta_counts(qgram, mmax: int):
+    """[r(0), r(1), ..., r(mmax)] for the integral positive definite form with
+    Q-Gram `qgram`.
 
-    First Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 exactly in Fraction;
-    then c_i clears the denominators of row i of u, U_ij = u_ij c_i, and T
-    clears those of d_i / c_i^2, so that a_i = T d_i / c_i^2.
+    Fraction-free (Bareiss) elimination of the even Gram E = A + A^T, with
+    leading minors Delta_0 = 1, Delta_1, ..., Delta_4 and eliminated rows U
+    (U_ii = Delta_i), gives
+        T*Q(x) = sum_i a_i (U_ii x_i + sum_{j>i} U_ij x_j)^2,
+        T = lcm_i(2 Delta_{i-1} Delta_i),  a_i = T / (2 Delta_{i-1} Delta_i),
+    all in integers.  Fincke-Pohst then runs on the integer remainder
+    R = T*mmax - (the terms already fixed).  The bound is exact: for integers
+    a > 0 and R >= 0, a*w^2 <= R holds exactly when |w| <= isqrt(R // a), so
+    every x_i in range meets it and no point outside the ellipsoid is visited.
     """
-    g = [[Fraction(qgram[i][j] + qgram[j][i], 2) for j in range(4)] for i in range(4)]
-    d = [Fraction(0)] * 4
-    u = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        d[i] = g[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if d[i] <= 0:
+    U = [[qgram[i][j] + qgram[j][i] for j in range(4)] for i in range(4)]
+    if any(e.denominator != 1 for row in U for e in row):
+        raise ValueError("form is not integral: A + A^T has a non-integer entry")
+    U = [[int(e) for e in row] for row in U]
+    dens = []
+    prev = 1
+    for k in range(4):
+        pivot = U[k][k]
+        if pivot <= 0:
             raise ValueError("form is not positive definite")
-        for j in range(i + 1, 4):
-            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / d[i]
-    c = [math.lcm(*(u[i][j].denominator for j in range(i + 1, 4))) for i in range(4)]
-    U = [[int(u[i][j] * c[i]) for j in range(4)] for i in range(4)]
-    e = [d[i] / (c[i] * c[i]) for i in range(4)]
-    T = math.lcm(*(x.denominator for x in e))
-    return T, [int(x * T) for x in e], c, U
-
-
-def _enumerate(qgram, mmax, leaf):
-    """Call leaf(T*Q(x), T) for every x in Z^4 with Q(x) <= mmax.
-
-    Fincke-Pohst on the integer data of `_ldl`, with the integer
-    remainder R = T*mmax - (the terms already fixed).  The bound is exact:
-    for integers a > 0 and R >= 0, a*w^2 <= R holds exactly when
-    |w| <= isqrt(R // a), so every x_i in range meets it and no point outside
-    the ellipsoid is visited.
-    """
-    T, a, c, U = _ldl(qgram)
+        for i in range(k + 1, 4):
+            for j in range(k + 1, 4):
+                U[i][j] = (U[i][j] * pivot - U[i][k] * U[k][j]) // prev
+        dens.append(2 * prev * pivot)
+        prev = pivot
+    T = math.lcm(*dens)
+    a = [T // d for d in dens]
     top = T * mmax
+    counts = [0] * (mmax + 1)
     x = [0, 0, 0, 0]
 
     def rec(i, R):
         off = sum(U[i][j] * x[j] for j in range(i + 1, 4))
         s = math.isqrt(R // a[i])
-        ai, ci = a[i], c[i]
+        ai, ci = a[i], U[i][i]
         for xi in range(-((s + off) // ci), (s - off) // ci + 1):
             w = ci * xi + off
             rem = R - ai * w * w
             if i == 0:
-                leaf(top - rem, T)
+                v, r = divmod(top - rem, T)
+                if not r:
+                    counts[v] += 1
             else:
                 x[i] = xi
                 rec(i - 1, rem)
         x[i] = 0
 
     rec(3, top)
-
-
-def theta_counts(qgram, mmax: int):
-    """[r(0), r(1), ..., r(mmax)] for the integral positive definite form with
-    Q-Gram `qgram`."""
-    counts = [0] * (mmax + 1)
-
-    def leaf(tq, T):
-        v, r = divmod(tq, T)
-        if not r:
-            counts[v] += 1
-
-    _enumerate(qgram, mmax, leaf)
     return counts
 
 
@@ -254,20 +244,15 @@ class IdealClassSet:
                 % (self.D, self.N, self.class_number, self.weights))
 
 
-def _smallest_primes_coprime(n: int):
-    p = 2
-    while True:
-        if n % p and is_prime(p):
-            yield p
-        p += 1
-
-
 def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
     """Enumerate the right-ideal classes of a definite Eichler order.
 
-    Traversal: p-neighbors at the smallest prime coprime to D*N (escalating
-    if a traversal stalls).  The exact mass identity certifies completeness;
-    overshooting it raises, signalling an arithmetic bug.
+    Traversal: breadth first through the p-neighbors at one prime p, by
+    default the smallest prime coprime to D*N, with the list of class
+    representatives as the queue.  The exact mass identity certifies
+    completeness, so the traversal stops the moment it is met; overshooting
+    it, or running out of neighbors below it, raises, signalling an
+    arithmetic bug.
     """
     if not order.algebra.is_definite:
         raise ValueError("class sets require a definite algebra")
@@ -275,44 +260,30 @@ def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
         raise ValueError("order has no level data; build it via maximal_order/eichler_order")
     D, N = order.level
     mass = mass_formula(D, N)
+    p = traversal_prime
+    if p is None:
+        p = next(q for q in itertools.count(2) if D * N % q and is_prime(q))
+    elif D * N % p == 0:
+        raise ValueError("traversal prime must be coprime to D*N")
     root = make_right_ideal(OrderLattice(order.algebra, order.den, order.mat), order)
     reps = [root]
     weights = [unit_weight(order)]
     acc = Fraction(1, weights[0])
+    # iterating `reps` also reaches the classes appended while it runs
+    neighbors = (nb for ideal in reps for nb in p_neighbors(ideal, p))
+    while acc < mass:
+        nb = next(neighbors, None)
+        if nb is None:
+            raise ArithmeticError("class set traversal for (D, N) = (%d, %d) at p = %d "
+                                  "ran out of neighbors below the mass" % (D, N, p))
+        if any(ideals_equivalent(nb, r) for r in reps):
+            continue
+        w = unit_weight(left_order(nb))
+        reps.append(nb)
+        weights.append(w)
+        acc += Fraction(1, w)
     if acc > mass:
-        raise ArithmeticError("mass certificate exceeded at the first class")
-
-    prime_iter = _smallest_primes_coprime(D * N)
-    p = traversal_prime
-    if p is None:
-        p = next(prime_iter)
-    elif D * N % p == 0:
-        raise ValueError("traversal prime must be coprime to D*N")
-    frontier = list(reps)
-    stalls = 0
-    while acc != mass:
-        new = []
-        for ideal in frontier:
-            for nb in p_neighbors(ideal, p):
-                if any(ideals_equivalent(nb, r) for r in reps):
-                    continue
-                w = unit_weight(left_order(nb))
-                reps.append(nb)
-                weights.append(w)
-                new.append(nb)
-                acc += Fraction(1, w)
-                if acc > mass:
-                    raise ArithmeticError("mass certificate exceeded during traversal")
-        if acc == mass:
-            break
-        if not new:
-            stalls += 1
-            if stalls > 8:
-                raise ArithmeticError("class set traversal failed to meet the mass")
-            p = next(prime_iter)
-            frontier = list(reps)
-        else:
-            frontier = new
+        raise ArithmeticError("mass certificate exceeded for (D, N) = (%d, %d)" % (D, N))
 
     paired = sorted(zip(reps, weights), key=lambda t: t[0].sort_key())
     reps = [r for r, _ in paired]

@@ -200,58 +200,30 @@ def zeta(n: int, k: int = 1) -> CyclotomicNumber:
 # ---------------------------------------------------------------------------
 # residue symbols
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), completely multiplicative extension of Legendre."""
-    if n == 0:
-        raise ValueError("modulus must be nonzero")
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    # Jacobi symbol for odd positive n
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
+def legendre_symbol(a: int, p: int) -> int:
+    """Legendre symbol (a|p) at an odd prime p, by Euler's criterion."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
-def _val_unit(x: Fraction, p: int):
-    """x = p^v * u with u a p-unit; returns (v, u)."""
+def _val_unit(x: int, p: int):
+    """x = p^v * u with u an integer prime to p; returns (v, u)."""
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, x
 
 
-def _unit_mod(u: Fraction, m: int) -> int:
-    return (u.numerator * pow(u.denominator, -1, m)) % m
-
-
-def hilbert_symbol(a, b, place) -> int:
-    """Hilbert symbol (a, b) at a finite prime or the archimedean place.
+def hilbert_symbol(a: int, b: int, place) -> int:
+    """Hilbert symbol (a, b) of nonzero integers at a finite prime or the
+    archimedean place.
 
     Returns +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
     completion at `place` (an int prime, or OO for the real place).
     """
-    a, b = Fraction(a), Fraction(b)
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise TypeError("Hilbert symbol arguments must be integers")
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if place == OO:
@@ -266,14 +238,14 @@ def hilbert_symbol(a, b, place) -> int:
         if (alpha * beta) % 2 and (p - 1) // 2 % 2:
             sign = -sign
         if beta % 2:
-            sign *= kronecker_symbol(_unit_mod(u, p), p)
+            sign *= legendre_symbol(u, p)
         if alpha % 2:
-            sign *= kronecker_symbol(_unit_mod(w, p), p)
+            sign *= legendre_symbol(w, p)
         return sign
-    eps_u = (_unit_mod(u, 4) - 1) // 2 % 2
-    eps_w = (_unit_mod(w, 4) - 1) // 2 % 2
-    omega_u = 0 if _unit_mod(u, 8) in (1, 7) else 1
-    omega_w = 0 if _unit_mod(w, 8) in (1, 7) else 1
+    eps_u = (u % 4 - 1) // 2
+    eps_w = (w % 4 - 1) // 2
+    omega_u = 0 if u % 8 in (1, 7) else 1
+    omega_w = 0 if w % 8 in (1, 7) else 1
     exponent = (eps_u * eps_w + alpha * omega_w + beta * omega_u) % 2
     return -1 if exponent else 1
 

@@ -72,27 +72,18 @@ def _sigma(p: int, k: int) -> int:
     return sum(p ** i for i in range(k + 1))
 
 
-def local_degree_split(p: int, k: int) -> int:
-    """Local factor at p coprime to D*N: the number of index-p^k sublattices."""
+def local_degree(pattern: str, p: int, k: int) -> int:
+    """The closed-form local factor at p^k (see the module docstring) of the
+    pattern "split" (p coprime to D*N), "level" (p || N) or "ramified" (p | D)."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
-    return _sigma(p, k)
-
-
-def local_degree_level(p: int, k: int) -> int:
-    """Local factor at p || N: sigma(p^k) + p*sigma(p^(k-1))."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    if k == 0:
+    if pattern == "split":
+        return _sigma(p, k)
+    if pattern == "level":
+        return _sigma(p, k) + p * _sigma(p, k - 1)  # sigma(p^-1) = 0
+    if pattern == "ramified":
         return 1
-    return _sigma(p, k) + p * _sigma(p, k - 1)
-
-
-def local_degree_ramified(p: int, k: int) -> int:
-    """Local factor at p | D: a single orbit for every exponent."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    return 1
+    raise ValueError("unknown local pattern: %r" % (pattern,))
 
 
 def deg_T(D: int, N: int, m: int) -> int:
@@ -103,13 +94,13 @@ def deg_T(D: int, N: int, m: int) -> int:
     total = 1
     for p, k in prime_power_factors(m):
         if D % p == 0:
-            total *= local_degree_ramified(p, k)
+            total *= local_degree("ramified", p, k)
         elif N % p == 0:
             if N % (p * p) == 0:
                 raise ValueError("level factors are implemented for squarefree N only")
-            total *= local_degree_level(p, k)
+            total *= local_degree("level", p, k)
         else:
-            total *= local_degree_split(p, k)
+            total *= local_degree("split", p, k)
     return total
 
 

@@ -449,9 +449,7 @@ def _cmd_certify(args, parser) -> int:
     if args.M < args.k + 2:
         parser.error("--M must be >= k + 2 = %d, got %d" % (args.k + 2, args.M))
     count = heckedeg.oracle_local_orbits(args.pattern, args.p, args.k, args.M)
-    closed = {"split": heckedeg.local_degree_split,
-              "level": heckedeg.local_degree_level,
-              "ramified": heckedeg.local_degree_ramified}[args.pattern](args.p, args.k)
+    closed = heckedeg.local_degree(args.pattern, args.p, args.k)
     print("oracle orbits: %d, closed form: %d, %s"
           % (count, closed, "AGREE" if count == closed else "MISMATCH"))
     return 0 if count == closed else 1

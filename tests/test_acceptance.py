@@ -12,9 +12,7 @@ from fractions import Fraction
 from quatmatch import verifycli as vc
 from quatmatch.classsets import genus_theta, mass_formula
 from quatmatch.heckedeg import (
-    local_degree_level,
-    local_degree_ramified,
-    local_degree_split,
+    local_degree,
     oracle_local_orbits,
     volume,
 )
@@ -76,13 +74,11 @@ def test_criterion_04_mass_certificates(pool):
 
 def test_criterion_05_degree_certification():
     started = time.monotonic()
-    closed = {"split": local_degree_split, "level": local_degree_level,
-              "ramified": local_degree_ramified}
     ok = True
     for pattern in ("split", "level", "ramified"):
         for p in (2, 3, 5, 7):
             for k in (1, 2, 3):
-                want = closed[pattern](p, k)
+                want = local_degree(pattern, p, k)
                 got = oracle_local_orbits(pattern, p, k, k + 2)
                 again = oracle_local_orbits(pattern, p, k, k + 3)
                 ok = ok and got == again == want

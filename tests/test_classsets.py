@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from quatmatch import classsets
+from quatmatch import classsets, verifycli
 from quatmatch.orders import maximal_order
 from quatmatch.quatalg import construct_algebra
 from quatmatch.classsets import (
@@ -270,6 +271,47 @@ def test_traversal_prime_independence():
     cs_b = class_set_for(30, 1, traversal_prime=11)
     for m in range(1, 8):
         assert genus_theta(cs_a, m)[m] == genus_theta(cs_b, m)[m]
+
+
+@pytest.mark.parametrize("D,N", [(19, 6), (7, 5)])
+def test_traversal_stops_at_mass(D, N, monkeypatch):
+    # once the last class is weighed the mass is met: no further pair test
+    log = []
+    for name in ("ideals_equivalent", "unit_weight"):
+        def logged(*args, _name=name, _fn=getattr(classsets, name)):
+            log.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(classsets, name, logged)
+    cs = class_set_for(D, N)
+    assert log.count("unit_weight") == cs.class_number
+    assert "ideals_equivalent" in log
+    assert log[-1] == "unit_weight"
+
+
+def test_traversal_exhausted_raises(monkeypatch):
+    # every neighbour read as a known class: the queue empties below the mass
+    monkeypatch.setattr(classsets, "ideals_equivalent", lambda a, b: True)
+    with pytest.raises(ArithmeticError,
+                       match=r"\(D, N\) = \(23, 1\) at p = 2 ran out"):
+        class_set_for(23, 1)
+
+
+# SHA-256 of `quatmatch classset --D D --N N` stdout: representatives,
+# weights and genus theta, byte for byte
+CLASSSET_DIGESTS = {
+    (19, 6): "983ec55d1882fff449d476c8b06a9d9b221637cb5ac5fa71d1df7a089bfd080b",
+    (11, 10): "8caa072db7c1eaaf13a0da4400fa6835cf64393c3a9697bceb06c29b7b3b7c03",
+    (23, 1): "ef9aff2f8fa2a8097247e1c25695f9c76edd2f34da192df2aaaef4fc5a4d2ed0",
+    (30, 1): "34f6203956b6d52b4ad00d109ab742b27790bcf5d4ae57ace34057c32f8bfdee",
+    (2, 9): "1b8452894c4b6cd9386ad9adc70bbe1fc788cab22e72359e2bfd266ee5b2f7b3",
+}
+
+
+@pytest.mark.parametrize("D,N", sorted(CLASSSET_DIGESTS))
+def test_classset_output_pinned(D, N, capsys):
+    assert verifycli.main(["classset", "--D", str(D), "--N", str(N)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSSET_DIGESTS[D, N]
 
 
 def test_genus_closure_under_kneser_neighbors(pool):

@@ -7,7 +7,7 @@ from quatmatch.exactnum import (
     OO,
     CyclotomicNumber,
     hilbert_symbol,
-    kronecker_symbol,
+    legendre_symbol,
     zeta,
 )
 
@@ -177,6 +177,11 @@ def test_hilbert_symbol_examples():
         assert hilbert_symbol(a, b, 3) == _hilbert_search_oracle(a, b, 3), (a, b)
 
 
+def test_hilbert_symbol_takes_integers():
+    with pytest.raises(TypeError):
+        hilbert_symbol(Fraction(1, 3), 5, 3)
+
+
 def test_hilbert_symbol_multiplicative():
     vals = [-10, -5, -3, -2, -1, 1, 2, 3, 5, 10]
     for place in (2, 3, 5, OO):
@@ -213,23 +218,19 @@ def test_hilbert_product_formula():
 
 
 def test_kronecker_symbol():
-    assert kronecker_symbol(2, 7) == 1
-    assert kronecker_symbol(17, 1) == 1
-    assert kronecker_symbol(3, 5) == -1
+    assert legendre_symbol(2, 7) == 1
+    assert legendre_symbol(3, 5) == -1
     # brute-force Legendre cross-check at odd primes
     for p in (3, 5, 7, 11, 13):
         sq = {(x * x) % p for x in range(1, p)}
         for a in range(-12, 13):
             want = 0 if a % p == 0 else (1 if a % p in sq else -1)
-            assert kronecker_symbol(a, p) == want, (a, p)
+            assert legendre_symbol(a, p) == want, (a, p)
     # complete multiplicativity in the top argument
-    for n in (-15, -4, 3, 8, 45):
-        for a in range(-6, 7):
-            for b in range(-6, 7):
-                assert kronecker_symbol(a * b, n) == \
-                    kronecker_symbol(a, n) * kronecker_symbol(b, n)
-    with pytest.raises(ValueError):
-        kronecker_symbol(3, 0)
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            assert legendre_symbol(a * b, 3) == \
+                legendre_symbol(a, 3) * legendre_symbol(b, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

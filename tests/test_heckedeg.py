@@ -9,9 +9,7 @@ import pytest
 from quatmatch import heckedeg
 from quatmatch.heckedeg import (
     deg_T,
-    local_degree_level,
-    local_degree_ramified,
-    local_degree_split,
+    local_degree,
     oracle_local_orbits,
     r_prime,
     volume,
@@ -35,15 +33,22 @@ def test_volume_guards():
 
 
 def test_local_factor_values():
-    assert local_degree_split(5, 1) == 6
-    assert local_degree_split(2, 3) == 15
-    assert local_degree_split(7, 0) == 1
-    assert local_degree_level(2, 1) == 5
-    assert local_degree_level(5, 1) == 11
-    assert local_degree_level(3, 2) == 13 + 3 * 4
-    assert local_degree_level(7, 0) == 1
-    assert local_degree_ramified(2, 1) == 1
-    assert local_degree_ramified(3, 5) == 1
+    assert local_degree("split", 5, 1) == 6
+    assert local_degree("split", 2, 3) == 15
+    assert local_degree("split", 7, 0) == 1
+    assert local_degree("level", 2, 1) == 5
+    assert local_degree("level", 5, 1) == 11
+    assert local_degree("level", 3, 2) == 13 + 3 * 4
+    assert local_degree("level", 7, 0) == 1
+    assert local_degree("ramified", 2, 1) == 1
+    assert local_degree("ramified", 3, 5) == 1
+
+
+def test_local_degree_rejects_unknown_pattern():
+    with pytest.raises(ValueError, match="unknown local pattern"):
+        local_degree("inert", 3, 1)
+    with pytest.raises(ValueError):
+        local_degree("split", 3, -1)
 
 
 def test_deg_values():
@@ -102,7 +107,7 @@ def _subgroup_count(modulus, index):
 def test_split_factor_matches_subgroup_count():
     # independent combinatorial count of index-p^k subgroups of Z^2
     for p, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
-        assert local_degree_split(p, k) == _subgroup_count(p ** k, p ** k), (p, k)
+        assert local_degree("split", p, k) == _subgroup_count(p ** k, p ** k), (p, k)
 
 
 def test_mixed_modulus_subgroup_oracle():
@@ -115,7 +120,7 @@ def test_mixed_modulus_subgroup_oracle():
             while mm % p == 0:
                 mm //= p
                 k += 1
-            fac *= local_degree_split(p, k)
+            fac *= local_degree("split", p, k)
         assert _subgroup_count(m, m) == fac, m
 
 
@@ -125,9 +130,7 @@ def test_mixed_modulus_subgroup_oracle():
     ("ramified", 2, 1), ("ramified", 3, 1), ("ramified", 2, 2),
 ])
 def test_oracle_small_cases(pattern, p, k):
-    closed = {"split": local_degree_split,
-              "level": local_degree_level,
-              "ramified": local_degree_ramified}[pattern](p, k)
+    closed = local_degree(pattern, p, k)
     assert oracle_local_orbits(pattern, p, k, k + 2) == closed
 
 
@@ -215,9 +218,7 @@ def test_key_is_only_a_hint(fake, pattern, p, k, monkeypatch):
     first = heckedeg._candidates(pattern, p, k)[0]
     monkeypatch.setattr(heckedeg, "_key",
                         lambda *a: None if fake == "none" else first)
-    closed = {"split": local_degree_split,
-              "level": local_degree_level,
-              "ramified": local_degree_ramified}[pattern](p, k)
+    closed = local_degree(pattern, p, k)
     assert oracle_local_orbits(pattern, p, k, M) == closed
     original = heckedeg._candidates
     for mutate, caught_by in _MUTATIONS.values():

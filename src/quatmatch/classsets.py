@@ -6,16 +6,18 @@ Pipeline:
   order by p-neighbor traversal; completeness is certified by the exact
   mass identity  sum 1/w_i = D N/12 * prod_{p|D}(1-1/p) * prod_{p|N}(1+1/p).
 * Pair lattices I_j*conj(I_i), with the reduced norm scaled by
-  1/(nrd I_i nrd I_j), realise the genus of the order.  The genus average is
-  the unit-weighted pair-lattice (Brandt) average
+  1/(nrd I_i nrd I_j), realise the genus of the order.  The genus average
+  is the unit-weighted pair-lattice (Brandt) average
       r_{D,N}(m) = (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j),
   which equals the 1/|Aut|-weighted average over isometry classes (the
   reference in tests/).
+* Every form is one integer matrix, the even Gram E with
+  nrd(x) = x E x^T / 2: `OrderLattice.even_gram` for an order, `pair_gram`
+  for a pair lattice, each certified integral there and nowhere else.
 * All vector counting is exact lattice-point enumeration: one
-  fraction-free (Bareiss) elimination of the even Gram per form, in
-  integers, then a Fincke-Pohst recursion on integer remainders with
-  `isqrt` bounds (no floating point anywhere, and no Fraction per lattice
-  point).
+  fraction-free (Bareiss) elimination of E per form, then a Fincke-Pohst
+  recursion on integer remainders with `isqrt` bounds (no floating point
+  anywhere, and no Fraction in the enumeration).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import is_prime, prime_factors
 from .matrices import congruence_kernel
@@ -55,11 +56,11 @@ def mass_formula(D: int, N: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact vector enumeration (integer Fincke-Pohst)
 
-def theta_counts(qgram, mmax: int):
-    """[r(0), r(1), ..., r(mmax)] for the integral positive definite form with
-    Q-Gram `qgram`.
+def theta_counts(E, mmax: int):
+    """[r(0), r(1), ..., r(mmax)] for the integral positive definite form
+    Q(x) = x E x^T / 2 of the integer even Gram E.
 
-    Fraction-free (Bareiss) elimination of the even Gram E = A + A^T, with
+    Fraction-free (Bareiss) elimination of E, with
     leading minors Delta_0 = 1, Delta_1, ..., Delta_4 and eliminated rows U
     (U_ii = Delta_i), gives
         T*Q(x) = sum_i a_i (U_ii x_i + sum_{j>i} U_ij x_j)^2,
@@ -69,10 +70,7 @@ def theta_counts(qgram, mmax: int):
     a > 0 and R >= 0, a*w^2 <= R holds exactly when |w| <= isqrt(R // a), so
     every x_i in range meets it and no point outside the ellipsoid is visited.
     """
-    U = [[qgram[i][j] + qgram[j][i] for j in range(4)] for i in range(4)]
-    if any(e.denominator != 1 for row in U for e in row):
-        raise ValueError("form is not integral: A + A^T has a non-integer entry")
-    U = [[int(e) for e in row] for row in U]
+    U = [list(row) for row in E]
     dens = []
     prev = 1
     for k in range(4):
@@ -117,19 +115,18 @@ def theta_counts(qgram, mmax: int):
 class RightIdeal:
     lattice: OrderLattice
     right_order: OrderLattice
-    nrd: Fraction
+    nrd: int
 
     def sort_key(self):
         return (self.nrd, self.lattice.sort_key())
 
 
-def ideal_reduced_norm(lattice: OrderLattice) -> Fraction:
-    """Positive generator of the fractional ideal generated by nrd on the lattice."""
-    qg = lattice.q_gram()
-    vals = [qg[i][j] + qg[j][i] if i != j else qg[i][i]
-            for i in range(4) for j in range(i, 4)]
-    den = math.lcm(*(v.denominator for v in vals))
-    return Fraction(math.gcd(*(int(v * den) for v in vals)), den)
+def ideal_reduced_norm(lattice: OrderLattice) -> int:
+    """Positive generator of the ideal of Z generated by nrd on an integral
+    lattice: the gcd of nrd on the basis, E_rr / 2, and of the pairings E_rs."""
+    e = lattice.even_gram()
+    return math.gcd(*(e[r][s] if r != s else e[r][r] // 2
+                      for r in range(4) for s in range(r, 4)))
 
 
 def make_right_ideal(lattice: OrderLattice, right_order: OrderLattice) -> RightIdeal:
@@ -154,15 +151,10 @@ def unit_weight(order: OrderLattice) -> int:
     """|units|/2 = half the number of norm-1 vectors of a definite order."""
     if not order.algebra.is_definite:
         raise ValueError("unit weights require a definite algebra")
-    n = theta_counts(order.q_gram(), 1)[1]
+    n = theta_counts(order.even_gram(), 1)[1]
     if n % 2:
         raise ArithmeticError("unit count must be even")
     return n // 2
-
-
-@lru_cache(maxsize=None)
-def _frame_mod_p(order: OrderLattice, p: int):
-    return local_splitting(order, p, 1)
 
 
 def p_neighbors(ideal: RightIdeal, p: int):
@@ -179,7 +171,7 @@ def p_neighbors(ideal: RightIdeal, p: int):
     if D * N % p == 0:
         raise ValueError("neighbor prime must be coprime to the level data")
     ol = left_order(ideal)
-    (c11, c12), (c21, c22) = _frame_mod_p(ol, p).functionals
+    (c11, c12), (c21, c22) = local_splitting(ol, p)
     out = []
     lines = [(1, t) for t in range(p)] + [(0, 1)]
     for w1, w2 in lines:
@@ -194,31 +186,18 @@ def p_neighbors(ideal: RightIdeal, p: int):
     return out
 
 
-def pair_lattice(ii: RightIdeal, jj: RightIdeal) -> OrderLattice:
-    """The lattice J * conj(I) (unscaled); carries nrd/(nrd I * nrd J)."""
-    return lattice_product(jj.lattice, conjugate_lattice(ii.lattice))
-
-
-def pair_q_gram(ii: RightIdeal, jj: RightIdeal):
-    """Integral normalized Q-Gram of the pair lattice Hom-style form."""
-    prod = pair_lattice(ii, jj)
-    scale = Fraction(1, ii.nrd * jj.nrd)
-    qg = [[x * scale for x in row] for row in prod.q_gram()]
-    for i in range(4):
-        if qg[i][i].denominator != 1:
-            raise ArithmeticError("pair lattice normalization is not integral")
-        for j in range(4):
-            if (qg[i][j] + qg[j][i]).denominator != 1:
-                raise ArithmeticError("pair lattice bilinear form is not integral")
-    return qg
+def pair_gram(ii: RightIdeal, jj: RightIdeal):
+    """Even Gram of the pair lattice J * conj(I) with the form
+    nrd/(nrd I * nrd J), which is integral on it."""
+    pair = lattice_product(jj.lattice, conjugate_lattice(ii.lattice))
+    return pair.even_gram(ii.nrd * jj.nrd)
 
 
 def ideals_equivalent(a: RightIdeal, b: RightIdeal) -> bool:
     """True iff a = x*b for some invertible x (minimum-vector criterion)."""
     if a.right_order != b.right_order:
         raise ValueError("ideals must share their right order")
-    qg = pair_q_gram(a, b)
-    return theta_counts(qg, 1)[1] > 0
+    return theta_counts(pair_gram(a, b), 1)[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +226,10 @@ class IdealClassSet:
 def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
     """Enumerate the right-ideal classes of a definite Eichler order.
 
-    Traversal: breadth first through the p-neighbors at one prime p, by
-    default the smallest prime coprime to D*N, with the list of class
-    representatives as the queue.  The exact mass identity certifies
+    Traversal: breadth first through the p-neighbors at one prime p, with
+    the list of class representatives as the queue.  p is `traversal_prime`,
+    which must be a prime coprime to D*N (ValueError otherwise), or by
+    default the smallest such prime.  The exact mass identity certifies
     completeness, so the traversal stops the moment it is met; overshooting
     it, or running out of neighbors below it, raises, signalling an
     arithmetic bug.
@@ -263,8 +243,9 @@ def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
     p = traversal_prime
     if p is None:
         p = next(q for q in itertools.count(2) if D * N % q and is_prime(q))
-    elif D * N % p == 0:
-        raise ValueError("traversal prime must be coprime to D*N")
+    elif not (is_prime(p) and D * N % p):
+        raise ValueError("traversal prime must be a prime coprime to D*N = %d, "
+                         "got %r" % (D * N, p))
     root = make_right_ideal(OrderLattice(order.algebra, order.den, order.mat), order)
     reps = [root]
     weights = [unit_weight(order)]
@@ -309,7 +290,7 @@ def genus_theta(cs: IdealClassSet, mmax: int):
         for i in range(len(reps)):
             for j in range(i, len(reps)):
                 coeff = Fraction(1 if i == j else 2, weights[i] * weights[j])
-                theta = theta_counts(pair_q_gram(reps[i], reps[j]), mmax)
+                theta = theta_counts(pair_gram(reps[i], reps[j]), mmax)
                 for m in range(mmax + 1):
                     total[m] += coeff * theta[m]
         mass2 = cs.mass * cs.mass
@@ -317,10 +298,7 @@ def genus_theta(cs: IdealClassSet, mmax: int):
     return cs._theta[:mmax + 1]
 
 
-def class_set_for(D: int, N: int, traversal_prime=None) -> IdealClassSet:
+def class_set_for(D: int, N: int) -> IdealClassSet:
     """Convenience: build the class set of an Eichler order of level N in B(D)."""
-    alg = construct_algebra(D)
-    omax = maximal_order(alg)
-    order = eichler_order(omax, N)
-    return ideal_class_set(order, traversal_prime=traversal_prime)
+    return ideal_class_set(eichler_order(maximal_order(construct_algebra(D)), N))
 

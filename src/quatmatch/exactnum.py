@@ -45,6 +45,17 @@ def prime_factors(n: int):
     return [p for p, _k in prime_power_factors(n)]
 
 
+def valuation(n: int, p: int):
+    """v_p(n), or None for n = 0."""
+    if n == 0:
+        return None
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and prime_power_factors(n) == [(n, 1)]
 
@@ -206,15 +217,6 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def _val_unit(x: int, p: int):
-    """x = p^v * u with u an integer prime to p; returns (v, u)."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, x
-
-
 def hilbert_symbol(a: int, b: int, place) -> int:
     """Hilbert symbol (a, b) of nonzero integers at a finite prime or the
     archimedean place.
@@ -231,8 +233,8 @@ def hilbert_symbol(a: int, b: int, place) -> int:
     p = int(place)
     if p < 2:
         raise ValueError("invalid place: %r" % (place,))
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, w = a // p ** alpha, b // p ** beta
     if p != 2:
         sign = 1
         if (alpha * beta) % 2 and (p - 1) // 2 % 2:

@@ -48,7 +48,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .classsets import mass_formula
-from .exactnum import is_squarefree, prime_factors, prime_power_factors
+from .exactnum import is_squarefree, prime_factors, prime_power_factors, valuation
 from .quatalg import ramified_model
 
 
@@ -178,16 +178,6 @@ def _mul2(x, y):
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-def _vp(n: int, p: int):
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _local_order(pattern: str, p: int) -> _LocalOrder:
     """The pattern's order and its residue tables mod p, which decide
     membership.  An x = p*x' of the level order has any split x'."""
@@ -240,7 +230,7 @@ def _key(pattern: str, p: int, k: int, x):
     """
     if pattern == "ramified":
         return _pi_power(p, k)
-    v0, v1 = _vp(x[0], p), _vp(x[1], p)
+    v0, v1 = valuation(x[0], p), valuation(x[1], p)
     swap = v0 is None or (v1 is not None and v1 < v0)
     a = v1 if swap else v0
     if a is None or a > k:
@@ -289,7 +279,7 @@ def _equivalents(order, p, k, M, x, ys):
     candidates it is the exact test over Z_p.
     """
     n = order.nrd(x)
-    if _vp(n, p) != k:
+    if valuation(n, p) != k:
         return []
     pk = p ** k
     mod = p ** (M - k)
@@ -361,7 +351,7 @@ def _panel(order, cands, p, k, M):
 
     def draw(j, count):
         x = _unrank(order, p, j, M, rng.randrange(count))
-        if not (order.member(x) and _vp(order.nrd(x), p) == j):
+        if not (order.member(x) and valuation(order.nrd(x), p) == j):
             raise ArithmeticError("%r is no member of valuation %d" % (x, j))
         return x
 
@@ -383,7 +373,7 @@ def _sample(order, cands, p, k, M):
     residues = order.singular + [(0, 0, 0, 0)] if k else order.units
     return (x for r in residues
             for x in itertools.product(*(range(v, q, p) for v in r))
-            if _vp(order.nrd(x), p) == k)
+            if valuation(order.nrd(x), p) == k)
 
 
 def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:

@@ -13,6 +13,10 @@ forward substitution.
 The Gram matrix is taken with respect to (x, y) = trd(x * conj(y)), whose
 determinant equals the square of the reduced discriminant; a maximal order
 of B(D) has |det| = D^2 and an Eichler order of level N has |det| = (DN)^2.
+`gram` returns it as the integer matrix G read off the HNF, (x, y) = G/den^2,
+and `even_gram(scale)` as the integer even Gram G/(den^2 scale) of
+nrd/scale; the latter is the one integrality certificate of a form.  A
+local splitting is handed out as its bare entry functionals.
 """
 
 from __future__ import annotations
@@ -46,20 +50,31 @@ class OrderLattice:
     level: tuple | None = field(default=None, compare=False)
 
     def gram(self):
-        """Matrix of (x, y) = trd(x conj(y)) = sum_k w_k x_k y_k on the basis,
-        w = (2, -2a, -2b, 2ab), read off the integer HNF over den^2."""
+        """Integer matrix G[r][s] = sum_k w_k r_k s_k of the HNF rows r, s,
+        w = (2, -2a, -2b, 2ab).  The form (x, y) = trd(x conj(y)) on the
+        basis is G / den^2; every entry of G is even."""
         a, b = self.algebra.a, self.algebra.b
         w = (2, -2 * a, -2 * b, 2 * a * b)
-        den2 = self.den * self.den
-        return [[Fraction(sum(w[k] * r[k] * s[k] for k in range(4)), den2)
-                 for s in self.mat] for r in self.mat]
+        return [[sum(w[k] * r[k] * s[k] for k in range(4)) for s in self.mat]
+                for r in self.mat]
 
-    def q_gram(self):
-        """Matrix A with nrd(sum c_r b_r) = c A c^T; A = gram / 2."""
-        return [[x / 2 for x in row] for row in self.gram()]
+    def even_gram(self, scale: int = 1):
+        """E = G / (den^2 scale), the even Gram of the form nrd/scale:
+        nrd(sum c_r b_r) = scale * c E c^T / 2.
+
+        Raises ArithmeticError unless E is integral with an even diagonal.
+        Since nrd(x + y) = nrd x + nrd y + (x, y), that holds exactly when
+        nrd/scale takes integer values on the lattice.
+        """
+        d = self.den * self.den * scale
+        g = self.gram()
+        if any(x % d for row in g for x in row) \
+                or any(g[r][r] % (2 * d) for r in range(4)):
+            raise ArithmeticError("nrd/%d is not integral on the lattice" % scale)
+        return [[x // d for x in row] for row in g]
 
     def gram_det(self) -> Fraction:
-        """det(gram) = det(w) * det(mat)^2 / den^8, with det(w) = 16 a^2 b^2."""
+        """det(gram / den^2) = det(w) * det(mat)^2 / den^8, det(w) = 16 a^2 b^2."""
         ab = self.algebra.a * self.algebra.b
         d = _diagonal_product(self)
         return Fraction(16 * ab * ab * d * d, self.den ** 8)
@@ -69,14 +84,6 @@ class OrderLattice:
         return (all(c.denominator == 1 for c in _coordinates(self, (1, 0, 0, 0)))
                 and _integral_basis(self)
                 and lattice_sum(self, lattice_product(self, self)) == self)
-
-    def is_even_integral(self) -> bool:
-        """nrd takes integer values on the lattice.  Since
-        nrd(x + y) = nrd x + nrd y + (x, y), that holds exactly when the Gram
-        matrix is integral with an even diagonal."""
-        g = self.gram()
-        return (all(x.denominator == 1 for row in g for x in row)
-                and all(g[r][r] % 2 == 0 for r in range(4)))
 
     # -- serialization ---------------------------------------------------------
     def to_text(self) -> str:
@@ -263,30 +270,6 @@ def _enlarge_at(algebra, lat, p):
 # ---------------------------------------------------------------------------
 # local splitting O/p^k O  ~  2x2 matrices over Z/p^k
 
-@dataclass(frozen=True)
-class SplitFrame:
-    """Matrix-unit frame for O/p^k O at a prime p not dividing the discriminant.
-
-    e[i][j] are coordinate vectors (in the order's basis, mod p^k) satisfying
-    the sixteen matrix-unit relations; `coord(x, i, j)` extracts the (i, j)
-    matrix entry of a coordinate vector x, so `coord(x, 1, 0)` is the
-    lower-left entry used by the Eichler congruence.
-    """
-    order: OrderLattice
-    p: int
-    k: int
-    units: tuple  # ((e11, e12), (e21, e22)) coordinate 4-tuples
-    functionals: tuple  # functionals[i][j][s] = coord of b_s at entry (i,j)
-
-    @property
-    def modulus(self):
-        return self.p ** self.k
-
-    def coord(self, xvec, i, j):
-        f = self.functionals[i][j]
-        return sum(f[s] * xvec[s] for s in range(4)) % self.modulus
-
-
 def _order_one_coords(order):
     one = _coordinates(order, (1, 0, 0, 0))
     if any(c.denominator != 1 for c in one):
@@ -298,12 +281,15 @@ def _trd_vector(order):
     return tuple(2 * row[0] // order.den for row in order.mat)
 
 
-def local_splitting(order: OrderLattice, p: int, k: int = 1) -> SplitFrame:
+def local_splitting(order: OrderLattice, p: int, k: int = 1):
     """Split O/p^k O as 2x2 matrices over Z/p^k (requires p unramified).
 
-    The idempotent is found by exhaustive search mod p (deterministic,
-    lexicographic), lifted by the Newton step e <- 3e^2 - 2e^3, then
-    completed to a matrix-unit frame; all sixteen relations are verified.
+    Returns the entry functionals f[i][j][s]: the (i, j) matrix entry of
+    x = sum_s x_s b_s is sum_s f[i][j][s] x_s mod p^k, so f[1][0] gives the
+    lower-left entry used by the Eichler congruence.  The idempotent is
+    found by exhaustive search mod p (deterministic, lexicographic), lifted
+    by the Newton step e <- 3e^2 - 2e^3, then completed to a matrix-unit
+    frame e_ij; all sixteen relations are verified.
     """
     if p in order.algebra.ramified_primes:
         raise ValueError("algebra is ramified at %d: no splitting" % p)
@@ -366,20 +352,14 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1) -> SplitFrame:
             != tuple(c % modulus for c in one):
         raise ArithmeticError("idempotents do not sum to 1")
 
-    # entry functionals: coord (i,j) of x equals trd(e_ji * x)
+    # entry (i, j) of x equals trd(e_ji * x)
     trd_vec = _trd_vector(order)
-    functionals = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            eji = units[j][i]
-            f_entry = []
-            for s in range(4):
-                prod_v = _vec_mul(table, eji, bas_vecs[s], modulus)
-                f_entry.append(sum(prod_v[t] * trd_vec[t] for t in range(4)) % modulus)
-            row.append(tuple(f_entry))
-        functionals.append(tuple(row))
-    return SplitFrame(order, p, k, units, tuple(functionals))
+
+    def functional(u):
+        return tuple(sum(c * t for c, t in zip(_vec_mul(table, u, b, modulus), trd_vec))
+                     % modulus for b in bas_vecs)
+
+    return tuple(tuple(functional(units[j][i]) for j in range(2)) for i in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +380,19 @@ def eichler_order(omax: OrderLattice, N: int) -> OrderLattice:
         raise ValueError("level must be coprime to the discriminant")
     coords_mat = [[1 if r == s else 0 for s in range(4)] for r in range(4)]
     for p, k in prime_power_factors(N):
-        frame = local_splitting(omax, p, k)
+        lower_left = local_splitting(omax, p, k)[1][0]
         mod = p ** k
-        cond = []
-        for row in coords_mat:
-            val = frame.coord(tuple(row), 1, 0)
-            cond.append(val % mod)
+        cond = [sum(f * x for f, x in zip(lower_left, row)) % mod
+                for row in coords_mat]
         kern = congruence_kernel([cond], mod)
         coords_mat = [[sum(kern[r][t] * coords_mat[t][s] for t in range(4))
                        for s in range(4)] for r in range(4)]
     result = sublattice(omax, coords_mat, level=(D, N))
     if index_in(result, omax) != N:
         raise ArithmeticError("Eichler order has wrong index")
-    if not result.is_order() or not result.is_even_integral():
+    if not result.is_order():
         raise ArithmeticError("Eichler order certificate failed")
+    result.even_gram()  # raises unless nrd is integral on the order
     if abs(result.gram_det()) != (D * N) ** 2:
         raise ArithmeticError("Eichler order has wrong discriminant")
     return result

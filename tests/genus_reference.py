@@ -12,6 +12,8 @@ holds the Kneser p-neighbour map used to certify that the classes found
 are closed in the genus, and a rational-Cholesky vector enumerator that
 builds a Fraction per lattice point, kept independent of the package's
 integer enumeration so that the two can be checked against each other.
+Forms here are Q-Grams A of Fractions, Q(x) = x A x^T; `as_even` turns one
+into the integer even Gram A + A^T that `theta_counts` takes.
 The dual lattice and the cofactor determinant are test-side helpers for
 the lattice checks.
 
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quatmatch.classsets import pair_q_gram, theta_counts
+from quatmatch.classsets import pair_gram, theta_counts
 from quatmatch.matrices import congruence_kernel, hnf_rows
 from quatmatch.orders import OrderLattice, _coordinates, _lattice
 from quatmatch.quatalg import QuaternionAlgebra, quat_mul, quat_nrd
@@ -134,9 +136,22 @@ def dual_lattice(lat: OrderLattice) -> OrderLattice:
 # ---------------------------------------------------------------------------
 # reference enumeration (rational Cholesky, ellipsoid pruning)
 
+def q_gram(lat: OrderLattice):
+    """Q-Gram of nrd on the lattice basis: gram / (2 den^2)."""
+    return [[Fraction(x, 2 * lat.den ** 2) for x in row] for row in lat.gram()]
+
+
+def as_even(qgram):
+    """The integer even Gram A + A^T of an integral Q-Gram A."""
+    e = [[Fraction(qgram[i][j] + qgram[j][i]) for j in range(4)] for i in range(4)]
+    if any(x.denominator != 1 for row in e for x in row):
+        raise ValueError("form is not integral: A + A^T has a non-integer entry")
+    return [[int(x) for x in row] for row in e]
+
+
 def _as_qgram(lattice_or_gram):
     if isinstance(lattice_or_gram, OrderLattice):
-        return lattice_or_gram.q_gram()
+        return q_gram(lattice_or_gram)
     return lattice_or_gram
 
 
@@ -221,7 +236,7 @@ def genus_lattices(cs):
     out = {}
     for i, a in enumerate(cs.representatives):
         for j, b in enumerate(cs.representatives):
-            out[(i, j)] = pair_q_gram(a, b)
+            out[(i, j)] = [[Fraction(x, 2) for x in row] for row in pair_gram(a, b)]
     return out
 
 
@@ -356,7 +371,7 @@ def genus_classes(cs):
     classes = []
     fingerprints = []
     for _ij, qg in sorted(genus_lattices(cs).items()):
-        fp = tuple(theta_counts(qg, 6))
+        fp = tuple(theta_counts(as_even(qg), 6))
         if not any(fp == known and isometric(qg, rep)
                    for (rep, _aut), known in zip(classes, fingerprints)):
             classes.append((qg, automorphism_count(qg)))
@@ -368,7 +383,7 @@ def reference_genus_theta(cs, mmax: int):
     """[r_{D,N}(0), ..., r_{D,N}(mmax)] as the 1/|Aut|-weighted class average."""
     classes = genus_classes(cs)
     total_mass = sum(Fraction(1, aut) for _qg, aut in classes)
-    thetas = [theta_counts(qg, mmax) for qg, _aut in classes]
+    thetas = [theta_counts(as_even(qg), mmax) for qg, _aut in classes]
     return [sum(Fraction(th[m], aut) for th, (_qg, aut) in zip(thetas, classes))
             / total_mass for m in range(mmax + 1)]
 
@@ -440,10 +455,10 @@ def kneser_neighbors(qgram, p: int):
 def genus_closed_under_neighbors(cs, p: int) -> bool:
     """Check that the isometry classes absorb all their p-neighbors."""
     classes = genus_classes(cs)
-    fingerprints = [theta_counts(qg, 6) for qg, _aut in classes]
+    fingerprints = [theta_counts(as_even(qg), 6) for qg, _aut in classes]
     for qg, _aut in classes:
         for nb in kneser_neighbors(qg, p):
-            fp = theta_counts(nb, 6)
+            fp = theta_counts(as_even(nb), 6)
             if not any(fp == known and isometric(nb, other)
                        for (other, _a), known in zip(classes, fingerprints)):
                 return False

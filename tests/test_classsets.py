@@ -1,11 +1,17 @@
 import hashlib
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from quatmatch import classsets, verifycli
-from quatmatch.orders import maximal_order
+from quatmatch.orders import (
+    conjugate_lattice,
+    eichler_order,
+    lattice_product,
+    maximal_order,
+)
 from quatmatch.quatalg import construct_algebra
 from quatmatch.classsets import (
     class_set_for,
@@ -16,12 +22,13 @@ from quatmatch.classsets import (
     make_right_ideal,
     mass_formula,
     p_neighbors,
-    pair_q_gram,
+    pair_gram,
     theta_counts,
     unit_weight,
 )
 
 from genus_reference import (
+    as_even,
     automorphism_count,
     basis,
     contains,
@@ -33,6 +40,7 @@ from genus_reference import (
     isometric,
     kneser_neighbors,
     list_vectors,
+    q_gram,
     reference_genus_theta,
     reference_theta_counts,
 )
@@ -49,25 +57,25 @@ def sigma_odd(m):
 
 def test_hurwitz_counts():
     order = maximal_order(construct_algebra(2))
-    qg = order.q_gram()
-    assert theta_counts(qg, 1)[1] == 24
-    assert theta_counts(qg, 2)[2] == 24
-    assert theta_counts(qg, 3)[3] == 96
-    assert theta_counts(qg, 3) == [1, 24, 24, 96]
-    assert theta_counts(qg, 0)[0] == 1
+    e = order.even_gram()
+    assert theta_counts(e, 1)[1] == 24
+    assert theta_counts(e, 2)[2] == 24
+    assert theta_counts(e, 3)[3] == 96
+    assert theta_counts(e, 3) == [1, 24, 24, 96]
+    assert theta_counts(e, 0)[0] == 1
     assert unit_weight(order) == 12
 
 
 def test_counts_match_divisor_formula():
     order = maximal_order(construct_algebra(2))
-    theta = theta_counts(order.q_gram(), 40)
+    theta = theta_counts(order.even_gram(), 40)
     for m in range(1, 41):
         assert theta[m] == 24 * sigma_odd(m)
 
 
 def _scrambled_hurwitz_forms():
     """The Hurwitz Q-Gram and five images under random unimodular maps."""
-    qg = maximal_order(construct_algebra(2)).q_gram()
+    qg = q_gram(maximal_order(construct_algebra(2)))
     random.seed(3)
     forms = []
     for _ in range(5):
@@ -88,14 +96,14 @@ def test_count_vectors_basis_change_invariance():
     qg, forms = _scrambled_hurwitz_forms()
     for scrambled in forms:
         for m in (1, 2, 5):
-            assert theta_counts(scrambled, m)[m] == theta_counts(qg, m)[m]
+            assert theta_counts(as_even(scrambled), m)[m] == theta_counts(as_even(qg), m)[m]
 
 
 def test_list_vectors_consistency():
     order = maximal_order(construct_algebra(3))
     for m in (1, 2, 3):
         vecs = list_vectors(order, m)
-        assert len(vecs) == theta_counts(order.q_gram(), m)[m]
+        assert len(vecs) == theta_counts(order.even_gram(), m)[m]
         for v in vecs:
             x = sum((b * int(c) for b, c in zip(basis(order), v)),
                     element(order.algebra, 0))
@@ -105,7 +113,7 @@ def test_list_vectors_consistency():
 def test_non_positive_definite_rejected():
     order = maximal_order(construct_algebra(6))  # indefinite norm form
     with pytest.raises(ValueError):
-        theta_counts(order.q_gram(), 1)[1]
+        theta_counts(order.even_gram(), 1)[1]
 
 
 def test_unit_weight_generic_large_prime():
@@ -186,9 +194,9 @@ def test_genus_lattice_invariants(pool):
                 assert qg[a][a].denominator == 1  # even integral (Q in Z)
                 for b in range(4):
                     assert bil[a][b].denominator == 1
-            assert theta_counts(qg, 0)[0] == 1  # positive definite, min >= 1
+            assert theta_counts(as_even(qg), 0)[0] == 1  # positive definite, min >= 1
             if i == j:
-                assert theta_counts(qg, 1)[1] == 2 * cs.weights[i]
+                assert theta_counts(as_even(qg), 1)[1] == 2 * cs.weights[i]
 
 
 def test_genus_average_frozen_values(pool):
@@ -203,7 +211,7 @@ def test_genus_average_frozen_values(pool):
 
 def test_theta_qexpansion(pool):
     order = maximal_order(construct_algebra(2))
-    assert theta_counts(order.q_gram(), 3) == [1, 24, 24, 96]
+    assert theta_counts(order.even_gram(), 3) == [1, 24, 24, 96]
     cs = pool.get(2, 1)
     assert genus_theta(cs, 3) == [1, 24, 24, 96]  # H = 1 genus
     assert genus_theta(cs, 0) == [1]
@@ -228,7 +236,7 @@ def test_theta_counts_match_rational_enumerator(pool):
              for qg in genus_lattices(pool.get(D, N)).values()]
     qg, scrambled = _scrambled_hurwitz_forms()
     for form in forms + [qg] + scrambled:
-        assert theta_counts(form, 20) == reference_theta_counts(form, 20)
+        assert theta_counts(as_even(form), 20) == reference_theta_counts(form, 20)
 
 
 def test_multilayer_class_sets(pool):
@@ -267,10 +275,19 @@ def test_genus_theta_memo(monkeypatch):
 
 
 def test_traversal_prime_independence():
-    cs_a = class_set_for(30, 1, traversal_prime=7)
-    cs_b = class_set_for(30, 1, traversal_prime=11)
+    order = eichler_order(maximal_order(construct_algebra(30)), 1)
+    cs_a = ideal_class_set(order, traversal_prime=7)
+    cs_b = ideal_class_set(order, traversal_prime=11)
     for m in range(1, 8):
         assert genus_theta(cs_a, m)[m] == genus_theta(cs_b, m)[m]
+
+
+@pytest.mark.parametrize("p", [9, 4, -5, 0])
+def test_traversal_prime_rejected(p):
+    # two prime squares, a negative and zero: none is a prime
+    order = eichler_order(maximal_order(construct_algebra(23)), 1)
+    with pytest.raises(ValueError, match=r"prime coprime to D\*N = 23, got %d$" % p):
+        ideal_class_set(order, traversal_prime=p)
 
 
 @pytest.mark.parametrize("D,N", [(19, 6), (7, 5)])
@@ -314,6 +331,18 @@ def test_classset_output_pinned(D, N, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSSET_DIGESTS[D, N]
 
 
+def test_grid_digests_file():
+    # CI runs `sha256sum -c` on this file over the 87-set grid's stdout
+    path = pathlib.Path(__file__).with_name("classset_grid.sha256")
+    digests = {name: h for h, name in
+               (line.split() for line in path.read_text().splitlines())}
+    assert set(digests) == {"%d-%d.txt" % (D, N)
+                            for D in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+                            for N in (1, 2, 3, 5, 6, 7, 10, 11) if N % D}
+    for (D, N), h in CLASSSET_DIGESTS.items():
+        assert digests.get("%d-%d.txt" % (D, N), h) == h
+
+
 def test_genus_closure_under_kneser_neighbors(pool):
     assert genus_closed_under_neighbors(pool.get(2, 3), 5)
     assert genus_closed_under_neighbors(pool.get(30, 1), 7)
@@ -322,18 +351,35 @@ def test_genus_closure_under_kneser_neighbors(pool):
 def test_kneser_neighbors_stay_in_genus(pool):
     cs = pool.get(3, 2)
     root = cs.representatives[0]
-    for nb in kneser_neighbors(pair_q_gram(root, root), 5)[:4]:
+    root_form = [[Fraction(x, 2) for x in row] for row in pair_gram(root, root)]
+    for nb in kneser_neighbors(root_form, 5)[:4]:
         bil = [[nb[a][b] + nb[b][a] for b in range(4)] for a in range(4)]
         assert det4(bil) == 36
 
 
 def test_isometry_and_automorphisms():
     hurwitz = maximal_order(construct_algebra(2))
-    qg = hurwitz.q_gram()
+    qg = q_gram(hurwitz)
     assert automorphism_count(qg) == 1152  # the root lattice of 24 unit vectors
     assert isometric(qg, qg)
-    other = maximal_order(construct_algebra(3)).q_gram()
+    other = q_gram(maximal_order(construct_algebra(3)))
     assert not isometric(qg, other)
+
+
+def test_even_gram_certificate(pool):
+    # E = gram / (den^2 scale) must be integral with an even diagonal
+    a, b = pool.get(30, 1).representatives
+    pair = lattice_product(b.lattice, conjugate_lattice(a.lattice))
+    assert pair.even_gram(a.nrd * b.nrd) == pair_gram(a, b)
+    with pytest.raises(ArithmeticError):
+        pair.even_gram(2 * a.nrd * b.nrd)
+    # Z<(1+i)/2, 1, j, k>: (x, y) is integral, but nrd((1+i)/2) = 1/2
+    half = Fraction(1, 2)
+    odd = from_rows(construct_algebra(2), [[half, half, 0, 0], [1, 0, 0, 0],
+                                           [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert all(x % odd.den ** 2 == 0 for row in odd.gram() for x in row)
+    with pytest.raises(ArithmeticError):
+        odd.even_gram()
 
 
 def test_requires_definite(pool):

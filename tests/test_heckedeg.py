@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quatmatch import heckedeg
+from quatmatch.exactnum import valuation
 from quatmatch.heckedeg import (
     deg_T,
     local_degree,
@@ -364,7 +365,7 @@ def test_panel_coverage(pattern, p, k, M):
                             p, k, M)
     assert len(panel) == 125 + 250
     for x in panel:
-        assert order.member(x) and heckedeg._vp(order.nrd(x), p) == k, x
+        assert order.member(x) and valuation(order.nrd(x), p) == k, x
 
 
 # (pattern, p, k) with M = k + 2 and at most 2*10^6 elements mod p^M

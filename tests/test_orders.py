@@ -29,11 +29,26 @@ from genus_reference import (
 )
 
 
+def _even_integral(lat):
+    """nrd is integral on the lattice: `even_gram` certifies it or raises."""
+    try:
+        lat.even_gram()
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _matrix(f, x, mod):
+    """The residue matrix of the coordinate vector x under the functionals f."""
+    return [[sum(a * c for a, c in zip(f[i][j], x)) % mod for j in range(2)]
+            for i in range(2)]
+
+
 def test_hurwitz_maximal_order():
     alg = construct_algebra(2)
     order = maximal_order(alg)
     assert abs(order.gram_det()) == 4
-    assert order.is_order() and order.is_even_integral()
+    assert order.is_order() and _even_integral(order)
     half = element(alg, *([Fraction(1, 2)] * 4))
     assert contains(order, half)
     assert order.level == (2, 1)
@@ -52,7 +67,7 @@ def test_maximal_orders_certificates(d, target):
     order = maximal_order(alg)
     assert abs(order.gram_det()) == target
     assert order.is_order()
-    assert order.is_even_integral()
+    assert _even_integral(order)
 
 
 def test_dual_examples():
@@ -76,7 +91,7 @@ def test_eichler_orders():
     assert abs(e3.gram_det()) == 36
     assert index_in(e3, omax) == 3
     assert e3.level == (2, 3)
-    assert e3.is_order() and e3.is_even_integral()
+    assert e3.is_order() and _even_integral(e3)
     e15 = eichler_order(omax, 15)
     assert abs(e15.gram_det()) == 900 and index_in(e15, omax) == 15
     with pytest.raises(ValueError):
@@ -97,16 +112,12 @@ def test_local_splitting_frames():
     alg = construct_algebra(2)
     omax = maximal_order(alg)
     for p, k in [(3, 1), (3, 3), (5, 1), (7, 2)]:
-        frame = local_splitting(omax, p, k)
-        mod = p ** k
-        one = coordinates(omax, element(alg, 1))
-        e11, e12 = frame.units[0]
-        e21, e22 = frame.units[1]
-        assert tuple((a + b) % mod for a, b in zip(e11, e22)) == \
-            tuple(int(c) % mod for c in one)
-        # entry functionals reproduce matrix coordinates of the identity
-        assert frame.coord(tuple(int(c) for c in one), 0, 0) == 1 % mod
-        assert frame.coord(tuple(int(c) for c in one), 1, 0) == 0
+        f = local_splitting(omax, p, k)
+        one = [int(c) for c in coordinates(omax, element(alg, 1))]
+        # the identity maps to the identity matrix
+        assert _matrix(f, one, p ** k) == [[1, 0], [0, 1]]
+        # the four entry functionals are independent mod p: O/pO ~ M_2(F_p)
+        assert det4([list(f[i][j]) for i in range(2) for j in range(2)]) % p
     with pytest.raises(ValueError):
         local_splitting(omax, 2, 1)  # ramified prime: no splitting
 
@@ -115,7 +126,7 @@ def test_local_splitting_homomorphism():
     alg = construct_algebra(3)
     omax = maximal_order(alg)
     table = multiplication_table(omax)
-    frame = local_splitting(omax, 5, 2)
+    f = local_splitting(omax, 5, 2)
     mod = 25
     random.seed(5)
     from quatmatch.orders import _vec_mul
@@ -123,11 +134,10 @@ def test_local_splitting_homomorphism():
         x = tuple(random.randrange(mod) for _ in range(4))
         y = tuple(random.randrange(mod) for _ in range(4))
         xy = _vec_mul(table, x, y, mod)
-        mx = [[frame.coord(x, i, j) for j in range(2)] for i in range(2)]
-        my = [[frame.coord(y, i, j) for j in range(2)] for i in range(2)]
+        mx, my = _matrix(f, x, mod), _matrix(f, y, mod)
         prod = [[sum(mx[i][t] * my[t][j] for t in range(2)) % mod
                  for j in range(2)] for i in range(2)]
-        assert prod == [[frame.coord(xy, i, j) for j in range(2)] for i in range(2)]
+        assert prod == _matrix(f, xy, mod)
 
 
 def test_serialization_roundtrip():
@@ -230,7 +240,9 @@ def test_integer_lattice_invariants(D):
     assert alg.a == -1
     even, integral = [], []
     for a, b in zip(lats, lats[1:] + lats[:1]):
-        assert a.gram_det() == det4(a.gram())
+        assert all(x % 2 == 0 for row in a.gram() for x in row)
+        gram = [[Fraction(x, a.den ** 2) for x in row] for row in a.gram()]
+        assert a.gram_det() == det4(gram)
         ea = basis(a)
         rows = [u.coords for u in ea]
         assert index_in(a, b) == abs(Fraction(det4(rows))
@@ -240,15 +252,15 @@ def test_integer_lattice_invariants(D):
         coords = coordinates(a, x)
         assert sum((u * c for u, c in zip(ea, coords)),
                    element(alg, 0)) == x
-        gram_inv = _inverse(a.gram())
+        gram_inv = _inverse(gram)
         assert dual_lattice(a) == from_rows(
             alg, [[sum(gram_inv[r][k] * rows[k][col] for k in range(4))
                    for col in range(4)] for r in range(4)])
         pair_sums = [ea[r] + ea[s] for r in range(4) for s in range(r + 1, 4)]
         expected = all(u.reduced_norm().denominator == 1 for u in ea + pair_sums)
-        assert a.is_even_integral() == expected
+        assert _even_integral(a) == expected
         even.append(expected)
-        integral.append(all(x.denominator == 1 for row in a.gram() for x in row))
+        integral.append(all(x.denominator == 1 for row in gram for x in row))
         assert a.is_order() == (
             contains(a, element(alg, 1))
             and all(u.reduced_trace().denominator == 1

@@ -21,11 +21,15 @@ linear in the sample: an element is tested exactly against its key only,
 and falls back to a scan of every candidate, which must find exactly one,
 when the key is no candidate or fails the test.  Candidates are tested
 pairwise only within a bucket of equal invariants, of at most p(p-1) on
-the tested ops.  What the oracle reads of an element x with v_p(nrd x) = k
-is fixed by x mod p^(k+1), so a sweep visits each valuation-k residue mod
-p^(k+1) once rather than all its lifts mod p^M.  A panel unranks uniform
-indices through a bijection onto the elements of valuation k mod p^M, so
-it draws uniformly over them and rejects no draw.
+the tested ops.  Neither the invariants nor the exact test depend on M, so
+a candidate family is certified once per process, at M = k + 2, and the
+certificate is kept under the family itself.  Each local order and its
+residue tables mod p are also built once per process.  What the oracle
+reads of an element x with v_p(nrd x) = k is fixed by x mod p^(k+1), so a
+sweep visits each valuation-k residue mod p^(k+1) once rather than all its
+lifts mod p^M.  A panel unranks uniform indices through a bijection onto
+the elements of valuation k mod p^M, so it draws uniformly over them and
+rejects no draw.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -48,7 +52,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .classsets import mass_formula
-from .exactnum import is_squarefree, prime_factors, prime_power_factors, valuation
+from .exactnum import is_squarefree, prime_factors, prime_power_factors
 from .quatalg import ramified_model
 
 
@@ -131,18 +135,25 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # c = x'*g for every lift x' of x and an exact unit g, so two hits would
 # make two candidates equivalent, which (i) excludes.  Otherwise x gets the
 # full scan over all candidates, which must find exactly one hit.
+# The exact test reads h = conj(x)*y / p^k, a unit multiple of g, only
+# mod p, and `_rows` is a right-unit invariant at every M; so (i) does not
+# depend on M.  `_certify` runs it at M = k + 2, where `_rows` is cheapest,
+# once per process for each candidate family: its cache is keyed on the
+# family tuple, not on (pattern, p, k), so a changed family is certified
+# anew, and a failed certificate raises and is never stored.
 # For x with v_p(nrd x) = k, all of this reads x only mod p^(k+1):
 # nrd(x) and conj(x)*y are integer polynomials, so the p^k-divisibility of
-# conj(x)*y and g mod p agree across lifts of x; the unit and membership
-# tests read g only mod p; `_key` reads x mod p^(k+1).
+# conj(x)*y and h mod p agree across lifts of x; `_key` reads x mod
+# p^(k+1).
 # When the order mod p^M has at most _SWEEP_CAP elements, the sample is
 # therefore every valuation-k element mod p^(k+1), each once, standing for
 # its p^(4(M-k-1)) lifts mod p^M.  Otherwise it is a deterministic panel:
 # `_unrank` of uniform indices from a fixed-seed Mersenne Twister, which are
 # uniform elements mod p^M with v_p(nrd) = k, as no draw is rejected, then
-# translates u*c of the candidates by uniform units u.  Both read residue
-# tables built once per oracle call.  Left units permute the right orbits,
-# so the translates reach orbits that uniform draws rarely hit at large k.
+# translates u*c of the candidates by uniform units u.  Both read the
+# residue tables of `_local_order`, built once per (pattern, p) and kept
+# as bytes.  Left units permute the right orbits, so the translates reach
+# orbits that uniform draws rarely hit at large k.
 # The panel does not use pi^k * unit: it is right-equivalent to pi^k by
 # construction, so it tests nothing, whereas u * pi^k must pass the full
 # test.
@@ -158,8 +169,11 @@ class _LocalOrder(NamedTuple):
     conj: Callable
     nrd: Callable
     member: Callable
-    units: list  # the unit residues mod p
-    singular: list  # the nonzero nonunit residues mod p
+    # the unit and the nonzero nonunit residues mod p, in product order,
+    # four bytes each (p < 256): a cached order holds about 4 bytes per
+    # residue instead of a 4-tuple's 80
+    units: bytes
+    singular: bytes
     inner: object = None  # the order of x' for x = p*x' (None: this one)
     # pi^2 = p, so a nonzero nonunit residue lifts only to v_p(nrd) = 1
     pi_squared_is_p: bool = False
@@ -178,9 +192,11 @@ def _mul2(x, y):
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
+@lru_cache(maxsize=None)
 def _local_order(pattern: str, p: int) -> _LocalOrder:
     """The pattern's order and its residue tables mod p, which decide
-    membership.  An x = p*x' of the level order has any split x'."""
+    membership, built once per (pattern, p).  An x = p*x' of the level
+    order has any split x'."""
     inner = _local_order("split", p) if pattern == "level" else None
     if pattern == "ramified":
         model = ramified_model(p)
@@ -189,12 +205,13 @@ def _local_order(pattern: str, p: int) -> _LocalOrder:
         ops = (_mul2, _adj2, _det2, lambda x: x[2] % p == 0)
     else:
         ops = (_mul2, _adj2, _det2, lambda x: True)
-    units, singular = [], []
+    units, singular = bytearray(), bytearray()
     # every member residue but zero, the first in product order
     for r in itertools.islice(itertools.product(range(p), repeat=4), 1, None):
         if ops[3](r):
-            (units if ops[2](r) % p else singular).append(r)
-    return _LocalOrder(*ops, units, singular, inner, pattern == "ramified")
+            (units if ops[2](r) % p else singular).extend(r)
+    return _LocalOrder(*ops, bytes(units), bytes(singular), inner,
+                       pattern == "ramified")
 
 
 def _pi_power(p: int, k: int):
@@ -230,18 +247,20 @@ def _key(pattern: str, p: int, k: int, x):
     """
     if pattern == "ramified":
         return _pi_power(p, k)
-    v0, v1 = valuation(x[0], p), valuation(x[1], p)
-    swap = v0 is None or (v1 is not None and v1 < v0)
-    a = v1 if swap else v0
-    if a is None or a > k:
+    # p^min(v, k + 1) of the top entries: only valuations up to k matter
+    pk = p ** k
+    g0, g1 = math.gcd(x[0], pk * p), math.gcd(x[1], pk * p)
+    swap = g1 < g0
+    pa = g1 if swap else g0
+    if pa > pk:
         return None
-    b = k - a
+    pb = pk // pa
     top, low = (x[1], x[3]) if swap else (x[0], x[2])
-    mod = p ** (b + 1) if pattern == "level" and not swap else p ** b
-    c = low * pow(top // p ** a, -1, mod) % mod
+    mod = pb * p if pattern == "level" and not swap else pb
+    c = low * pow(top // pa, -1, mod) % mod
     if pattern == "level" and swap:
-        return (0, p ** a, p ** b, c)
-    return (p ** a, 0, c, p ** b)
+        return (0, pa, pb, c)
+    return (pa, 0, c, pb)
 
 
 @lru_cache(maxsize=None)
@@ -263,47 +282,74 @@ def _rows(pattern: str, p: int, M: int, x):
     if pattern == "ramified":
         return ()
     q = p ** M
-    rows = tuple(math.gcd(a * x[0] + b * x[2], a * x[1] + b * x[3], q)
-                 for a, b in _row_vectors(p, M))
+    x0, x1, x2, x3 = x
+    gcd = math.gcd
+    rows = tuple([gcd(a * x0 + b * x2, a * x1 + b * x3, q)
+                  for a, b in _row_vectors(p, M)])
     if pattern == "level":
-        rows += (math.gcd(x[0], p * x[1], q), math.gcd(x[2], p * x[3], q))
+        rows += (gcd(x0, p * x1, q), gcd(x2, p * x3, q))
     return rows
 
 
-def _equivalents(order, p, k, M, x, ys):
-    """The y in ys with y = x*g for a unit g of the order, tested mod p^M.
+def _equivalents(order, p, k, x, ys):
+    """The y in ys with y = x*g for a unit g of the order: the exact test
+    over Z_p.
 
     g = conj(x)*y / nrd(x) must be integral (p^k divides conj(x)*y), have a
-    unit nrd and lie in the order.  M >= k + 2 makes the reduced test decide
-    equivalence of mod-p^M classes; on elements of norm +-p^k such as the
-    candidates it is the exact test over Z_p.
+    unit nrd and lie in the order.  With nrd(x) = p^k*u, u a unit, the test
+    reads h = conj(x)*y / p^k = u*g instead: nrd(h) = u^2*nrd(g) is a unit
+    when nrd(g) is, and the order, a Z_p-module, holds h when it holds g.
+    Both conditions read h only mod p, so no modulus enters.
     """
     n = order.nrd(x)
-    if valuation(n, p) != k:
-        return []
     pk = p ** k
-    mod = p ** (M - k)
-    uinv = pow(n // pk % mod, -1, mod)
+    if n % pk or not n // pk % p:  # v_p(nrd x) != k
+        return []
+    mul, nrd, member = order.mul, order.nrd, order.member
     cx = order.conj(x)
     out = []
     for y in ys:
-        num = order.mul(cx, y)
-        if any(v % pk for v in num):
+        a, b, c, d = mul(cx, y)
+        if a % pk or b % pk or c % pk or d % pk:
             continue
-        g = tuple(v // pk * uinv % mod for v in num)
-        if order.nrd(g) % p and order.member(g):
+        h = (a // pk % p, b // pk % p, c // pk % p, d // pk % p)
+        if nrd(h) % p and member(h):
             out.append(y)
     return out
+
+
+@lru_cache(maxsize=None)
+def _certify(pattern: str, p: int, k: int, cands: tuple) -> None:
+    """Certify that no two of the candidates are right-equivalent, or raise
+    ArithmeticError naming two that are.
+
+    Pairs are tested only within a bucket of equal `_rows` at M = k + 2.
+    Neither step depends on M: `_rows` is a right-unit invariant at every
+    M and `_equivalents` is exact over Z_p, so the certificate holds at
+    every M of the oracle and p^(k+2) is the cheapest modulus.  The cache
+    is keyed on the family itself, so a changed family is certified anew,
+    and a failed certificate raises and is never stored.
+    """
+    order = _local_order(pattern, p)
+    buckets = {}
+    for c in cands:
+        buckets.setdefault(_rows(pattern, p, k + 2, c), []).append(c)
+    for bucket in buckets.values():
+        for i, c in enumerate(bucket):
+            same = _equivalents(order, p, k, c, bucket[i + 1:])
+            if same:
+                raise ArithmeticError(
+                    "candidates %r and %r are equivalent" % (c, same[0]))
 
 
 def _count(order, p, k, M):
     """The number of elements of the order mod p^M with v_p(nrd) = k."""
     if k == 0:
-        return len(order.units) * p ** (4 * M - 4)
+        return len(order.units) // 4 * p ** (4 * M - 4)
     zero = _count(order.inner or order, p, k - 2, M - 1) if k >= 2 else 0
     if order.pi_squared_is_p:
-        return zero + (k == 1) * len(order.singular) * p ** (4 * M - 4)
-    return zero + len(order.singular) * (p - 1) * p ** (4 * M - k - 4)
+        return zero + (k == 1) * len(order.singular) // 4 * p ** (4 * M - 4)
+    return zero + len(order.singular) // 4 * (p - 1) * p ** (4 * M - k - 4)
 
 
 def _unrank(order, p, k, M, z):
@@ -324,8 +370,8 @@ def _unrank(order, p, k, M, z):
             return tuple(p * v for v in _unrank(inner, p, k - 2, M - 1, z))
         z -= zero
     table = order.singular if k else order.units
-    z, i = divmod(z, len(table))
-    x, free, j = list(table[i]), p ** (M - 1), None
+    z, i = divmod(z, len(table) // 4)
+    x, free, j = list(table[4 * i:4 * i + 4]), p ** (M - 1), None
     if k and not order.pi_squared_is_p:
         i = next(filter(x.__getitem__, range(4)))
         j, sign = _PARTNER[i]
@@ -351,7 +397,8 @@ def _panel(order, cands, p, k, M):
 
     def draw(j, count):
         x = _unrank(order, p, j, M, rng.randrange(count))
-        if not (order.member(x) and valuation(order.nrd(x), p) == j):
+        n, pj = order.nrd(x), p ** j
+        if not (order.member(x) and n % pj == 0 and n // pj % p):
             raise ArithmeticError("%r is no member of valuation %d" % (x, j))
         return x
 
@@ -366,47 +413,43 @@ def _sample(order, cands, p, k, M):
     """Every element of the order mod p^(k+1) with v_p(nrd) = k, each once,
     which decide every element mod p^M, when the order mod p^M has at most
     _SWEEP_CAP elements; else `_panel`."""
-    members = len(order.units) + len(order.singular) + 1
+    members = (len(order.units) + len(order.singular)) // 4 + 1
     if p ** (4 * M - 4) * members > _SWEEP_CAP:
         return _panel(order, cands, p, k, M)
-    q = p ** (k + 1)
-    residues = order.singular + [(0, 0, 0, 0)] if k else order.units
-    return (x for r in residues
-            for x in itertools.product(*(range(v, q, p) for v in r))
-            if valuation(order.nrd(x), p) == k)
+    pk, q = p ** k, p ** (k + 1)
+    residues = order.singular + bytes(4) if k else order.units
+    return (x for i in range(0, len(residues), 4)
+            for x in itertools.product(*(range(v, q, p)
+                                         for v in residues[i:i + 4]))
+            if (n := order.nrd(x)) % pk == 0 and n // pk % p)
 
 
 def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
     """Count orbits of determinant-p^k-unit elements under right unit action.
 
     `pattern` is "split", "level" or "ramified"; the computation is carried
-    out in the corresponding local order.  M is the modulus of the
-    equivalence tests and of the panel's digits, and the size of the order
-    mod p^M decides between sweep and panel; the margin M >= k + 2 makes
-    the reduced tests decide equivalence of mod-p^M classes.  A sweep visits
-    the valuation-k elements mod p^(k+1), which decide every test.
+    out in the corresponding local order.  M is the modulus of the panel's
+    digits, and the size of the order mod p^M decides between sweep and
+    panel; the margin M >= k + 2 keeps the count of mod-p^M classes stable.
+    The exact test and the certificate of the candidates read no modulus:
+    the certificate is made once per family and holds at every M.  A sweep
+    visits the valuation-k elements mod p^(k+1), which decide every test.
     """
     if pattern not in ("split", "level", "ramified"):
         raise ValueError("unknown pattern %r" % (pattern,))
     if M < k + 2:
         raise ValueError("need M >= k + 2 for a stable orbit count")
+    if p > 255:
+        raise ValueError("the residue tables hold digits mod p < 256")
     order = _local_order(pattern, p)
-    cands = _candidates(pattern, p, k)
-    buckets = {}
-    for c in cands:
-        buckets.setdefault(_rows(pattern, p, M, c), []).append(c)
-    for bucket in buckets.values():
-        for i, c in enumerate(bucket):
-            same = _equivalents(order, p, k, M, c, bucket[i + 1:])
-            if same:
-                raise ArithmeticError(
-                    "candidates %r and %r are equivalent" % (c, same[0]))
+    cands = tuple(_candidates(pattern, p, k))
+    _certify(pattern, p, k, cands)
     known = set(cands)
     checked = 0
     for x in _sample(order, cands, p, k, M):
         key = _key(pattern, p, k, x)
-        if not (key in known and _equivalents(order, p, k, M, x, (key,))):
-            hits = len(_equivalents(order, p, k, M, x, cands))
+        if not (key in known and _equivalents(order, p, k, x, (key,))):
+            hits = len(_equivalents(order, p, k, x, cands))
             if hits != 1:
                 raise ArithmeticError(
                     "element %r matched %d candidates" % (x, hits))

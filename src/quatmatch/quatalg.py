@@ -141,30 +141,31 @@ class RamifiedModel:
         """Norm-form value k^2 + k*l*t + l^2*n of k + l*u."""
         return k * k + k * l * self.t + l * l * self.n
 
-    def _quad_mul(self, x1, x2, y1, y2):
-        """(x1 + x2 u)(y1 + y2 u), using u^2 = t*u - n."""
-        return (x1 * y1 - self.n * x2 * y2,
-                x1 * y2 + x2 * y1 + self.t * x2 * y2)
-
     def mul(self, x, y):
-        """(a + b pi)(c + d pi) = (a c + p b conj(d)) + (a d + b conj(c)) pi."""
+        """(a + b pi)(c + d pi) = (a c + p b conj(d)) + (a d + b conj(c)) pi,
+        each product in the quadratic subfield written out by u^2 = t*u - n."""
         a1, a2, b1, b2 = x
         c1, c2, d1, d2 = y
-        t = self.t
-        ac = self._quad_mul(a1, a2, c1, c2)
-        bd = self._quad_mul(b1, b2, d1 + t * d2, -d2)
-        ad = self._quad_mul(a1, a2, d1, d2)
-        bc = self._quad_mul(b1, b2, c1 + t * c2, -c2)
-        return (ac[0] + self.p * bd[0], ac[1] + self.p * bd[1],
-                ad[0] + bc[0], ad[1] + bc[1])
+        p, t, n = self.p, self.t, self.n
+        e1, e2 = d1 + t * d2, -d2  # conj(d)
+        f1, f2 = c1 + t * c2, -c2  # conj(c)
+        return (a1 * c1 - n * a2 * c2 + p * (b1 * e1 - n * b2 * e2),
+                a1 * c2 + a2 * c1 + t * a2 * c2
+                + p * (b1 * e2 + b2 * e1 + t * b2 * e2),
+                a1 * d1 - n * a2 * d2 + b1 * f1 - n * b2 * f2,
+                a1 * d2 + a2 * d1 + t * a2 * d2
+                + b1 * f2 + b2 * f1 + t * b2 * f2)
 
     def involution(self, x):
         a1, a2, b1, b2 = x
         return (a1 + self.t * a2, -a2, -b1, -b2)
 
     def nrd(self, x):
+        """d_value(a1, a2) - p * d_value(b1, b2), written out."""
         a1, a2, b1, b2 = x
-        return self.d_value(a1, a2) - self.p * self.d_value(b1, b2)
+        t, n = self.t, self.n
+        return (a1 * a1 + a1 * a2 * t + a2 * a2 * n
+                - self.p * (b1 * b1 + b1 * b2 * t + b2 * b2 * n))
 
 
 @lru_cache(maxsize=None)

@@ -184,6 +184,30 @@ def test_oracle_rejects_mutated_candidates(mutation, pattern, p, k, M, side,
         oracle_local_orbits(pattern, p, k, M)
 
 
+@pytest.mark.parametrize("pattern,p,k", [
+    ("split", 2, 1), ("level", 2, 1), ("ramified", 2, 1),
+    ("split", 3, 1), ("level", 3, 1), ("ramified", 3, 1),
+])
+def test_certificate_cache_cannot_hide_a_mutation(pattern, p, k, monkeypatch):
+    # the honest family is certified at M = k + 2 and its certificate is
+    # stored; each mutated family must still be caught at M = k + 3 (a sweep
+    # at p = 2, a panel at p = 3), and caught again on a second call, as a
+    # failed certificate is never stored
+    heckedeg._certify.cache_clear()
+    closed = local_degree(pattern, p, k)
+    assert oracle_local_orbits(pattern, p, k, k + 2) == closed
+    assert heckedeg._certify.cache_info().currsize == 1
+    M = k + 3
+    order = heckedeg._local_order(pattern, p)
+    original = heckedeg._candidates
+    for mutate, caught_by in _MUTATIONS.values():
+        monkeypatch.setattr(heckedeg, "_candidates",
+                            lambda *a: mutate(original(*a), order, p, M))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match=caught_by):
+                oracle_local_orbits(pattern, p, k, M)
+
+
 @pytest.mark.parametrize("pattern", ["split", "level"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_key_of_candidate_is_itself(pattern, p):
@@ -202,7 +226,7 @@ def test_key_matches_every_sample(pattern, p, k, M):
     cands = heckedeg._candidates(pattern, p, k)
     for x in heckedeg._sample(order, cands, p, k, M):
         key = heckedeg._key(pattern, p, k, x)
-        assert key in cands and heckedeg._equivalents(order, p, k, M, x, [key]), x
+        assert key in cands and heckedeg._equivalents(order, p, k, x, [key]), x
 
 
 @pytest.mark.parametrize("fake", ["none", "wrong"])
@@ -298,8 +322,8 @@ def test_residue_decides_every_lift(pattern, p, k, M):
     def outcome(x, family):
         key = heckedeg._key(pattern, p, k, x)
         passes = key in family and bool(
-            heckedeg._equivalents(order, p, k, M, x, (key,)))
-        return key, passes, heckedeg._equivalents(order, p, k, M, x, family)
+            heckedeg._equivalents(order, p, k, x, (key,)))
+        return key, passes, heckedeg._equivalents(order, p, k, x, family)
 
     of_residue = {}
     for x in _valuation_k(order, p, k, p ** M):
@@ -327,6 +351,61 @@ def test_rows_buckets_are_small():
         sizes = collections.Counter(heckedeg._rows(pattern, p, M, c) for c
                                     in heckedeg._candidates(pattern, p, k))
         assert max(sizes.values()) <= p * (p - 1), (pattern, p, k, M)
+
+
+def _equivalent_mod(order, p, k, M, x, y):
+    """The right-equivalence test with g = conj(x)*y / nrd(x) reduced mod
+    p^(M-k), written out independently of `_equivalents`."""
+    n = order.nrd(x)
+    if valuation(n, p) != k:
+        return False
+    pk, mod = p ** k, p ** (M - k)
+    num = order.mul(order.conj(x), y)
+    if any(v % pk for v in num):
+        return False
+    uinv = pow(n // pk % mod, -1, mod)
+    g = tuple(v // pk * uinv % mod for v in num)
+    return bool(order.nrd(g) % p and order.member(g))
+
+
+def test_certificate_at_k_plus_2_holds_at_every_M():
+    # the candidates are certified once, at M = k + 2: every pair in a
+    # bucket of the op's M gets the same answer from the test mod p^M, mod
+    # p^(k+2) and `_equivalents`, and so does each candidate c against c*u
+    # for a unit u, which all three must find equivalent, and against c*s
+    # for a nonzero nonunit s, which none may
+    for pattern, p, k, M in _GRID + _CI_OPS:
+        order = heckedeg._local_order(pattern, p)
+        u, s = _unit(order, p), tuple(order.singular[:4])
+        buckets = collections.defaultdict(list)
+        for c in heckedeg._candidates(pattern, p, k):
+            buckets[heckedeg._rows(pattern, p, M, c)].append(c)
+        for bucket in buckets.values():
+            for i, c in enumerate(bucket):
+                same = heckedeg._equivalents(order, p, k, c, bucket[i + 1:])
+                for d in bucket[i + 1:]:
+                    want = _equivalent_mod(order, p, k, M, c, d)
+                    assert want == _equivalent_mod(order, p, k, k + 2, c, d), (
+                        pattern, p, k, M, c, d)
+                    assert want == (d in same), (pattern, p, k, M, c, d)
+                cu, cs = (tuple(v % p ** M for v in order.mul(c, g))
+                          for g in (u, s))
+                assert _equivalent_mod(order, p, k, M, c, cu)
+                assert _equivalent_mod(order, p, k, k + 2, c, cu)
+                assert heckedeg._equivalents(order, p, k, c, [cu, cs]) == [cu]
+                assert not _equivalent_mod(order, p, k, M, c, cs)
+                assert not _equivalent_mod(order, p, k, k + 2, c, cs)
+
+
+def test_local_order_is_built_once():
+    for p in (2, 3, 5, 7, 11):
+        for pattern in ("split", "level", "ramified"):
+            order = heckedeg._local_order(pattern, p)
+            assert heckedeg._local_order(pattern, p) is order
+            # immutable, so the one cached order cannot be changed by a caller
+            assert type(order.units) is bytes and type(order.singular) is bytes
+        inner = heckedeg._local_order("level", p).inner
+        assert inner is heckedeg._local_order("split", p)
 
 
 # the ops of _GRID + _CI_OPS whose order mod p^M is small enough to sweep

@@ -169,6 +169,7 @@ def test_cli_parser_is_reused_across_calls(capsys):
     ["local", "--p", "1"],
     ["local", "--p", "0"],
     ["certify", "--pattern", "split", "--p", "4", "--k", "1", "--M", "3"],
+    ["certify", "--pattern", "split", "--p", "257", "--k", "1", "--M", "3"],
     ["certify", "--pattern", "ramified", "--p", "3", "--k", "-1", "--M", "2"],
     ["certify", "--pattern", "level", "--p", "3", "--k", "2", "--M", "1"],
 ], ids=" ".join)

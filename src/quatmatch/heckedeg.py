@@ -10,26 +10,20 @@ of m with local factors
     p | D            :  1
 
 where k = v_p(m).  Each closed form is certified by `oracle_local_orbits`,
-an explicit orbit count in the local order of the pattern (M_2(Z_p), the
-Iwahori order, the maximal order of the division algebra) reduced mod p^M.
-The three patterns share one path: one right-equivalence test, one sweep of
-the order and one deterministic panel.  A pattern supplies its order's
-multiplication, conjugation, reduced norm and membership test, its candidate
-representatives, a key naming the candidate an element should match, and
-right-unit invariants, the contents of row combinations.  The oracle is
-linear in the sample: an element is tested exactly against its key only,
-and falls back to a scan of every candidate, which must find exactly one,
-when the key is no candidate or fails the test.  Candidates are tested
-pairwise only within a bucket of equal invariants, of at most p(p-1) on
-the tested ops.  Neither the invariants nor the exact test depend on M, so
-a candidate family is certified once per process, at M = k + 2, and the
-certificate is kept under the family itself.  Each local order and its
-residue tables mod p are also built once per process.  What the oracle
-reads of an element x with v_p(nrd x) = k is fixed by x mod p^(k+1), so a
-sweep visits each valuation-k residue mod p^(k+1) once rather than all its
-lifts mod p^M.  A panel unranks uniform indices through a bijection onto
-the elements of valuation k mod p^M, so it draws uniformly over them and
-rejects no draw.
+an orbit count in the local order O of the pattern (M_2(Z_p), the Iwahori
+order, the maximal order of the division algebra) reduced mod p^M, proved
+by the class equation.  The three patterns share one path.  A pattern
+supplies its order's multiplication, conjugation, reduced norm, membership
+test and Z-basis, its numbers of unit and of nonzero nonunit residues mod
+p, its candidate representatives, and right-unit invariants, the contents
+of row combinations.  The candidates are certified pairwise inequivalent by
+one exact right-equivalence test, run only within a bucket of equal
+invariants, once per family and process.  Each candidate's orbit under the
+units U_M of O/p^M O has |U_M| / |Stab_M(c)| elements, the stabilizer
+counted as the index of c*O + p^M*O in O by one Hermite normal form.  When
+these orbit sizes add up to the number of elements of O/p^M O with
+v_p(nrd) = k, counted in closed form, the disjoint orbits fill that set,
+so the count holds at (p, k, M) with no element sampled.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -44,15 +38,15 @@ conjugation exchanges them.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .classsets import mass_formula
-from .exactnum import is_squarefree, prime_factors, prime_power_factors
+from .exactnum import (is_prime, is_squarefree, prime_factors,
+                       prime_power_factors)
+from .matrices import hnf_rows
 from .quatalg import ramified_model
 
 
@@ -118,50 +112,39 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # orbit-counting oracles over the finite local patterns
 #
-# Each pattern is a local order: M_2(Z_p) (split), the Iwahori order of
+# Each pattern is a local order O: M_2(Z_p) (split), the Iwahori order of
 # matrices with lower-left entry = 0 mod p (level) and the maximal order of
 # the division algebra in the flat coordinates of quatalg.RamifiedModel
-# (ramified).  All three go through one path.  Elements x of the order with
-# v_p(nrd x) = k are counted modulo right multiplication by units of the
-# order; the oracle certifies, with one right-equivalence test,
-#   (i)  the candidate representatives are pairwise inequivalent, and
-#   (ii) every sampled element is equivalent to exactly one candidate.
+# (ramified).  All three go through one path.  The units U_M of O/p^M O act
+# by right multiplication on S_M, the elements of O/p^M O with
+# v_p(nrd) = k, and the oracle proves that the candidates are one element
+# of each orbit:
+#   (i)  no two candidates are right-equivalent over Z_p;
+#   (ii) each candidate c lies in S_M, |Stab_M(c)| divides |U_M|, and
+#        sum_c |U_M| / |Stab_M(c)| = |S_M|, the class equation.
+# For M > k, (i) also holds mod p^M: as nrd(c) = p^k*u with u a unit, a
+# congruence c' = c*g + p^M*z is the equation c' = c*(g + w) over Z_p, with
+# w = p^(M-k)*conj(c)*z/u in p*O, and g + w is a unit.  So the orbits of
+# the candidates are disjoint, and by (ii) they fill S_M.
 # (i) runs inside buckets of `_rows`, a right-unit invariant, so candidates
 # in different buckets are inequivalent without a test; candidates with
-# equal row contents differ in the contents of row combinations.  For (ii),
-# `_key` names the candidate x should match, its column-reduced form; the
-# key is only a hint.  When the key is a candidate and passes the exact
-# test, x matches no other candidate: the test passing for x and c means
-# c = x'*g for every lift x' of x and an exact unit g, so two hits would
-# make two candidates equivalent, which (i) excludes.  Otherwise x gets the
-# full scan over all candidates, which must find exactly one hit.
-# The exact test reads h = conj(x)*y / p^k, a unit multiple of g, only
-# mod p, and `_rows` is a right-unit invariant at every M; so (i) does not
-# depend on M.  `_certify` runs it at M = k + 2, where `_rows` is cheapest,
-# once per process for each candidate family: its cache is keyed on the
-# family tuple, not on (pattern, p, k), so a changed family is certified
-# anew, and a failed certificate raises and is never stored.
-# For x with v_p(nrd x) = k, all of this reads x only mod p^(k+1):
-# nrd(x) and conj(x)*y are integer polynomials, so the p^k-divisibility of
-# conj(x)*y and h mod p agree across lifts of x; `_key` reads x mod
-# p^(k+1).
-# When the order mod p^M has at most _SWEEP_CAP elements, the sample is
-# therefore every valuation-k element mod p^(k+1), each once, standing for
-# its p^(4(M-k-1)) lifts mod p^M.  Otherwise it is a deterministic panel:
-# `_unrank` of uniform indices from a fixed-seed Mersenne Twister, which are
-# uniform elements mod p^M with v_p(nrd) = k, as no draw is rejected, then
-# translates u*c of the candidates by uniform units u.  Both read the
-# residue tables of `_local_order`, built once per (pattern, p) and kept
-# as bytes.  Left units permute the right orbits, so the translates reach
-# orbits that uniform draws rarely hit at large k.
-# The panel does not use pi^k * unit: it is right-equivalent to pi^k by
-# construction, so it tests nothing, whereas u * pi^k must pass the full
-# test.
-
-_SWEEP_CAP = 600_000
-
-# (j, s) for each entry i of a 2x2 x: det x = s*x_i*x_j + terms free of x_j
-_PARTNER = ((3, 1), (2, -1), (1, -1), (0, 1))
+# equal row contents differ in the contents of row combinations.  The
+# exact test reads h = conj(x)*y / p^k, a unit multiple of g, only mod p,
+# and `_rows` is a right-unit invariant at every M; so (i) does not depend
+# on M.  `_certify` runs it at M = k + 2, where `_rows` is cheapest, once
+# per process for each candidate family: its cache is keyed on the family
+# tuple, not on (pattern, p, k), so a changed family is certified anew,
+# and a failed certificate raises and is never stored.
+# In (ii), Stab_M(c) = {1 + y : c*y = 0 in O/p^M O}.  Such a y has
+# nrd(c)*y = conj(c)*c*y in p^M*O, so y lies in p^(M-k)*O; with M >= k + 1
+# that puts nrd(1 + y) = 1 + tr(y) + nrd(y) in 1 + p*Z_p, so 1 + y is a
+# unit, and y -> 1 + y is onto the stabilizer.  The y form the kernel of
+# y -> c*y on O/p^M O = (Z/p^M)^4, as large as its cokernel O/(c*O + p^M*O),
+# whose order `_stabilizer` reads off one Hermite normal form.
+# All three counts are of O/p^M O.  `_count` counts the flat coordinates
+# mod p^M: the level order's Z-basis is e11, e12, p*e21, e22, so O/p^M O
+# has p elements over each level matrix mod p^M, all of one nrd mod p^M,
+# and |S_M| is p times the count there.
 
 
 class _LocalOrder(NamedTuple):
@@ -169,11 +152,10 @@ class _LocalOrder(NamedTuple):
     conj: Callable
     nrd: Callable
     member: Callable
-    # the unit and the nonzero nonunit residues mod p, in product order,
-    # four bytes each (p < 256): a cached order holds about 4 bytes per
-    # residue instead of a 4-tuple's 80
-    units: bytes
-    singular: bytes
+    scale: tuple  # the order's Z-basis: scale[i] * e_i in flat coordinates
+    # the unit and the nonzero nonunit residues mod p, in flat coordinates
+    units: int
+    singular: int
     inner: object = None  # the order of x' for x = p*x' (None: this one)
     # pi^2 = p, so a nonzero nonunit residue lifts only to v_p(nrd) = 1
     pi_squared_is_p: bool = False
@@ -194,24 +176,22 @@ def _mul2(x, y):
 
 @lru_cache(maxsize=None)
 def _local_order(pattern: str, p: int) -> _LocalOrder:
-    """The pattern's order and its residue tables mod p, which decide
-    membership, built once per (pattern, p).  An x = p*x' of the level
-    order has any split x'."""
-    inner = _local_order("split", p) if pattern == "level" else None
+    """The pattern's order and its residue counts mod p, built once per
+    (pattern, p).  An x = p*x' of the level order has any split x'."""
     if pattern == "ramified":
+        # the nonunits mod p are pi*O/p*O, the p^2 residues of pi*(a + b*u)
         model = ramified_model(p)
-        ops = (model.mul, model.involution, model.nrd, lambda x: True)
-    elif inner:
-        ops = (_mul2, _adj2, _det2, lambda x: x[2] % p == 0)
-    else:
-        ops = (_mul2, _adj2, _det2, lambda x: True)
-    units, singular = bytearray(), bytearray()
-    # every member residue but zero, the first in product order
-    for r in itertools.islice(itertools.product(range(p), repeat=4), 1, None):
-        if ops[3](r):
-            (units if ops[2](r) % p else singular).extend(r)
-    return _LocalOrder(*ops, bytes(units), bytes(singular), inner,
-                       pattern == "ramified")
+        return _LocalOrder(model.mul, model.involution, model.nrd,
+                           lambda x: True, (1, 1, 1, 1), p ** 4 - p * p,
+                           p * p - 1, pi_squared_is_p=True)
+    if pattern == "level":
+        units = (p - 1) ** 2 * p  # x0, x3 nonzero, x1 free, x2 = 0
+        return _LocalOrder(_mul2, _adj2, _det2, lambda x: x[2] % p == 0,
+                           (1, 1, p, 1), units, p ** 3 - 1 - units,
+                           _local_order("split", p))
+    units = (p * p - 1) * (p * p - p)  # |GL_2(F_p)|
+    return _LocalOrder(_mul2, _adj2, _det2, lambda x: True, (1, 1, 1, 1),
+                       units, p ** 4 - 1 - units)
 
 
 def _pi_power(p: int, k: int):
@@ -233,34 +213,6 @@ def _candidates(pattern: str, p: int, k: int):
         for b in range(1, k + 1):
             cands.extend((0, p ** (k - b), p ** b, d) for d in range(p ** b))
     return cands
-
-
-def _key(pattern: str, p: int, k: int, x):
-    """The candidate that x, of v_p(nrd) = k, reduces to by column operations.
-
-    Split: the column Hermite form (p^a, 0, c mod p^b, p^b), the columns
-    first swapped when v(x1) < v(x0).  Level: the Iwahori form, where col1
-    may take only p times col2 and the columns never swap:
-    (p^a, 0, c mod p^(b+1), p^b) when v(x0) <= v(x1), else
-    (0, p^a, p^b, d mod p^b).  Ramified: pi^k.  None when x has no such
-    form.  A hint only: `oracle_local_orbits` tests it exactly.
-    """
-    if pattern == "ramified":
-        return _pi_power(p, k)
-    # p^min(v, k + 1) of the top entries: only valuations up to k matter
-    pk = p ** k
-    g0, g1 = math.gcd(x[0], pk * p), math.gcd(x[1], pk * p)
-    swap = g1 < g0
-    pa = g1 if swap else g0
-    if pa > pk:
-        return None
-    pb = pk // pa
-    top, low = (x[1], x[3]) if swap else (x[0], x[2])
-    mod = pb * p if pattern == "level" and not swap else pb
-    c = low * pow(top // pa, -1, mod) % mod
-    if pattern == "level" and swap:
-        return (0, pa, pb, c)
-    return (pa, 0, c, pb)
 
 
 @lru_cache(maxsize=None)
@@ -343,118 +295,82 @@ def _certify(pattern: str, p: int, k: int, cands: tuple) -> None:
 
 
 def _count(order, p, k, M):
-    """The number of elements of the order mod p^M with v_p(nrd) = k."""
-    if k == 0:
-        return len(order.units) // 4 * p ** (4 * M - 4)
-    zero = _count(order.inner or order, p, k - 2, M - 1) if k >= 2 else 0
-    if order.pi_squared_is_p:
-        return zero + (k == 1) * len(order.singular) // 4 * p ** (4 * M - 4)
-    return zero + len(order.singular) // 4 * (p - 1) * p ** (4 * M - k - 4)
-
-
-def _unrank(order, p, k, M, z):
-    """The z-th element of the order mod p^M with v_p(nrd) = k, a bijection
-    from range(_count(order, p, k, M)) onto those elements.
+    """The number of elements of the order mod p^M, in flat coordinates,
+    with v_p(nrd) = k, for M > k.
 
     k = 0: a unit residue and four digits mod p^(M-1).  k >= 2 first: p*x'
-    for x' of valuation k - 2 mod p^(M-1).  Then a nonzero nonunit residue
-    r: with four digits when pi^2 = p (so k = 1), else with digits for the
-    entries but the partner j of r's first unit entry i, and x_j solving
-    nrd x = p^k*u for a unit u mod p^(M-k); nrd is linear in x_j with unit
-    coefficient +-x_i, and x_j = r_j mod p as nrd r = 0 mod p.
+    for x' of valuation k - 2 mod p^(M-1).  Then a nonzero nonunit residue:
+    when pi^2 = p all its lifts have valuation 1.  In M_2, nrd is linear in
+    the entry paired with the residue's first unit entry, with a unit
+    coefficient, and runs over the p^(M-1) lifts of its residue, so nrd is
+    uniform over p*Z/p^M and (p-1)/p^k of the lifts have valuation k.
     """
-    if k >= 2:
-        inner = order.inner or order
-        zero = _count(inner, p, k - 2, M - 1)
-        if z < zero:
-            return tuple(p * v for v in _unrank(inner, p, k - 2, M - 1, z))
-        z -= zero
-    table = order.singular if k else order.units
-    z, i = divmod(z, len(table) // 4)
-    x, free, j = list(table[4 * i:4 * i + 4]), p ** (M - 1), None
-    if k and not order.pi_squared_is_p:
-        i = next(filter(x.__getitem__, range(4)))
-        j, sign = _PARTNER[i]
-        x[j] = 0
-    for n in range(4):
-        if n != j:
-            z, d = divmod(z, free)
-            x[n] += p * d
-    if j is not None:
-        z, d = divmod(z, p - 1)
-        q = p ** M
-        x[j] = ((p ** k * (1 + d + p * z) - order.nrd(x))
-                * pow(sign * x[i], -1, q) % q)
-    return tuple(x)
+    if k == 0:
+        return order.units * p ** (4 * M - 4)
+    zero = _count(order.inner or order, p, k - 2, M - 1) if k >= 2 else 0
+    if order.pi_squared_is_p:
+        return zero + (k == 1) * order.singular * p ** (4 * M - 4)
+    return zero + order.singular * (p - 1) * p ** (4 * M - k - 4)
 
 
-def _panel(order, cands, p, k, M):
-    """125 uniform elements mod p^M with v_p(nrd) = k, then 250 translates
-    u*c, c running through the candidates in turn and u a uniform unit: each
-    `_unrank` of a uniform index from a fixed-seed Mersenne Twister."""
-    q = p ** M
-    rng = random.Random(987654321)
-
-    def draw(j, count):
-        x = _unrank(order, p, j, M, rng.randrange(count))
-        n, pj = order.nrd(x), p ** j
-        if not (order.member(x) and n % pj == 0 and n // pj % p):
-            raise ArithmeticError("%r is no member of valuation %d" % (x, j))
-        return x
-
-    count, units = _count(order, p, k, M), _count(order, p, 0, M)
-    out = [draw(k, count) for _ in range(125)]
-    for c in itertools.islice(itertools.cycle(cands), 250):
-        out.append(tuple(v % q for v in order.mul(draw(0, units), c)))
-    return out
-
-
-def _sample(order, cands, p, k, M):
-    """Every element of the order mod p^(k+1) with v_p(nrd) = k, each once,
-    which decide every element mod p^M, when the order mod p^M has at most
-    _SWEEP_CAP elements; else `_panel`."""
-    members = (len(order.units) + len(order.singular)) // 4 + 1
-    if p ** (4 * M - 4) * members > _SWEEP_CAP:
-        return _panel(order, cands, p, k, M)
-    pk, q = p ** k, p ** (k + 1)
-    residues = order.singular + bytes(4) if k else order.units
-    return (x for i in range(0, len(residues), 4)
-            for x in itertools.product(*(range(v, q, p)
-                                         for v in residues[i:i + 4]))
-            if (n := order.nrd(x)) % pk == 0 and n // pk % p)
+def _stabilizer(order, c, q):
+    """|{y in O/qO : c*y in qO}|: the index of c*O + q*O in O, the product
+    of the pivots of the Hermite normal form of q*I and the matrix of
+    y -> c*y in the order's Z-basis (a row c*b for each basis element b)."""
+    s = order.scale
+    rows = [[q, 0, 0, 0], [0, q, 0, 0], [0, 0, q, 0], [0, 0, 0, q]]
+    for i, d in enumerate(s):
+        b = [0, 0, 0, 0]
+        b[i] = d
+        rows.append([v // e % q for v, e in zip(order.mul(c, b), s)])
+    h = hnf_rows(rows)  # full rank: row i has its pivot in column i
+    return h[0][0] * h[1][1] * h[2][2] * h[3][3]
 
 
 def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
-    """Count orbits of determinant-p^k-unit elements under right unit action.
+    """Count orbits of elements of reduced norm p^k*unit under right
+    multiplication by units, and prove the count at (p, k, M).
 
     `pattern` is "split", "level" or "ramified"; the computation is carried
-    out in the corresponding local order.  M is the modulus of the panel's
-    digits, and the size of the order mod p^M decides between sweep and
-    panel; the margin M >= k + 2 keeps the count of mod-p^M classes stable.
-    The exact test and the certificate of the candidates read no modulus:
-    the certificate is made once per family and holds at every M.  A sweep
-    visits the valuation-k elements mod p^(k+1), which decide every test.
+    out in the corresponding local order O mod p^M.  The candidates are
+    certified pairwise inequivalent once per family.  Each must then lie in
+    O with v_p(nrd) = k, its stabilizer in the units U_M of O/p^M O must
+    have an order dividing |U_M|, and the orbit sizes |U_M| / |Stab_M(c)|
+    must add up exactly to the number |S_M| of elements of O/p^M O with
+    v_p(nrd) = k: the class equation.  The proof needs M >= k + 1; the
+    margin M >= k + 2 is kept as the caller's contract.  A failed check
+    raises ArithmeticError naming it, the op and both sides.
     """
     if pattern not in ("split", "level", "ramified"):
         raise ValueError("unknown pattern %r" % (pattern,))
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
+    if k < 0:
+        raise ValueError("k must be >= 0, got %d" % k)
     if M < k + 2:
         raise ValueError("need M >= k + 2 for a stable orbit count")
-    if p > 255:
-        raise ValueError("the residue tables hold digits mod p < 256")
     order = _local_order(pattern, p)
     cands = tuple(_candidates(pattern, p, k))
     _certify(pattern, p, k, cands)
-    known = set(cands)
-    checked = 0
-    for x in _sample(order, cands, p, k, M):
-        key = _key(pattern, p, k, x)
-        if not (key in known and _equivalents(order, p, k, x, (key,))):
-            hits = len(_equivalents(order, p, k, x, cands))
-            if hits != 1:
-                raise ArithmeticError(
-                    "element %r matched %d candidates" % (x, hits))
-        checked += 1
-    if checked == 0:
-        raise ArithmeticError("empty sample for %s p=%d k=%d M=%d"
-                              % (pattern, p, k, M))
+    op = "%s p=%d k=%d M=%d" % (pattern, p, k, M)
+    q, pk, index = p ** M, p ** k, math.prod(order.scale)
+    units = index * _count(order, p, 0, M)
+    total = 0
+    for c in cands:
+        n = order.nrd(c)
+        if not (order.member(c) and n % pk == 0 and n // pk % p):
+            raise ArithmeticError(
+                "member/valuation check fails for %s: candidate %r has nrd "
+                "%d, want a member with v_p(nrd) = %d" % (op, c, n, k))
+        stab = _stabilizer(order, c, q)
+        if units % stab:
+            raise ArithmeticError(
+                "stabilizer check fails for %s: |Stab_M(%r)| = %d does not "
+                "divide |U_M| = %d" % (op, c, stab, units))
+        total += units // stab
+    want = index * _count(order, p, k, M)
+    if total != want:
+        raise ArithmeticError(
+            "class equation fails for %s: the orbit sizes add up to %d, "
+            "|S_M| = %d" % (op, total, want))
     return len(cands)

@@ -444,8 +444,6 @@ def _cmd_degree(args, parser) -> int:
 def _cmd_certify(args, parser) -> int:
     if not is_prime(args.p):
         parser.error("--p must be prime, got %d" % args.p)
-    if args.p > 255:
-        parser.error("--p must be < 256, got %d" % args.p)
     if args.k < 0:
         parser.error("--k must be >= 0, got %d" % args.k)
     if args.M < args.k + 2:

@@ -140,6 +140,12 @@ def test_oracle_guards():
         oracle_local_orbits("split", 2, 2, 3)  # insufficient margin
     with pytest.raises(ValueError):
         oracle_local_orbits("weird", 2, 1, 3)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        oracle_local_orbits("split", 2, -1, 3)
+    # the residue counts are closed forms in a prime p
+    for p in (4, 1):
+        with pytest.raises(ValueError, match="p must be prime"):
+            oracle_local_orbits("split", p, 1, 3)
 
 
 def _unit(order, p):
@@ -148,14 +154,21 @@ def _unit(order, p):
                 if g != (1, 0, 0, 0) and order.member(g) and order.nrd(g) % p)
 
 
+def _nonunit(order, p):
+    """The first nonzero nonunit of the order mod p, in product order."""
+    return next(s for s in itertools.product(range(p), repeat=4)
+                if any(s) and order.member(s) and order.nrd(s) % p == 0)
+
+
 # mutation -> (candidate family, the check that must catch it)
 _MUTATIONS = {
     "duplicated": (lambda cands, order, p, M: cands + cands[:1], "are equivalent"),
-    "dropped": (lambda cands, order, p, M: cands[:-1], "matched 0 candidates"),
+    # the orbits left no longer fill S_M
+    "dropped": (lambda cands, order, p, M: cands[:-1], "class equation fails"),
     # p * c has v_p(nrd) = k + 2; for ramified p * pi^k = pi^(k+2)
     "wrong-valuation": (lambda cands, order, p, M:
                         cands[:-1] + [tuple(p * v for v in cands[-1])],
-                        "matched 0 candidates"),
+                        "member/valuation check fails"),
     # c * g mod p^M lies in the bucket of c, so the pairwise test meets it
     "translated-duplicate": (lambda cands, order, p, M: cands + [
         tuple(v % p ** M for v in order.mul(cands[-1], _unit(order, p)))],
@@ -169,13 +182,15 @@ _MUTATIONS = {
     ("ramified", 2, 1, 3, "sweep"),
     ("split", 3, 1, 4, "panel"), ("level", 3, 1, 4, "panel"),
     ("ramified", 3, 1, 4, "panel"),
+    ("split", 2, 2, 4, "sweep"), ("level", 2, 2, 4, "sweep"),
+    ("ramified", 2, 2, 4, "sweep"),
 ])
 def test_oracle_rejects_mutated_candidates(mutation, pattern, p, k, M, side,
                                            monkeypatch):
+    # the ops of both kinds the tests check coverage at: small enough to
+    # enumerate in full, or only sampled by test_panel_coverage
+    assert ((pattern, p, k, M) in _PANEL_OPS) == (side == "panel")
     order = heckedeg._local_order(pattern, p)
-    cands = heckedeg._candidates(pattern, p, k)
-    # the panel is a list, the full sweep a generator
-    assert isinstance(heckedeg._sample(order, cands, p, k, M), list) == (side == "panel")
     mutate, caught_by = _MUTATIONS[mutation]
     original = heckedeg._candidates
     monkeypatch.setattr(heckedeg, "_candidates",
@@ -190,9 +205,8 @@ def test_oracle_rejects_mutated_candidates(mutation, pattern, p, k, M, side,
 ])
 def test_certificate_cache_cannot_hide_a_mutation(pattern, p, k, monkeypatch):
     # the honest family is certified at M = k + 2 and its certificate is
-    # stored; each mutated family must still be caught at M = k + 3 (a sweep
-    # at p = 2, a panel at p = 3), and caught again on a second call, as a
-    # failed certificate is never stored
+    # stored; each mutated family must still be caught at M = k + 3, and
+    # caught again on a second call, as a failed certificate is never stored
     heckedeg._certify.cache_clear()
     closed = local_degree(pattern, p, k)
     assert oracle_local_orbits(pattern, p, k, k + 2) == closed
@@ -206,51 +220,6 @@ def test_certificate_cache_cannot_hide_a_mutation(pattern, p, k, monkeypatch):
         for _ in range(2):
             with pytest.raises(ArithmeticError, match=caught_by):
                 oracle_local_orbits(pattern, p, k, M)
-
-
-@pytest.mark.parametrize("pattern", ["split", "level"])
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_key_of_candidate_is_itself(pattern, p):
-    for k in range(4):
-        for c in heckedeg._candidates(pattern, p, k):
-            assert heckedeg._key(pattern, p, k, c) == c, (pattern, p, k, c)
-
-
-@pytest.mark.parametrize("pattern,p,k,M", [
-    ("split", 2, 2, 4), ("level", 2, 2, 4), ("split", 5, 3, 5),
-    ("level", 5, 3, 5), ("level", 7, 2, 4), ("ramified", 7, 3, 5),
-])
-def test_key_matches_every_sample(pattern, p, k, M):
-    # the key is what keeps the oracle linear: no element may need the scan
-    order = heckedeg._local_order(pattern, p)
-    cands = heckedeg._candidates(pattern, p, k)
-    for x in heckedeg._sample(order, cands, p, k, M):
-        key = heckedeg._key(pattern, p, k, x)
-        assert key in cands and heckedeg._equivalents(order, p, k, x, [key]), x
-
-
-@pytest.mark.parametrize("fake", ["none", "wrong"])
-@pytest.mark.parametrize("pattern,p,k", [
-    ("split", 2, 1), ("split", 3, 1), ("split", 2, 2),
-    ("level", 2, 1), ("level", 3, 1), ("level", 2, 2),
-    ("ramified", 2, 1), ("ramified", 3, 1), ("ramified", 2, 2),
-])
-def test_key_is_only_a_hint(fake, pattern, p, k, monkeypatch):
-    # a key that is no candidate, or the first candidate whatever the
-    # element, must not change the count, nor let a mutation through
-    M = k + 2
-    order = heckedeg._local_order(pattern, p)
-    first = heckedeg._candidates(pattern, p, k)[0]
-    monkeypatch.setattr(heckedeg, "_key",
-                        lambda *a: None if fake == "none" else first)
-    closed = local_degree(pattern, p, k)
-    assert oracle_local_orbits(pattern, p, k, M) == closed
-    original = heckedeg._candidates
-    for mutate, caught_by in _MUTATIONS.values():
-        monkeypatch.setattr(heckedeg, "_candidates",
-                            lambda *a: mutate(original(*a), order, p, M))
-        with pytest.raises(ArithmeticError, match=caught_by):
-            oracle_local_orbits(pattern, p, k, M)
 
 
 @pytest.mark.parametrize("pattern", ["split", "level"])
@@ -283,57 +252,6 @@ def test_rows_are_right_unit_invariant(pattern):
             for k in range(M - 1):
                 for c in heckedeg._candidates(pattern, p, k):
                     invariant_under_a_unit(c)
-
-
-# the sweeps small enough to check against every element mod p^M
-_SMALL_SWEEPS = [
-    ("split", 2, 1, 3), ("split", 2, 2, 4), ("level", 2, 1, 3),
-    ("level", 2, 2, 4), ("ramified", 2, 1, 3), ("ramified", 2, 2, 4),
-]
-
-
-def _valuation_k(order, p, k, modulus):
-    """Every member mod `modulus` whose nrd has valuation exactly k."""
-    return [x for x in itertools.product(range(modulus), repeat=4)
-            if order.member(x) and order.nrd(x) % p ** k == 0
-            and order.nrd(x) % p ** (k + 1)]
-
-
-@pytest.mark.parametrize("pattern,p,k,M", _SMALL_SWEEPS)
-def test_sweep_is_every_element_of_valuation_k(pattern, p, k, M):
-    # the sweep is every valuation-k element mod p^(k+1), each once
-    order = heckedeg._local_order(pattern, p)
-    sweep = list(heckedeg._sample(order, heckedeg._candidates(pattern, p, k),
-                                  p, k, M))
-    want = _valuation_k(order, p, k, p ** (k + 1))
-    assert len(sweep) == len(set(sweep)) and set(sweep) == set(want)
-
-
-@pytest.mark.parametrize("pattern,p,k,M", _SMALL_SWEEPS)
-def test_residue_decides_every_lift(pattern, p, k, M):
-    # each valuation-k element mod p^M gets the key, the key-test result
-    # and the scan hits of its residue mod p^(k+1), under every candidate
-    # family, so sweeping the residues decides every element mod p^M
-    order = heckedeg._local_order(pattern, p)
-    cands = heckedeg._candidates(pattern, p, k)
-    families = [cands] + [mutate(cands, order, p, M)
-                          for mutate, _ in _MUTATIONS.values()]
-
-    def outcome(x, family):
-        key = heckedeg._key(pattern, p, k, x)
-        passes = key in family and bool(
-            heckedeg._equivalents(order, p, k, x, (key,)))
-        return key, passes, heckedeg._equivalents(order, p, k, x, family)
-
-    of_residue = {}
-    for x in _valuation_k(order, p, k, p ** M):
-        r = tuple(v % p ** (k + 1) for v in x)
-        for i, family in enumerate(families):
-            if (r, i) not in of_residue:
-                of_residue[r, i] = outcome(r, family)
-            assert outcome(x, family) == of_residue[r, i], (x, i)
-    assert len(of_residue) == len(families) * len(
-        _valuation_k(order, p, k, p ** (k + 1)))
 
 
 _GRID = [(pattern, p, k, M) for pattern in ("split", "level", "ramified")
@@ -376,7 +294,7 @@ def test_certificate_at_k_plus_2_holds_at_every_M():
     # for a nonzero nonunit s, which none may
     for pattern, p, k, M in _GRID + _CI_OPS:
         order = heckedeg._local_order(pattern, p)
-        u, s = _unit(order, p), tuple(order.singular[:4])
+        u, s = _unit(order, p), _nonunit(order, p)
         buckets = collections.defaultdict(list)
         for c in heckedeg._candidates(pattern, p, k):
             buckets[heckedeg._rows(pattern, p, M, c)].append(c)
@@ -402,13 +320,12 @@ def test_local_order_is_built_once():
         for pattern in ("split", "level", "ramified"):
             order = heckedeg._local_order(pattern, p)
             assert heckedeg._local_order(pattern, p) is order
-            # immutable, so the one cached order cannot be changed by a caller
-            assert type(order.units) is bytes and type(order.singular) is bytes
         inner = heckedeg._local_order("level", p).inner
         assert inner is heckedeg._local_order("split", p)
 
 
-# the ops of _GRID + _CI_OPS whose order mod p^M is small enough to sweep
+# the ops of _GRID + _CI_OPS with at most 6*10^5 flat tuples mod p^M (level
+# counted as matrices), small enough to enumerate; the others are sampled
 _SWEPT = {
     ("split", 2, 1, 3), ("split", 2, 1, 4), ("split", 2, 2, 4),
     ("split", 3, 1, 3), ("level", 2, 1, 3), ("level", 2, 1, 4),
@@ -419,32 +336,81 @@ _SWEPT = {
 _PANEL_OPS = [op for op in _GRID + _CI_OPS if op not in _SWEPT]
 
 
-def test_sweep_selection(monkeypatch):
-    # the sweep-or-panel choice rests on the size of the order mod p^M
-    monkeypatch.setattr(heckedeg, "_panel", lambda *a: "panel")
-    swept = set()
-    for pattern, p, k, M in _GRID + _CI_OPS:
-        order = heckedeg._local_order(pattern, p)
-        members = sum(map(order.member, itertools.product(range(p), repeat=4)))
-        sample = heckedeg._sample(order, heckedeg._candidates(pattern, p, k),
-                                  p, k, M)
-        sweeps = p ** (4 * M - 4) * members <= heckedeg._SWEEP_CAP
-        assert (sample != "panel") == sweeps, (pattern, p, k, M)
-        if sweeps:
-            swept.add((pattern, p, k, M))
-    assert swept == _SWEPT
+def _valuation_k(order, p, k, modulus):
+    """Every member mod `modulus` whose nrd has valuation exactly k."""
+    return [x for x in itertools.product(range(modulus), repeat=4)
+            if order.member(x) and order.nrd(x) % p ** k == 0
+            and order.nrd(x) % p ** (k + 1)]
 
 
 @pytest.mark.parametrize("pattern,p,k,M", _PANEL_OPS)
 def test_panel_coverage(pattern, p, k, M):
-    # no draw is rejected: every panel is 125 elements of valuation k and
-    # 250 translates of the candidates
+    # a fixed-seed panel of 25 uniform draws from S_M, each right-equivalent
+    # to a candidate by `_equivalent_mod`: an independent sample of the
+    # coverage that the class equation proves.  Split and level draws are
+    # rejection-sampled; in the ramified order pi normalises O, so
+    # S_M = U_M * pi^k and a uniform unit times pi^k is a uniform draw
     order = heckedeg._local_order(pattern, p)
-    panel = heckedeg._panel(order, heckedeg._candidates(pattern, p, k),
-                            p, k, M)
-    assert len(panel) == 125 + 250
+    cands = heckedeg._candidates(pattern, p, k)
+    rng = random.Random("%s-%d-%d-%d" % (pattern, p, k, M))
+    q = p ** M
+    step = p if pattern == "level" else 1
+    panel = []
+    while len(panel) < 25:
+        x = (rng.randrange(q), rng.randrange(q), rng.randrange(0, q, step),
+             rng.randrange(q))
+        if pattern == "ramified":
+            if order.nrd(x) % p:
+                panel.append(tuple(v % q for v in order.mul(x, cands[0])))
+        elif valuation(order.nrd(x), p) == k:
+            panel.append(x)
     for x in panel:
         assert order.member(x) and valuation(order.nrd(x), p) == k, x
+        assert any(_equivalent_mod(order, p, k, M, c, x) for c in cands), x
+
+
+# the ops small enough to check against every element mod p^M
+_SMALL_SWEEPS = [
+    ("split", 2, 1, 3), ("split", 2, 2, 4), ("level", 2, 1, 3),
+    ("level", 2, 2, 4), ("ramified", 2, 1, 3), ("ramified", 2, 2, 4),
+]
+
+
+@pytest.mark.parametrize("pattern,p,k,M", _SMALL_SWEEPS)
+def test_sweep_is_every_element_of_valuation_k(pattern, p, k, M):
+    # v_p(nrd x) is decided by x mod p^(k+1): the valuation-k elements mod
+    # p^M are the lifts of the valuation-k residues mod p^(k+1), the sweep,
+    # p^(4(M-k-1)) lifts each, and `_count` counts both sets
+    order = heckedeg._local_order(pattern, p)
+    sweep = _valuation_k(order, p, k, p ** (k + 1))
+    assert len(sweep) == len(set(sweep)) == heckedeg._count(order, p, k, k + 1)
+    lifts = collections.Counter(tuple(v % p ** (k + 1) for v in x)
+                                for x in _valuation_k(order, p, k, p ** M))
+    assert set(lifts) == set(sweep)
+    assert set(lifts.values()) == {p ** (4 * (M - k - 1))}
+    assert sum(lifts.values()) == heckedeg._count(order, p, k, M)
+
+
+@pytest.mark.parametrize("pattern,p,k,M", _SMALL_SWEEPS)
+def test_residue_decides_every_lift(pattern, p, k, M):
+    # each valuation-k element mod p^M gets the equivalence-test result of
+    # its residue mod p^(k+1), under every candidate family: the exact test
+    # reads conj(x)*y / p^k only mod p, so the certificate does not depend
+    # on M
+    order = heckedeg._local_order(pattern, p)
+    cands = heckedeg._candidates(pattern, p, k)
+    families = [cands] + [mutate(cands, order, p, M)
+                          for mutate, _ in _MUTATIONS.values()]
+    of_residue = {}
+    for x in _valuation_k(order, p, k, p ** M):
+        r = tuple(v % p ** (k + 1) for v in x)
+        for i, family in enumerate(families):
+            if (r, i) not in of_residue:
+                of_residue[r, i] = heckedeg._equivalents(order, p, k, r, family)
+            assert heckedeg._equivalents(order, p, k, x, family) == \
+                of_residue[r, i], (x, i)
+    assert len(of_residue) == len(families) * len(
+        _valuation_k(order, p, k, p ** (k + 1)))
 
 
 # (pattern, p, k) with M = k + 2 and at most 2*10^6 elements mod p^M
@@ -455,24 +421,93 @@ _SMALL_UNRANKS = [(pattern, p, k) for pattern in ("split", "level", "ramified")
 
 @pytest.mark.parametrize("pattern,p", sorted({op[:2] for op in _SMALL_UNRANKS}))
 def test_unrank_is_a_bijection(pattern, p):
+    # ranks 0 .. _count - 1 name the valuation-k elements mod p^M one to one
+    # exactly when `_count` is their number: enumerate them, k = 0 to 3
     order = heckedeg._local_order(pattern, p)
     for k in (k for pat, q, k in _SMALL_UNRANKS if (pat, q) == (pattern, p)):
         M = k + 2
-        count = heckedeg._count(order, p, k, M)
-        got = [heckedeg._unrank(order, p, k, M, z) for z in range(count)]
-        assert len(set(got)) == count
-        assert set(got) == set(_valuation_k(order, p, k, p ** M)), (k, M)
+        got = _valuation_k(order, p, k, p ** M)
+        assert heckedeg._count(order, p, k, M) == len(got), (k, M)
 
 
-@pytest.mark.parametrize("pattern,p,k,M", [
-    ("split", 3, 1, 4), ("split", 7, 3, 5), ("level", 5, 2, 4),
-    ("level", 7, 3, 6),
-])
-def test_wrong_partner_sign_raises(pattern, p, k, M, monkeypatch):
-    # solving nrd x = p^k*u with the wrong sign of x_i*x_j misses valuation
-    # k, and the panel checks every element it unranks
-    monkeypatch.setattr(heckedeg, "_PARTNER",
-                        tuple((j, -s) for j, s in heckedeg._PARTNER))
+def _right(order, g, mods):
+    """x -> x*g on flat tuples, each coordinate reduced mod its entry of
+    `mods`: the matrix of the Z-linear map, with rows e_i*g."""
+    rows = [order.mul(e, g) for e in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                      (0, 0, 1, 0), (0, 0, 0, 1))]
+    (r00, r01, r02, r03), (r10, r11, r12, r13), \
+        (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
+    m0, m1, m2, m3 = mods
+
+    def act(x):
+        a, b, c, d = x
+        return ((a * r00 + b * r10 + c * r20 + d * r30) % m0,
+                (a * r01 + b * r11 + c * r21 + d * r31) % m1,
+                (a * r02 + b * r12 + c * r22 + d * r32) % m2,
+                (a * r03 + b * r13 + c * r23 + d * r33) % m3)
+    return act
+
+
+@pytest.mark.parametrize("pattern", ["split", "level", "ramified"])
+@pytest.mark.parametrize("p,k,M", [(2, 1, 3), (2, 2, 4), (3, 1, 3)])
+def test_class_equation_inputs_by_brute_force(pattern, p, k, M):
+    # every element of O/p^M O: flat tuples whose coordinate i runs over
+    # scale_i * Z / p^M * scale_i, for the Z-basis scale_i * e_i of O (for
+    # level e11, e12, p*e21, e22), so the quotient has p^(4M) elements
     order = heckedeg._local_order(pattern, p)
-    with pytest.raises(ArithmeticError, match="valuation %d" % k):
-        heckedeg._panel(order, heckedeg._candidates(pattern, p, k), p, k, M)
+    q, pk = p ** M, p ** k
+    scale = (1, 1, p, 1) if pattern == "level" else (1, 1, 1, 1)
+    mods = tuple(q * d for d in scale)
+    units, level_k = [], []
+    for x in itertools.product(*(range(0, m, d) for m, d in zip(mods, scale))):
+        n = order.nrd(x)
+        if n % p:
+            units.append(x)
+        elif n % pk == 0 and n // pk % p:
+            level_k.append(x)
+    # the flat count of `_count` is the matrices mod p^M for level, p times
+    # fewer than O/p^M O
+    index = p if pattern == "level" else 1
+    assert len(units) == index * heckedeg._count(order, p, 0, M)
+    assert len(level_k) == index * heckedeg._count(order, p, k, M)
+
+    # fixed-seed units join the generating set until the closure of the
+    # set under right multiplication, which is the group it generates, is
+    # all of U_M; a unit already in the closure would add nothing
+    one = (1, 0, 0, 0) if pattern == "ramified" else (1, 0, 0, 1)
+    rng = random.Random(0)
+    gens, closure = [], {one}
+    while len(closure) < len(units):
+        g = rng.choice(units)
+        if g in closure:
+            continue
+        gens.append(_right(order, g, mods))
+        todo, closure = [one], {one}
+        for x in todo:
+            for act in gens:
+                y = act(x)
+                if y not in closure:
+                    closure.add(y)
+                    todo.append(y)
+
+    # the orbits of U_M on S_M, by union-find under the generators
+    parent = {x: x for x in level_k}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for act in gens:
+        for x in level_k:
+            a, b = find(x), find(act(x))
+            if a != b:
+                parent[a] = b
+    orbit = collections.Counter(find(x) for x in level_k)
+    cands = heckedeg._candidates(pattern, p, k)
+    roots = [find(tuple(v % m for v, m in zip(c, mods))) for c in cands]
+    assert len(orbit) == len(cands) == len(set(roots))
+    for c, root in zip(cands, roots):
+        # orbit-stabilizer: |Stab_M(c)| = |U_M| / |orbit of c|
+        assert len(units) == orbit[root] * heckedeg._stabilizer(order, c, q), c

@@ -16,14 +16,17 @@ by the class equation.  The three patterns share one path.  A pattern
 supplies its order's multiplication, conjugation, reduced norm, membership
 test and Z-basis, its numbers of unit and of nonzero nonunit residues mod
 p, its candidate representatives, and right-unit invariants, the contents
-of row combinations.  The candidates are certified pairwise inequivalent by
-one exact right-equivalence test, run only within a bucket of equal
-invariants, once per family and process.  Each candidate's orbit under the
-units U_M of O/p^M O has |U_M| / |Stab_M(c)| elements, the stabilizer
-counted as the index of c*O + p^M*O in O by one Hermite normal form.  When
-these orbit sizes add up to the number of elements of O/p^M O with
-v_p(nrd) = k, counted in closed form, the disjoint orbits fill that set,
-so the count holds at (p, k, M) with no element sampled.
+of row combinations.  Once per family and process, the candidates are
+certified pairwise inequivalent by one exact right-equivalence test, run
+only within a bucket of equal invariants, each is checked to lie in O with
+v_p(nrd) = k, and its stabilizer is counted.  For every M >= k the
+stabilizer of c in the units U_M of O/p^M O has as many elements as
+{z in O/p^k O : c*z in p^k*O}, the index of c*O + p^k*O in O, read off one
+Hermite normal form; so it does not depend on M.  Each candidate's orbit
+has |U_M| / |Stab_M(c)| elements.  When these orbit sizes add up to the
+number of elements of O/p^M O with v_p(nrd) = k, counted in closed form,
+the disjoint orbits fill that set, so the count holds at (p, k, M) with no
+element sampled.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -138,9 +141,15 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # In (ii), Stab_M(c) = {1 + y : c*y = 0 in O/p^M O}.  Such a y has
 # nrd(c)*y = conj(c)*c*y in p^M*O, so y lies in p^(M-k)*O; with M >= k + 1
 # that puts nrd(1 + y) = 1 + tr(y) + nrd(y) in 1 + p*Z_p, so 1 + y is a
-# unit, and y -> 1 + y is onto the stabilizer.  The y form the kernel of
-# y -> c*y on O/p^M O = (Z/p^M)^4, as large as its cokernel O/(c*O + p^M*O),
-# whose order `_stabilizer` reads off one Hermite normal form.
+# unit, and y -> 1 + y is onto the stabilizer.  Write y = p^(M-k)*z, with z
+# unique mod p^k: then c*y lies in p^M*O exactly when c*z lies in p^k*O.
+# So for every M >= k, y -> z is a bijection from the kernel of y -> c*y on
+# O/p^M O onto the kernel of z -> c*z on O/p^k O = (Z/p^k)^4, as large as
+# its cokernel O/(c*O + p^k*O), whose order `_stabilizer` reads off one
+# Hermite normal form.  It stays a count: no closed form is assumed.
+# Per family, once: (i), the member/valuation check and the stabilizer
+# orders, all in `_certify`.  Per M: |U_M| and |S_M|, that each order
+# divides |U_M|, and the class equation.
 # All three counts are of O/p^M O.  `_count` counts the flat coordinates
 # mod p^M: the level order's Z-basis is e11, e12, p*e21, e22, so O/p^M O
 # has p elements over each level matrix mod p^M, all of one nrd mod p^M,
@@ -271,16 +280,20 @@ def _equivalents(order, p, k, x, ys):
 
 
 @lru_cache(maxsize=None)
-def _certify(pattern: str, p: int, k: int, cands: tuple) -> None:
-    """Certify that no two of the candidates are right-equivalent, or raise
-    ArithmeticError naming two that are.
+def _certify(pattern: str, p: int, k: int, cands: tuple) -> tuple:
+    """Certify the candidate family and count its stabilizers, or raise
+    ArithmeticError naming the check that fails and a candidate.
 
-    Pairs are tested only within a bucket of equal `_rows` at M = k + 2.
-    Neither step depends on M: `_rows` is a right-unit invariant at every
-    M and `_equivalents` is exact over Z_p, so the certificate holds at
-    every M of the oracle and p^(k+2) is the cheapest modulus.  The cache
-    is keyed on the family itself, so a changed family is certified anew,
-    and a failed certificate raises and is never stored.
+    First, no two candidates are right-equivalent: pairs are tested only
+    within a bucket of equal `_rows` at M = k + 2.  Neither step depends on
+    M: `_rows` is a right-unit invariant at every M and `_equivalents` is
+    exact over Z_p, so the certificate holds at every M of the oracle and
+    p^(k+2) is the cheapest modulus.  Then each candidate must lie in the
+    order with v_p(nrd) = k, and its |Stab_M(c)|, the same for every
+    M >= k, is counted once, at p^k.  Returns the pairs (order, (how many
+    candidates, first candidate)) of the stabilizer orders.  The cache is
+    keyed on the family itself, so a changed family is certified anew, and
+    a failed family raises and is never stored.
     """
     order = _local_order(pattern, p)
     buckets = {}
@@ -292,6 +305,18 @@ def _certify(pattern: str, p: int, k: int, cands: tuple) -> None:
             if same:
                 raise ArithmeticError(
                     "candidates %r and %r are equivalent" % (c, same[0]))
+    pk, stabs = p ** k, {}
+    for c in cands:
+        n = order.nrd(c)
+        if not (order.member(c) and n % pk == 0 and n // pk % p):
+            raise ArithmeticError(
+                "member/valuation check fails for %s p=%d k=%d: candidate %r "
+                "has nrd %d, want a member with v_p(nrd) = %d"
+                % (pattern, p, k, c, n, k))
+        stab = _stabilizer(order, c, pk)
+        count, first = stabs.get(stab, (0, c))
+        stabs[stab] = (count + 1, first)
+    return tuple(stabs.items())
 
 
 def _count(order, p, k, M):
@@ -316,7 +341,12 @@ def _count(order, p, k, M):
 def _stabilizer(order, c, q):
     """|{y in O/qO : c*y in qO}|: the index of c*O + q*O in O, the product
     of the pivots of the Hermite normal form of q*I and the matrix of
-    y -> c*y in the order's Z-basis (a row c*b for each basis element b)."""
+    y -> c*y in the order's Z-basis (a row c*b for each basis element b).
+
+    The q*I rows move the pivots whenever c*O does not contain q*O; the
+    oracle calls it at q = p^k for a candidate with v_p(nrd c) = k, which
+    counts |Stab_M(c)| for every M >= k (see the comment block above).
+    """
     s = order.scale
     rows = [[q, 0, 0, 0], [0, q, 0, 0], [0, 0, q, 0], [0, 0, 0, q]]
     for i, d in enumerate(s):
@@ -332,14 +362,16 @@ def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
     multiplication by units, and prove the count at (p, k, M).
 
     `pattern` is "split", "level" or "ramified"; the computation is carried
-    out in the corresponding local order O mod p^M.  The candidates are
-    certified pairwise inequivalent once per family.  Each must then lie in
-    O with v_p(nrd) = k, its stabilizer in the units U_M of O/p^M O must
-    have an order dividing |U_M|, and the orbit sizes |U_M| / |Stab_M(c)|
-    must add up exactly to the number |S_M| of elements of O/p^M O with
-    v_p(nrd) = k: the class equation.  The proof needs M >= k + 1; the
-    margin M >= k + 2 is kept as the caller's contract.  A failed check
-    raises ArithmeticError naming it, the op and both sides.
+    out in the corresponding local order O mod p^M.  Once per family, the
+    candidates are certified pairwise inequivalent, each is checked to lie
+    in O with v_p(nrd) = k, and the order of each one's stabilizer in the
+    units U_M of O/p^M O is counted, at p^k, as it does not depend on M.
+    Per M, each such order must divide |U_M|, and the orbit sizes
+    |U_M| / |Stab_M(c)| must add up exactly to the number |S_M| of
+    elements of O/p^M O with v_p(nrd) = k: the class equation.  The proof
+    needs M >= k + 1; the margin M >= k + 2 is kept as the caller's
+    contract.  A failed check raises ArithmeticError naming it, the op (the
+    family's checks name (pattern, p, k)) and both sides.
     """
     if pattern not in ("split", "level", "ramified"):
         raise ValueError("unknown pattern %r" % (pattern,))
@@ -351,23 +383,17 @@ def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
         raise ValueError("need M >= k + 2 for a stable orbit count")
     order = _local_order(pattern, p)
     cands = tuple(_candidates(pattern, p, k))
-    _certify(pattern, p, k, cands)
+    stabs = _certify(pattern, p, k, cands)
     op = "%s p=%d k=%d M=%d" % (pattern, p, k, M)
-    q, pk, index = p ** M, p ** k, math.prod(order.scale)
+    index = math.prod(order.scale)
     units = index * _count(order, p, 0, M)
     total = 0
-    for c in cands:
-        n = order.nrd(c)
-        if not (order.member(c) and n % pk == 0 and n // pk % p):
-            raise ArithmeticError(
-                "member/valuation check fails for %s: candidate %r has nrd "
-                "%d, want a member with v_p(nrd) = %d" % (op, c, n, k))
-        stab = _stabilizer(order, c, q)
+    for stab, (count, c) in stabs:
         if units % stab:
             raise ArithmeticError(
                 "stabilizer check fails for %s: |Stab_M(%r)| = %d does not "
                 "divide |U_M| = %d" % (op, c, stab, units))
-        total += units // stab
+        total += count * (units // stab)
     want = index * _count(order, p, k, M)
     if total != want:
         raise ArithmeticError(

@@ -129,6 +129,9 @@ def test_mixed_modulus_subgroup_oracle():
     ("split", 2, 1), ("split", 3, 1), ("split", 2, 2),
     ("level", 2, 1), ("level", 3, 1), ("level", 2, 2),
     ("ramified", 2, 1), ("ramified", 3, 1), ("ramified", 2, 2),
+    # k = 0: the family modulus p^0 = 1, one candidate, closed form 1
+    ("split", 2, 0), ("split", 3, 0), ("level", 2, 0), ("level", 3, 0),
+    ("ramified", 2, 0), ("ramified", 3, 0),
 ])
 def test_oracle_small_cases(pattern, p, k):
     closed = local_degree(pattern, p, k)
@@ -212,6 +215,14 @@ def test_certificate_cache_cannot_hide_a_mutation(pattern, p, k, monkeypatch):
     assert oracle_local_orbits(pattern, p, k, k + 2) == closed
     assert heckedeg._certify.cache_info().currsize == 1
     M = k + 3
+    # the stabilizer orders do not depend on M, so the family's stored
+    # orders serve M = k + 3 with no new count
+    calls = []
+    stabilizer = heckedeg._stabilizer
+    monkeypatch.setattr(heckedeg, "_stabilizer",
+                        lambda *a: calls.append(a) or stabilizer(*a))
+    assert oracle_local_orbits(pattern, p, k, M) == closed
+    assert calls == []
     order = heckedeg._local_order(pattern, p)
     original = heckedeg._candidates
     for mutate, caught_by in _MUTATIONS.values():
@@ -313,6 +324,68 @@ def test_certificate_at_k_plus_2_holds_at_every_M():
                 assert heckedeg._equivalents(order, p, k, c, [cu, cs]) == [cu]
                 assert not _equivalent_mod(order, p, k, M, c, cs)
                 assert not _equivalent_mod(order, p, k, k + 2, c, cs)
+
+
+def test_stabilizer_does_not_depend_on_M():
+    # for v_p(nrd c) = k and M >= k, {y mod p^M : c*y in p^M*O} is
+    # p^(M-k)*{z mod p^k : c*z in p^k*O}, so the count at p^k that the
+    # family stores is the count at every M of the oracle
+    for pattern, p, k in sorted({op[:3] for op in _GRID + _CI_OPS}):
+        order = heckedeg._local_order(pattern, p)
+        for c in heckedeg._candidates(pattern, p, k):
+            stab = heckedeg._stabilizer(order, c, p ** k)
+            for M in (k + 2, k + 3, k + 5):
+                assert heckedeg._stabilizer(order, c, p ** M) == stab, (
+                    pattern, p, k, M, c)
+
+
+def _kernel_by_count(order, c, p, M):
+    """|{y in O/p^M O : c*y in p^M*O}|, counted over every y: y is the sum
+    of a first half (y0, y1, 0, 0) and a second half (0, 0, y2, y3), and
+    c*y vanishes exactly when the two halves' products are opposite."""
+    q = p ** M
+    mods = tuple(q * d for d in order.scale)
+
+    def products(i):
+        out = collections.Counter()
+        for a in range(0, mods[i], order.scale[i]):
+            for b in range(0, mods[i + 1], order.scale[i + 1]):
+                y = [0, 0, 0, 0]
+                y[i], y[i + 1] = a, b
+                out[tuple(v % m for v, m in zip(order.mul(c, y), mods))] += 1
+        return out
+
+    first, second = products(0), products(2)
+    return sum(n * second[tuple(-v % m for v, m in zip(u, mods))]
+               for u, n in first.items())
+
+
+@pytest.mark.parametrize("pattern", ["split", "level", "ramified"])
+def test_stabilizer_is_the_kernel_count(pattern):
+    # elements where the p^M rows of the HNF move its pivots (0, p^M*x and
+    # v_p(nrd c) > M, where c*O does not hold p^M*O) and random ones, each
+    # against a count over every element of O/p^M O
+    rng = random.Random("stabilizer-%s" % pattern)
+    for p in (2, 3):
+        order = heckedeg._local_order(pattern, p)
+        for M in (1, 2, 3):
+            q = p ** M
+
+            def member():
+                return tuple(d * rng.randrange(q) for d in order.scale)
+
+            deep = (heckedeg._pi_power(p, 2 * M + 1) if pattern == "ramified"
+                    else (p ** (M + 1), 0, 0, 1))
+            elements = [(0, 0, 0, 0), tuple(q * v for v in member()), deep,
+                        order.mul(deep, member())]
+            elements += [member() for _ in range(4)]
+            elements += [tuple(p ** rng.randrange(M + 2) * v for v in member())
+                         for _ in range(4)]
+            for c in elements:
+                assert order.member(c)
+                assert heckedeg._stabilizer(order, c, q) == \
+                    _kernel_by_count(order, c, p, M), (p, M, c)
+            assert valuation(order.nrd(deep), p) > M
 
 
 def test_local_order_is_built_once():
@@ -508,6 +581,11 @@ def test_class_equation_inputs_by_brute_force(pattern, p, k, M):
     cands = heckedeg._candidates(pattern, p, k)
     roots = [find(tuple(v % m for v, m in zip(c, mods))) for c in cands]
     assert len(orbit) == len(cands) == len(set(roots))
+    stored = {}
     for c, root in zip(cands, roots):
         # orbit-stabilizer: |Stab_M(c)| = |U_M| / |orbit of c|
         assert len(units) == orbit[root] * heckedeg._stabilizer(order, c, q), c
+        count, first = stored.get(len(units) // orbit[root], (0, c))
+        stored[len(units) // orbit[root]] = (count + 1, first)
+    # the orders the family stores, counted once at p^k, are these at p^M
+    assert dict(heckedeg._certify(pattern, p, k, tuple(cands))) == stored

@@ -13,20 +13,19 @@ where k = v_p(m).  Each closed form is certified by `oracle_local_orbits`,
 an orbit count in the local order O of the pattern (M_2(Z_p), the Iwahori
 order, the maximal order of the division algebra) reduced mod p^M, proved
 by the class equation.  The three patterns share one path.  A pattern
-supplies its order's multiplication, conjugation, reduced norm, membership
-test and Z-basis, its numbers of unit and of nonzero nonunit residues mod
-p, its candidate representatives, and right-unit invariants, the contents
-of row combinations.  Once per family and process, the candidates are
-certified pairwise inequivalent by one exact right-equivalence test, run
-only within a bucket of equal invariants, each is checked to lie in O with
-v_p(nrd) = k, and its stabilizer is counted.  For every M >= k the
-stabilizer of c in the units U_M of O/p^M O has as many elements as
-{z in O/p^k O : c*z in p^k*O}, the index of c*O + p^k*O in O, read off one
-Hermite normal form; so it does not depend on M.  Each candidate's orbit
-has |U_M| / |Stab_M(c)| elements.  When these orbit sizes add up to the
-number of elements of O/p^M O with v_p(nrd) = k, counted in closed form,
-the disjoint orbits fill that set, so the count holds at (p, k, M) with no
-element sampled.
+supplies its order's multiplication, reduced norm, membership test and
+Z-basis, its numbers of unit and of nonzero nonunit residues mod p, and its
+candidate representatives.  Once per family and process, each candidate c
+is checked to lie in O with v_p(nrd) = k, and one Hermite normal form, of
+c*O + p^k*O, does two jobs.  That lattice is the principal right ideal
+c*O_p read mod p^k, so distinct forms prove the candidates pairwise
+inequivalent.  Its index in O, the product of the form's pivots, is the
+number of z in O/p^k O with c*z in p^k*O, which for every M >= k is the
+order of the stabilizer of c in the units U_M of O/p^M O; so neither job
+depends on M.  Each candidate's orbit has |U_M| / |Stab_M(c)| elements.
+When these orbit sizes add up to the number of elements of O/p^M O with
+v_p(nrd) = k, counted in closed form, the disjoint orbits fill that set,
+so the count holds at (p, k, M) with no element sampled.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient attached to the correspondence is
@@ -129,15 +128,17 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # congruence c' = c*g + p^M*z is the equation c' = c*(g + w) over Z_p, with
 # w = p^(M-k)*conj(c)*z/u in p*O, and g + w is a unit.  So the orbits of
 # the candidates are disjoint, and by (ii) they fill S_M.
-# (i) runs inside buckets of `_rows`, a right-unit invariant, so candidates
-# in different buckets are inequivalent without a test; candidates with
-# equal row contents differ in the contents of row combinations.  The
-# exact test reads h = conj(x)*y / p^k, a unit multiple of g, only mod p,
-# and `_rows` is a right-unit invariant at every M; so (i) does not depend
-# on M.  `_certify` runs it at M = k + 2, where `_rows` is cheapest, once
-# per process for each candidate family: its cache is keyed on the family
-# tuple, not on (pattern, p, k), so a changed family is certified anew,
-# and a failed certificate raises and is never stored.
+# (i) compares principal right ideals.  c' = c*g with g in O_p^x exactly
+# when c'*O_p = c*O_p (then g = c^-1*c' and its inverse lie in O_p).  And
+# p^k*O = c*conj(c)*u^-1*O lies in c*O_p, so the Z-lattice c*O + p^k*O, in
+# the order's Z-basis, has c*O_p as its p-adic completion; as it contains
+# p^k*Z^4 it is fixed by that completion, and its Hermite normal form, which
+# is unique, names c*O_p.  So candidates with distinct forms are pairwise
+# inequivalent over Z_p: one form per candidate, no pair test, and no M.
+# `_certify` proves (i) once per process for each candidate family: its
+# cache is keyed on the family tuple, not on (pattern, p, k), so a changed
+# family is certified anew, and a failed certificate raises and is never
+# stored.
 # In (ii), Stab_M(c) = {1 + y : c*y = 0 in O/p^M O}.  Such a y has
 # nrd(c)*y = conj(c)*c*y in p^M*O, so y lies in p^(M-k)*O; with M >= k + 1
 # that puts nrd(1 + y) = 1 + tr(y) + nrd(y) in 1 + p*Z_p, so 1 + y is a
@@ -145,8 +146,8 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 # unique mod p^k: then c*y lies in p^M*O exactly when c*z lies in p^k*O.
 # So for every M >= k, y -> z is a bijection from the kernel of y -> c*y on
 # O/p^M O onto the kernel of z -> c*z on O/p^k O = (Z/p^k)^4, as large as
-# its cokernel O/(c*O + p^k*O), whose order `_stabilizer` reads off one
-# Hermite normal form.  It stays a count: no closed form is assumed.
+# its cokernel O/(c*O + p^k*O), whose order is the product of the pivots
+# of the form of (i).  It stays a count: no closed form is assumed.
 # Per family, once: (i), the member/valuation check and the stabilizer
 # orders, all in `_certify`.  Per M: |U_M| and |S_M|, that each order
 # divides |U_M|, and the class equation.
@@ -158,7 +159,6 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
 
 class _LocalOrder(NamedTuple):
     mul: Callable
-    conj: Callable
     nrd: Callable
     member: Callable
     scale: tuple  # the order's Z-basis: scale[i] * e_i in flat coordinates
@@ -174,10 +174,6 @@ def _det2(x):
     return x[0] * x[3] - x[1] * x[2]
 
 
-def _adj2(x):
-    return (x[3], -x[1], -x[2], x[0])
-
-
 def _mul2(x, y):
     return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
@@ -190,16 +186,16 @@ def _local_order(pattern: str, p: int) -> _LocalOrder:
     if pattern == "ramified":
         # the nonunits mod p are pi*O/p*O, the p^2 residues of pi*(a + b*u)
         model = ramified_model(p)
-        return _LocalOrder(model.mul, model.involution, model.nrd,
-                           lambda x: True, (1, 1, 1, 1), p ** 4 - p * p,
-                           p * p - 1, pi_squared_is_p=True)
+        return _LocalOrder(model.mul, model.nrd, lambda x: True,
+                           (1, 1, 1, 1), p ** 4 - p * p, p * p - 1,
+                           pi_squared_is_p=True)
     if pattern == "level":
         units = (p - 1) ** 2 * p  # x0, x3 nonzero, x1 free, x2 = 0
-        return _LocalOrder(_mul2, _adj2, _det2, lambda x: x[2] % p == 0,
+        return _LocalOrder(_mul2, _det2, lambda x: x[2] % p == 0,
                            (1, 1, p, 1), units, p ** 3 - 1 - units,
                            _local_order("split", p))
     units = (p * p - 1) * (p * p - p)  # |GL_2(F_p)|
-    return _LocalOrder(_mul2, _adj2, _det2, lambda x: True, (1, 1, 1, 1),
+    return _LocalOrder(_mul2, _det2, lambda x: True, (1, 1, 1, 1),
                        units, p ** 4 - 1 - units)
 
 
@@ -224,59 +220,23 @@ def _candidates(pattern: str, p: int, k: int):
     return cands
 
 
-@lru_cache(maxsize=None)
-def _row_vectors(p: int, M: int):
-    """The vectors f of `_rows`, built once per (p, M)."""
-    return tuple(f for s in range(p) for t in (p ** j for j in range(M - 1))
-                 for f in ((s, t), (t, s)))
+def _right_ideal(order, c, q):
+    """The Hermite normal form of c*O + q*O in the order's Z-basis, of the
+    rows of q*I and a row c*b for each basis element b, as one flat tuple.
 
-
-def _rows(pattern: str, p: int, M: int, x):
-    """Right-unit invariants of x mod p^M: p^min(v, M) of the content of
-    f*x for f = (s, p^j) and (p^j, s), 0 <= s < p, 0 <= j <= M - 2.
-
-    A right unit g keeps the content of each row vector f*x, as (f*x)*g =
-    f*(x*g); f = (0, 1) and (1, 0) give the rows.  An Iwahori unit adds to
-    column 0 only multiples of p*column 1, so it also keeps the content of
-    (r_0, p*r_1) for each row r.  The ramified pattern has one candidate.
+    It has full rank, so row i has its pivot in column i and the pivots are
+    h[::5]; their product is the index of c*O + q*O in O, the number of y
+    in O/qO with c*y in qO.  At q = p^k for a member c with v_p(nrd c) = k,
+    the form names the right ideal c*O_p and the index is |Stab_M(c)| for
+    every M >= k (see the comment block above).
     """
-    if pattern == "ramified":
-        return ()
-    q = p ** M
-    x0, x1, x2, x3 = x
-    gcd = math.gcd
-    rows = tuple([gcd(a * x0 + b * x2, a * x1 + b * x3, q)
-                  for a, b in _row_vectors(p, M)])
-    if pattern == "level":
-        rows += (gcd(x0, p * x1, q), gcd(x2, p * x3, q))
-    return rows
-
-
-def _equivalents(order, p, k, x, ys):
-    """The y in ys with y = x*g for a unit g of the order: the exact test
-    over Z_p.
-
-    g = conj(x)*y / nrd(x) must be integral (p^k divides conj(x)*y), have a
-    unit nrd and lie in the order.  With nrd(x) = p^k*u, u a unit, the test
-    reads h = conj(x)*y / p^k = u*g instead: nrd(h) = u^2*nrd(g) is a unit
-    when nrd(g) is, and the order, a Z_p-module, holds h when it holds g.
-    Both conditions read h only mod p, so no modulus enters.
-    """
-    n = order.nrd(x)
-    pk = p ** k
-    if n % pk or not n // pk % p:  # v_p(nrd x) != k
-        return []
-    mul, nrd, member = order.mul, order.nrd, order.member
-    cx = order.conj(x)
-    out = []
-    for y in ys:
-        a, b, c, d = mul(cx, y)
-        if a % pk or b % pk or c % pk or d % pk:
-            continue
-        h = (a // pk % p, b // pk % p, c // pk % p, d // pk % p)
-        if nrd(h) % p and member(h):
-            out.append(y)
-    return out
+    s = order.scale
+    rows = [[q, 0, 0, 0], [0, q, 0, 0], [0, 0, q, 0], [0, 0, 0, q]]
+    for i, d in enumerate(s):
+        b = [0, 0, 0, 0]
+        b[i] = d
+        rows.append([v // e % q for v, e in zip(order.mul(c, b), s)])
+    return tuple([v for row in hnf_rows(rows) for v in row])
 
 
 @lru_cache(maxsize=None)
@@ -284,28 +244,17 @@ def _certify(pattern: str, p: int, k: int, cands: tuple) -> tuple:
     """Certify the candidate family and count its stabilizers, or raise
     ArithmeticError naming the check that fails and a candidate.
 
-    First, no two candidates are right-equivalent: pairs are tested only
-    within a bucket of equal `_rows` at M = k + 2.  Neither step depends on
-    M: `_rows` is a right-unit invariant at every M and `_equivalents` is
-    exact over Z_p, so the certificate holds at every M of the oracle and
-    p^(k+2) is the cheapest modulus.  Then each candidate must lie in the
-    order with v_p(nrd) = k, and its |Stab_M(c)|, the same for every
-    M >= k, is counted once, at p^k.  Returns the pairs (order, (how many
+    Each candidate must lie in the order with v_p(nrd) = k.  Then one
+    Hermite normal form at p^k, `_right_ideal`, gives its right ideal
+    c*O_p, which no other candidate may share, and its |Stab_M(c)|, the
+    same for every M >= k.  Neither depends on M, so the certificate holds
+    at every M of the oracle.  Returns the pairs (order, (how many
     candidates, first candidate)) of the stabilizer orders.  The cache is
     keyed on the family itself, so a changed family is certified anew, and
     a failed family raises and is never stored.
     """
-    order = _local_order(pattern, p)
-    buckets = {}
-    for c in cands:
-        buckets.setdefault(_rows(pattern, p, k + 2, c), []).append(c)
-    for bucket in buckets.values():
-        for i, c in enumerate(bucket):
-            same = _equivalents(order, p, k, c, bucket[i + 1:])
-            if same:
-                raise ArithmeticError(
-                    "candidates %r and %r are equivalent" % (c, same[0]))
-    pk, stabs = p ** k, {}
+    order, pk = _local_order(pattern, p), p ** k
+    ideals, stabs = {}, {}
     for c in cands:
         n = order.nrd(c)
         if not (order.member(c) and n % pk == 0 and n // pk % p):
@@ -313,7 +262,18 @@ def _certify(pattern: str, p: int, k: int, cands: tuple) -> tuple:
                 "member/valuation check fails for %s p=%d k=%d: candidate %r "
                 "has nrd %d, want a member with v_p(nrd) = %d"
                 % (pattern, p, k, c, n, k))
-        stab = _stabilizer(order, c, pk)
+        form = _right_ideal(order, c, pk)
+        # each entry lies in [0, p^k], so the form is the digits of one int
+        # in base p^k + 1; a dict of int keys, unlike one of 16-tuples,
+        # leaves no tuples on CPython's free list when it is freed
+        ideal = 0
+        for v in form:
+            ideal = ideal * (pk + 1) + v
+        if ideal in ideals:
+            raise ArithmeticError(
+                "candidates %r and %r are equivalent" % (ideals[ideal], c))
+        ideals[ideal] = c
+        stab = math.prod(form[::5])
         count, first = stabs.get(stab, (0, c))
         stabs[stab] = (count + 1, first)
     return tuple(stabs.items())
@@ -338,35 +298,16 @@ def _count(order, p, k, M):
     return zero + order.singular * (p - 1) * p ** (4 * M - k - 4)
 
 
-def _stabilizer(order, c, q):
-    """|{y in O/qO : c*y in qO}|: the index of c*O + q*O in O, the product
-    of the pivots of the Hermite normal form of q*I and the matrix of
-    y -> c*y in the order's Z-basis (a row c*b for each basis element b).
-
-    The q*I rows move the pivots whenever c*O does not contain q*O; the
-    oracle calls it at q = p^k for a candidate with v_p(nrd c) = k, which
-    counts |Stab_M(c)| for every M >= k (see the comment block above).
-    """
-    s = order.scale
-    rows = [[q, 0, 0, 0], [0, q, 0, 0], [0, 0, q, 0], [0, 0, 0, q]]
-    for i, d in enumerate(s):
-        b = [0, 0, 0, 0]
-        b[i] = d
-        rows.append([v // e % q for v, e in zip(order.mul(c, b), s)])
-    h = hnf_rows(rows)  # full rank: row i has its pivot in column i
-    return h[0][0] * h[1][1] * h[2][2] * h[3][3]
-
-
 def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
     """Count orbits of elements of reduced norm p^k*unit under right
     multiplication by units, and prove the count at (p, k, M).
 
     `pattern` is "split", "level" or "ramified"; the computation is carried
-    out in the corresponding local order O mod p^M.  Once per family, the
-    candidates are certified pairwise inequivalent, each is checked to lie
-    in O with v_p(nrd) = k, and the order of each one's stabilizer in the
-    units U_M of O/p^M O is counted, at p^k, as it does not depend on M.
-    Per M, each such order must divide |U_M|, and the orbit sizes
+    out in the corresponding local order O mod p^M.  Once per family, each
+    candidate is checked to lie in O with v_p(nrd) = k, the candidates are
+    certified pairwise inequivalent, and the order of each one's stabilizer
+    in the units U_M of O/p^M O is counted, at p^k, as it does not depend
+    on M.  Per M, each such order must divide |U_M|, and the orbit sizes
     |U_M| / |Stab_M(c)| must add up exactly to the number |S_M| of
     elements of O/p^M O with v_p(nrd) = k: the class equation.  The proof
     needs M >= k + 1; the margin M >= k + 2 is kept as the caller's

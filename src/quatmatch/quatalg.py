@@ -156,10 +156,6 @@ class RamifiedModel:
                 a1 * d2 + a2 * d1 + t * a2 * d2
                 + b1 * f2 + b2 * f1 + t * b2 * f2)
 
-    def involution(self, x):
-        a1, a2, b1, b2 = x
-        return (a1 + self.t * a2, -a2, -b1, -b2)
-
     def nrd(self, x):
         """d_value(a1, a2) - p * d_value(b1, b2), written out."""
         a1, a2, b1, b2 = x

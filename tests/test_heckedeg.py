@@ -15,6 +15,7 @@ from quatmatch.heckedeg import (
     r_prime,
     volume,
 )
+from quatmatch.quatalg import ramified_model
 
 
 def test_volume_values():
@@ -172,7 +173,7 @@ _MUTATIONS = {
     "wrong-valuation": (lambda cands, order, p, M:
                         cands[:-1] + [tuple(p * v for v in cands[-1])],
                         "member/valuation check fails"),
-    # c * g mod p^M lies in the bucket of c, so the pairwise test meets it
+    # c * g mod p^M generates the right ideal of c, so its form repeats c's
     "translated-duplicate": (lambda cands, order, p, M: cands + [
         tuple(v % p ** M for v in order.mul(cands[-1], _unit(order, p)))],
         "are equivalent"),
@@ -215,12 +216,12 @@ def test_certificate_cache_cannot_hide_a_mutation(pattern, p, k, monkeypatch):
     assert oracle_local_orbits(pattern, p, k, k + 2) == closed
     assert heckedeg._certify.cache_info().currsize == 1
     M = k + 3
-    # the stabilizer orders do not depend on M, so the family's stored
-    # orders serve M = k + 3 with no new count
+    # the forms do not depend on M, so the family's stored certificate
+    # serves M = k + 3 with no new form
     calls = []
-    stabilizer = heckedeg._stabilizer
-    monkeypatch.setattr(heckedeg, "_stabilizer",
-                        lambda *a: calls.append(a) or stabilizer(*a))
+    right_ideal = heckedeg._right_ideal
+    monkeypatch.setattr(heckedeg, "_right_ideal",
+                        lambda *a: calls.append(a) or right_ideal(*a))
     assert oracle_local_orbits(pattern, p, k, M) == closed
     assert calls == []
     order = heckedeg._local_order(pattern, p)
@@ -233,63 +234,35 @@ def test_certificate_cache_cannot_hide_a_mutation(pattern, p, k, monkeypatch):
                 oracle_local_orbits(pattern, p, k, M)
 
 
-@pytest.mark.parametrize("pattern", ["split", "level"])
-def test_rows_are_right_unit_invariant(pattern):
-    rng = random.Random(20240611)
-    for p in (2, 3, 5, 7):
-        order = heckedeg._local_order(pattern, p)
-        for M in (2, 3, 4, 5):
-            q = p ** M
-
-            def invariant_under_a_unit(x):
-                g = (0, 0, 0, 0)
-                while not (order.member(g) and order.nrd(g) % p):
-                    g = tuple(rng.randrange(q) for _ in range(4))
-                xg = tuple(v % q for v in order.mul(x, g))
-                rows = heckedeg._rows(pattern, p, M, x)
-                assert heckedeg._rows(pattern, p, M, xg) == rows, (p, M, x, g)
-                return rows
-
-            seen = set()
-            for _ in range(300):
-                # rows of random content, so that every row content varies
-                x = tuple(p ** e * rng.randrange(q) % q
-                          for e in [rng.randrange(M + 1)] * 2
-                          + [rng.randrange(M + 1)] * 2)
-                seen.add(invariant_under_a_unit(x))
-            assert len(seen) > M, (p, M)
-            # the candidates share row contents and differ in the contents
-            # of row combinations, which random rows rarely exercise
-            for k in range(M - 1):
-                for c in heckedeg._candidates(pattern, p, k):
-                    invariant_under_a_unit(c)
-
-
 _GRID = [(pattern, p, k, M) for pattern in ("split", "level", "ramified")
          for p in (2, 3, 5, 7) for k in (1, 2, 3) for M in (k + 2, k + 3)]
 _CI_OPS = [(pattern, p, k, k + 2) for pattern in ("split", "level", "ramified")
            for p in (11, 13) for k in (2, 3)]
 
 
-def test_rows_buckets_are_small():
-    # the candidates are tested pairwise within a bucket, so its size bounds
-    # the quadratic part of the oracle
-    for pattern, p, k, M in _GRID + _CI_OPS:
-        if pattern == "ramified":
-            continue
-        sizes = collections.Counter(heckedeg._rows(pattern, p, M, c) for c
-                                    in heckedeg._candidates(pattern, p, k))
-        assert max(sizes.values()) <= p * (p - 1), (pattern, p, k, M)
+def _stabilizer(order, c, q):
+    """|{y in O/qO : c*y in qO}|, the product of the pivots of the form."""
+    return math.prod(heckedeg._right_ideal(order, c, q)[::5])
 
 
-def _equivalent_mod(order, p, k, M, x, y):
+def _conj(pattern, p, x):
+    """The standard involution: the adjugate of a matrix, and in the flat
+    coordinates of `ramified_model(p)`, (a1 + t*a2, -a2, -b1, -b2)."""
+    if pattern == "ramified":
+        a1, a2, b1, b2 = x
+        return (a1 + ramified_model(p).t * a2, -a2, -b1, -b2)
+    return (x[3], -x[1], -x[2], x[0])
+
+
+def _equivalent_mod(pattern, p, k, M, x, y):
     """The right-equivalence test with g = conj(x)*y / nrd(x) reduced mod
-    p^(M-k), written out independently of `_equivalents`."""
+    p^(M-k), written out independently of `_right_ideal`."""
+    order = heckedeg._local_order(pattern, p)
     n = order.nrd(x)
     if valuation(n, p) != k:
         return False
     pk, mod = p ** k, p ** (M - k)
-    num = order.mul(order.conj(x), y)
+    num = order.mul(_conj(pattern, p, x), y)
     if any(v % pk for v in num):
         return False
     uinv = pow(n // pk % mod, -1, mod)
@@ -297,33 +270,31 @@ def _equivalent_mod(order, p, k, M, x, y):
     return bool(order.nrd(g) % p and order.member(g))
 
 
-def test_certificate_at_k_plus_2_holds_at_every_M():
-    # the candidates are certified once, at M = k + 2: every pair in a
-    # bucket of the op's M gets the same answer from the test mod p^M, mod
-    # p^(k+2) and `_equivalents`, and so does each candidate c against c*u
-    # for a unit u, which all three must find equivalent, and against c*s
-    # for a nonzero nonunit s, which none may
+def test_right_ideal_decides_equivalence():
+    # the form at p^k against `_equivalent_mod` on members of valuation k,
+    # the only ones `_certify` reads a form of: each candidate c shares its
+    # form with c*u for a unit u, equivalent to it mod p^M, and not with the
+    # next candidate d, inequivalent to it.  c*s for a nonzero nonunit s is
+    # inequivalent too, but its valuation exceeds k, where the form at p^k
+    # need not name c*s*O_p and can equal c's (split p=2 k=1: c = (2,0,0,1)
+    # and s = e22), so the member/valuation check runs first
     for pattern, p, k, M in _GRID + _CI_OPS:
         order = heckedeg._local_order(pattern, p)
         u, s = _unit(order, p), _nonunit(order, p)
-        buckets = collections.defaultdict(list)
-        for c in heckedeg._candidates(pattern, p, k):
-            buckets[heckedeg._rows(pattern, p, M, c)].append(c)
-        for bucket in buckets.values():
-            for i, c in enumerate(bucket):
-                same = heckedeg._equivalents(order, p, k, c, bucket[i + 1:])
-                for d in bucket[i + 1:]:
-                    want = _equivalent_mod(order, p, k, M, c, d)
-                    assert want == _equivalent_mod(order, p, k, k + 2, c, d), (
-                        pattern, p, k, M, c, d)
-                    assert want == (d in same), (pattern, p, k, M, c, d)
-                cu, cs = (tuple(v % p ** M for v in order.mul(c, g))
-                          for g in (u, s))
-                assert _equivalent_mod(order, p, k, M, c, cu)
-                assert _equivalent_mod(order, p, k, k + 2, c, cu)
-                assert heckedeg._equivalents(order, p, k, c, [cu, cs]) == [cu]
-                assert not _equivalent_mod(order, p, k, M, c, cs)
-                assert not _equivalent_mod(order, p, k, k + 2, c, cs)
+        cands = heckedeg._candidates(pattern, p, k)
+        for c, d in itertools.zip_longest(cands, cands[1:]):
+            form = heckedeg._right_ideal(order, c, p ** k)
+            cu, cs = (tuple(v % p ** M for v in order.mul(c, g))
+                      for g in (u, s))
+            assert _equivalent_mod(pattern, p, k, M, c, cu)
+            assert heckedeg._right_ideal(order, cu, p ** k) == form, (
+                pattern, p, k, M, c)
+            assert not _equivalent_mod(pattern, p, k, M, c, cs)
+            assert order.nrd(cs) % p ** (k + 1) == 0
+            if d is not None:
+                assert not _equivalent_mod(pattern, p, k, M, c, d)
+                assert heckedeg._right_ideal(order, d, p ** k) != form, (
+                    pattern, p, k, M, c, d)
 
 
 def test_stabilizer_does_not_depend_on_M():
@@ -333,9 +304,9 @@ def test_stabilizer_does_not_depend_on_M():
     for pattern, p, k in sorted({op[:3] for op in _GRID + _CI_OPS}):
         order = heckedeg._local_order(pattern, p)
         for c in heckedeg._candidates(pattern, p, k):
-            stab = heckedeg._stabilizer(order, c, p ** k)
+            stab = _stabilizer(order, c, p ** k)
             for M in (k + 2, k + 3, k + 5):
-                assert heckedeg._stabilizer(order, c, p ** M) == stab, (
+                assert _stabilizer(order, c, p ** M) == stab, (
                     pattern, p, k, M, c)
 
 
@@ -383,7 +354,7 @@ def test_stabilizer_is_the_kernel_count(pattern):
                          for _ in range(4)]
             for c in elements:
                 assert order.member(c)
-                assert heckedeg._stabilizer(order, c, q) == \
+                assert _stabilizer(order, c, q) == \
                     _kernel_by_count(order, c, p, M), (p, M, c)
             assert valuation(order.nrd(deep), p) > M
 
@@ -439,7 +410,7 @@ def test_panel_coverage(pattern, p, k, M):
             panel.append(x)
     for x in panel:
         assert order.member(x) and valuation(order.nrd(x), p) == k, x
-        assert any(_equivalent_mod(order, p, k, M, c, x) for c in cands), x
+        assert any(_equivalent_mod(pattern, p, k, M, c, x) for c in cands), x
 
 
 # the ops small enough to check against every element mod p^M
@@ -464,40 +435,18 @@ def test_sweep_is_every_element_of_valuation_k(pattern, p, k, M):
     assert sum(lifts.values()) == heckedeg._count(order, p, k, M)
 
 
-@pytest.mark.parametrize("pattern,p,k,M", _SMALL_SWEEPS)
-def test_residue_decides_every_lift(pattern, p, k, M):
-    # each valuation-k element mod p^M gets the equivalence-test result of
-    # its residue mod p^(k+1), under every candidate family: the exact test
-    # reads conj(x)*y / p^k only mod p, so the certificate does not depend
-    # on M
-    order = heckedeg._local_order(pattern, p)
-    cands = heckedeg._candidates(pattern, p, k)
-    families = [cands] + [mutate(cands, order, p, M)
-                          for mutate, _ in _MUTATIONS.values()]
-    of_residue = {}
-    for x in _valuation_k(order, p, k, p ** M):
-        r = tuple(v % p ** (k + 1) for v in x)
-        for i, family in enumerate(families):
-            if (r, i) not in of_residue:
-                of_residue[r, i] = heckedeg._equivalents(order, p, k, r, family)
-            assert heckedeg._equivalents(order, p, k, x, family) == \
-                of_residue[r, i], (x, i)
-    assert len(of_residue) == len(families) * len(
-        _valuation_k(order, p, k, p ** (k + 1)))
-
-
 # (pattern, p, k) with M = k + 2 and at most 2*10^6 elements mod p^M
-_SMALL_UNRANKS = [(pattern, p, k) for pattern in ("split", "level", "ramified")
-                  for p in (2, 3, 5) for k in range(4)
-                  if p ** (4 * k + 8) <= 2 * 10 ** 6]
+_SMALL_COUNTS = [(pattern, p, k) for pattern in ("split", "level", "ramified")
+                 for p in (2, 3, 5) for k in range(4)
+                 if p ** (4 * k + 8) <= 2 * 10 ** 6]
 
 
-@pytest.mark.parametrize("pattern,p", sorted({op[:2] for op in _SMALL_UNRANKS}))
-def test_unrank_is_a_bijection(pattern, p):
-    # ranks 0 .. _count - 1 name the valuation-k elements mod p^M one to one
-    # exactly when `_count` is their number: enumerate them, k = 0 to 3
+@pytest.mark.parametrize("pattern,p", sorted({op[:2] for op in _SMALL_COUNTS}))
+def test_count_is_the_enumerated_number(pattern, p):
+    # `_count` against the valuation-k elements mod p^M, enumerated, k = 0
+    # to 3
     order = heckedeg._local_order(pattern, p)
-    for k in (k for pat, q, k in _SMALL_UNRANKS if (pat, q) == (pattern, p)):
+    for k in (k for pat, q, k in _SMALL_COUNTS if (pat, q) == (pattern, p)):
         M = k + 2
         got = _valuation_k(order, p, k, p ** M)
         assert heckedeg._count(order, p, k, M) == len(got), (k, M)
@@ -578,13 +527,21 @@ def test_class_equation_inputs_by_brute_force(pattern, p, k, M):
             if a != b:
                 parent[a] = b
     orbit = collections.Counter(find(x) for x in level_k)
+    # the form at p^k is one per orbit, over all of S_M: constant on each
+    # orbit, and different across orbits
+    forms = {}
+    for x in level_k:
+        forms.setdefault(find(x), set()).add(
+            heckedeg._right_ideal(order, x, pk))
+    assert all(len(f) == 1 for f in forms.values())
+    assert len(set().union(*forms.values())) == len(orbit)
     cands = heckedeg._candidates(pattern, p, k)
     roots = [find(tuple(v % m for v, m in zip(c, mods))) for c in cands]
     assert len(orbit) == len(cands) == len(set(roots))
     stored = {}
     for c, root in zip(cands, roots):
         # orbit-stabilizer: |Stab_M(c)| = |U_M| / |orbit of c|
-        assert len(units) == orbit[root] * heckedeg._stabilizer(order, c, q), c
+        assert len(units) == orbit[root] * _stabilizer(order, c, q), c
         count, first = stored.get(len(units) // orbit[root], (0, c))
         stored[len(units) // orbit[root]] = (count + 1, first)
     # the orders the family stores, counted once at p^k, are these at p^M

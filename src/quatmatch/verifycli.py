@@ -287,6 +287,8 @@ def _parse_pins(pin_args):
             pins.append((int(m_text), Fraction(val_text)))
         except ZeroDivisionError:
             raise ValueError("pin %r has a zero denominator" % (text,)) from None
+        except ValueError:
+            raise ValueError("pin %r is not M:VALUE" % (text,)) from None
     return tuple(pins)
 
 

@@ -21,8 +21,8 @@ value lambda(phi)(g) is (omega(g) phi)(0).
 
 Character convention: psi_p(x) = e(-frac_p(x)), where frac_p is the p-adic
 fractional part, so psi_p is trivial on Z_p and psi_p(a/p) = zeta_p^(-a).
-The `psi_sign` knob on a space flips it (psi_p(a/p) = zeta_p^(psi_sign*a))
-for convention-independence checks.
+Both psi and each space's gamma are fixed; each space constructor sets its
+own gamma.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class LocalQuadSpace:
     p: int
     table: tuple
     gamma: int
-    psi_sign: int = -1
 
     @property
     def vol(self) -> Fraction:
@@ -72,21 +71,21 @@ def _table(p: int, quad) -> tuple:
     return tuple(tuple(quad(i, j) % p for j in range(p)) for i in range(p))
 
 
-def split_maximal_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuadSpace:
+def split_maximal_space(p: int) -> LocalQuadSpace:
     """2x2 matrices over Z_p with Q = det; self-dual."""
-    return LocalQuadSpace(p, ((0,),), gamma, psi_sign)
+    return LocalQuadSpace(p, ((0,),), 1)
 
 
-def split_level_space(p: int, gamma: int = 1, psi_sign: int = -1) -> LocalQuadSpace:
+def split_level_space(p: int) -> LocalQuadSpace:
     """The level lattice (lower-left entry in pZ_p) with Q = det.
 
     The dual cosets are mu_{i,j} = [[0, j/p],[i, 0]], so Q(mu_{i,j}) = -ij/p.
     """
-    return LocalQuadSpace(p, _table(p, lambda i, j: -i * j), gamma, psi_sign)
+    return LocalQuadSpace(p, _table(p, lambda i, j: -i * j), 1)
 
 
 @lru_cache(maxsize=None)
-def ramified_space(p: int, gamma: int = -1, psi_sign: int = -1) -> LocalQuadSpace:
+def ramified_space(p: int) -> LocalQuadSpace:
     """Maximal order of the division quaternion algebra at p.
 
     In the coordinates (a1 + a2 u) + (b1 + b2 u) pi of `quatalg.RamifiedModel`
@@ -95,8 +94,7 @@ def ramified_space(p: int, gamma: int = -1, psi_sign: int = -1) -> LocalQuadSpac
     """
     model = ramified_model(p)
     t, n = model.t, model.n
-    return LocalQuadSpace(p, _table(p, lambda i, j: -(i * i + t * i * j + n * j * j)),
-                          gamma, psi_sign)
+    return LocalQuadSpace(p, _table(p, lambda i, j: -(i * i + t * i * j + n * j * j)), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +135,11 @@ def coset_char(space: LocalQuadSpace, i: int, j: int) -> SchwartzCombo:
 def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
     """Apply a generator word: ("n", b), ("m", a), ("w",) or ("nminus", c)."""
     space = combo.space
-    p, table, sign = space.p, space.table, space.psi_sign
+    p, table = space.p, space.table
     kind = word[0]
     if kind == "n":
         b = int(word[1])
-        out = {(i, j): v.rotate(p, sign * b * table[i][j])
+        out = {(i, j): v.rotate(p, -b * table[i][j])
                for (i, j), v in combo.terms}
         return SchwartzCombo.from_dict(space, out)
     if kind == "m":
@@ -161,7 +159,7 @@ def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
                 # p*B(nu, mu) = p*(Q(nu + mu) - Q(nu) - Q(mu)) mod p
                 pb = table[(nu_i + i) % p][(nu_j + j) % p] - q_nu - table[i][j]
                 for r, c in v.terms:
-                    bins[(r + sign * pb) % p] += c
+                    bins[(r - pb) % p] += c
             out[(nu_i, nu_j)] = CyclotomicNumber(
                 p, [(r, c * factor) for r, c in enumerate(bins)])
         return SchwartzCombo.from_dict(space, out)
@@ -196,57 +194,52 @@ def lambda_eval(combo: SchwartzCombo, g) -> CyclotomicNumber:
 # ---------------------------------------------------------------------------
 # the matching statements
 
-def verify_prop_3_1(p: int, gamma_split: int = 1, gamma_ram: int = -1,
-                    psi_sign: int = -1) -> bool:
+def _standard_sections(p: int) -> tuple:
+    """The five characters of Prop. 3.1, each as (report name, combination)."""
+    ra = ramified_space(p)
+    sp1 = split_level_space(p)
+    return (("char(L_ram)", char_lattice(ra)), ("char(L_ram_dual)", char_dual(ra)),
+            ("char(L0)", char_lattice(split_maximal_space(p))),
+            ("char(L1)", char_lattice(sp1)), ("char(L1_dual)", char_dual(sp1)))
+
+
+def verify_prop_3_1(p: int) -> bool:
     """Both local matchings between the division order and the split lattices.
 
     (1) char(L_ram) against (-2/(p-1)) char(L0) + ((p+1)/(p-1)) char(L1);
     (2) char(L_ram_dual) against (2p/(p-1)) char(L0) - ((p+1)/(p-1)) char(L1_dual);
     equality of all lambda-values on the transversal {1, w}, exact.
     """
-    sp0 = split_maximal_space(p, gamma_split, psi_sign)
-    sp1 = split_level_space(p, gamma_split, psi_sign)
-    ra = ramified_space(p, gamma_ram, psi_sign)
-
-    phi_ra = char_lattice(ra)
-    phi_ra_dual = char_dual(ra)
-    phi0 = char_lattice(sp0)
-    phi1 = char_lattice(sp1)
-    phi2 = char_dual(sp1)
-
+    sections = _standard_sections(p)
     c_minus = Fraction(-2, p - 1)
     c_plus = Fraction(p + 1, p - 1)
     for g in (IDENTITY, W):
-        lhs = lambda_eval(phi_ra, g)
-        rhs = lambda_eval(phi0, g) * c_minus + lambda_eval(phi1, g) * c_plus
-        if lhs != rhs:
+        ra, ra_dual, l0, l1, l1_dual = (lambda_eval(phi, g) for _, phi in sections)
+        if ra != l0 * c_minus + l1 * c_plus:
             return False
-        lhs = lambda_eval(phi_ra_dual, g)
-        rhs = (lambda_eval(phi0, g) * Fraction(2 * p, p - 1)
-               - lambda_eval(phi2, g) * c_plus)
-        if lhs != rhs:
+        if ra_dual != l0 * Fraction(2 * p, p - 1) - l1_dual * c_plus:
             return False
     return True
 
 
 @lru_cache(maxsize=None)
-def _dft_matrix(p: int, psi_sign: int):
+def _dft_matrix(p: int):
     """A = (p * lambda(phi_{1,j})(w n(i))), checked entrywise to be the DFT
-    matrix (zeta_p^(-psi_sign * i * j)); A is therefore invertible with
-    A^(-1) = conj(A) / p.  Raises ArithmeticError on any other entry.
+    matrix (zeta_p^(i * j)); A is therefore invertible with A^(-1) = conj(A) / p.
+    Raises ArithmeticError on any other entry.
     """
-    sp1 = split_level_space(p, 1, psi_sign)
+    sp1 = split_level_space(p)
     amat = tuple(tuple(lambda_eval(coset_char(sp1, 1, j), wn(i)) * p
                        for j in range(p)) for i in range(p))
     for i in range(p):
         for j in range(p):
-            if amat[i][j] != zeta(p, (-psi_sign * i * j) % p):
+            if amat[i][j] != zeta(p, i * j % p):
                 raise ArithmeticError("lambda block is not the DFT matrix at "
                                       "(%d, %d): %s" % (i, j, amat[i][j]))
     return amat
 
 
-def verify_basis_lemma(p: int, psi_sign: int = -1) -> bool:
+def verify_basis_lemma(p: int) -> bool:
     """The p+1 sections are a basis and coset sections depend only on ab mod p.
 
     On the transversal {1, w n(i)} the sections lambda(phi0), lambda(phi_{1,j})
@@ -255,11 +248,11 @@ def verify_basis_lemma(p: int, psi_sign: int = -1) -> bool:
     matrix A, so the matrix is invertible.
     """
     try:
-        _dft_matrix(p, psi_sign)
+        _dft_matrix(p)
     except ArithmeticError:
         return False
-    sp0 = split_maximal_space(p, 1, psi_sign)
-    sp1 = split_level_space(p, 1, psi_sign)
+    sp0 = split_maximal_space(p)
+    sp1 = split_level_space(p)
     if lambda_eval(char_lattice(sp0), IDENTITY) == 0:
         return False
     if any(lambda_eval(coset_char(sp1, 1, j), IDENTITY) != 0 for j in range(p)):
@@ -281,7 +274,7 @@ def verify_basis_lemma(p: int, psi_sign: int = -1) -> bool:
     return True
 
 
-def match_coefficients(p: int, k: int, l: int, psi_sign: int = -1):
+def match_coefficients(p: int, k: int, l: int):
     """Rational coefficients expressing the (k,l) division-order coset section
     in the split coset sections.
 
@@ -293,8 +286,8 @@ def match_coefficients(p: int, k: int, l: int, psi_sign: int = -1):
     """
     if (k % p, l % p) == (0, 0):
         raise ValueError("the zero coset has no matching of this shape")
-    phi_kl = coset_char(ramified_space(p, -1, psi_sign), k, l)
-    amat = _dft_matrix(p, psi_sign)
+    phi_kl = coset_char(ramified_space(p), k, l)
+    amat = _dft_matrix(p)
     d = ramified_model(p).d_value(k, l) % p
     for i in range(p):
         if amat[i][d] != lambda_eval(phi_kl, wn(i)) * -p:
@@ -305,18 +298,10 @@ def match_coefficients(p: int, k: int, l: int, psi_sign: int = -1):
 
 def lambda_table_text(p: int) -> str:
     """Human-readable table of the standard lambda-values and matchings."""
-    lines = []
-    ra = ramified_space(p)
-    sp0 = split_maximal_space(p)
-    sp1 = split_level_space(p)
-    lines.append("lambda values at prime p = %d (columns: 1, w)" % p)
-    for name, combo in (("char(L_ram)      ", char_lattice(ra)),
-                        ("char(L_ram_dual) ", char_dual(ra)),
-                        ("char(L0)         ", char_lattice(sp0)),
-                        ("char(L1)         ", char_lattice(sp1)),
-                        ("char(L1_dual)    ", char_dual(sp1))):
+    lines = ["lambda values at prime p = %d (columns: 1, w)" % p]
+    for name, combo in _standard_sections(p):
         vals = [str(lambda_eval(combo, g)) for g in (IDENTITY, W)]
-        lines.append("  %s : %s" % (name, ", ".join(vals)))
+        lines.append("  %-17s : %s" % (name, ", ".join(vals)))
     lines.append("matching weights: -2/(p-1) = %s, (p+1)/(p-1) = %s"
                  % (Fraction(-2, p - 1), Fraction(p + 1, p - 1)))
     lines.append("prop-3.1 matchings hold: %s" % verify_prop_3_1(p))

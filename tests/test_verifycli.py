@@ -237,6 +237,16 @@ def test_cli_rejects_bad_verify_input(argv, config, tmp_path, capsys):
     assert len(err.splitlines()) == 2 and "error: " in err.splitlines()[1]
 
 
+@pytest.mark.parametrize("pin", ["1", "x:1"])
+def test_cli_malformed_pin_is_named(pin, capsys):
+    with pytest.raises(SystemExit) as exc:
+        vc.main(["verify", "--theorem", "1.4", "--D", "2", "--p", "3",
+                 "--m-max", "2", "--pin", pin])
+    assert exc.value.code == 2
+    err_line = capsys.readouterr().err.splitlines()[-1]
+    assert "pin %r is not M:VALUE" % pin in err_line
+
+
 def test_cli_internal_failure_exits_3(monkeypatch, capsys):
     # a failed orbit certificate is one stderr line and exit 3, not a traceback
     original = heckedeg._candidates

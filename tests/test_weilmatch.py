@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from quatmatch import weilmatch
+from quatmatch import verifycli, weilmatch
 from quatmatch.exactnum import CyclotomicNumber, zeta
 from quatmatch.quatalg import RamifiedModel, ramified_model
 from quatmatch.weilmatch import (
@@ -121,15 +123,20 @@ def test_prop_3_1(p):
     assert verify_prop_3_1(p)
 
 
-def test_prop_3_1_gamma_sensitivity():
-    # flipping the Weil index assignment must break the matching
-    assert not verify_prop_3_1(3, gamma_ram=1)
-    assert not verify_prop_3_1(5, gamma_split=-1)
+def _flip_gamma(monkeypatch, name):
+    build = getattr(weilmatch, name)
+    monkeypatch.setattr(weilmatch, name, lambda p: dataclasses.replace(
+        build(p), gamma=-build(p).gamma))
 
 
-def test_prop_3_1_psi_convention_independent():
-    for p in (2, 3, 5):
-        assert verify_prop_3_1(p, psi_sign=1)
+def test_prop_3_1_gamma_sensitivity(monkeypatch):
+    # flipping the Weil index of either side must break the matching
+    with monkeypatch.context() as mp:
+        _flip_gamma(mp, "ramified_space")
+        assert not verify_prop_3_1(3)
+    with monkeypatch.context() as mp:
+        _flip_gamma(mp, "split_level_space")
+        assert not verify_prop_3_1(5)
 
 
 def test_fourier_inversion():
@@ -166,27 +173,21 @@ def test_k_invariance():
                 assert verify_k_invariance(coset_char(sp1, a, b), "K")
 
 
-def _p_and_psi(primes):
-    # the default character (psi_sign = -1) keeps the bare prime as its id
-    return [pytest.param(p, s, id=str(p) if s == -1 else "%d-psi+1" % p)
-            for p in primes for s in (-1, 1)]
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_basis_lemma(p):
+    assert verify_basis_lemma(p)
 
 
-@pytest.mark.parametrize("p, psi_sign", _p_and_psi([2, 3, 5, 7, 11, 13]))
-def test_basis_lemma(p, psi_sign):
-    assert verify_basis_lemma(p, psi_sign)
-
-
-@pytest.mark.parametrize("p, psi_sign", _p_and_psi([2, 3, 5, 7]))
-def test_match_coefficients(p, psi_sign):
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_match_coefficients(p):
     model = ramified_model(p)
-    sp1 = split_level_space(p, psi_sign=psi_sign)
-    ra = ramified_space(p, psi_sign=psi_sign)
+    sp1 = split_level_space(p)
+    ra = ramified_space(p)
     for k in range(p):
         for l in range(p):
             if (k, l) == (0, 0):
                 continue
-            coeffs = match_coefficients(p, k, l, psi_sign)
+            coeffs = match_coefficients(p, k, l)
             d = model.d_value(k, l) % p
             assert coeffs[d] == -1
             assert sum(1 for c in coeffs if c) == 1
@@ -254,3 +255,22 @@ def test_lambda_table_text_smoke():
     text = lambda_table_text(3)
     assert "prop-3.1 matchings hold: True" in text
     assert "coset (1,1)" in text
+
+
+# SHA-256 of `quatmatch local --p P` stdout: headers, lambda-values, the
+# Prop. 3.1 verdict and every coset matching, byte for byte
+LOCAL_DIGESTS = {
+    2: "5670bca035ec527e6bc57168df380179976da46e372d10f6c8deb610385b1950",
+    3: "a3c1f3088ba04b02c5716a6288979f69b876187c5533ef70c4248b613d20f54b",
+    5: "452897a3cf76a02bb95ac9e1bc24e5ba4f9ce70c9d0e55757442a3beefaeca3d",
+    7: "efc3751d4e9a215182396e4d457c6582a82fa9edb59e6df2018544579e56180e",
+    11: "fbbd28423f10aa12bf455c08521095c37f012a08bb52bfdd88b90e19662587bc",
+    13: "0506c4368d21a03fb34ba758f1c916f0a635a8b64dbab79c9ba7f4824fe170da",
+}
+
+
+@pytest.mark.parametrize("p", sorted(LOCAL_DIGESTS))
+def test_local_output_pinned(p, capsys):
+    assert verifycli.main(["local", "--p", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_DIGESTS[p]

@@ -79,11 +79,10 @@ def lambda_eval_bruteforce(combo: SchwartzCombo, form: Form4,
                 for r2 in range(p):
                     for r3 in range(p):
                         x = (mu[0] + r0, mu[1] + r1, mu[2] + r2, mu[3] + r3)
-                        # psi_p(y) = e(psi_sign * y) for y with denominator dividing p
+                        # psi_p(y) = e(-y) for y with denominator dividing p
                         y = i * form.q(x)
                         assert p % y.denominator == 0
-                        coset_sum = coset_sum + zeta(y.denominator,
-                                                     space.psi_sign * y.numerator)
+                        coset_sum = coset_sum + zeta(y.denominator, -y.numerator)
         total = total + coset_sum * coeff
     return total * Fraction(space.gamma, p) * Fraction(1, p ** 4)
 

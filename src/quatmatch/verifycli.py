@@ -4,7 +4,8 @@
 1 <= m <= m_max, and records (m, lhs, rhs, pass).  A report is pure data:
 re-running it is byte-identical (timings are kept out of report files).
 
-The identities, with w(p) = -2/(p-1) and W(p) = (p+1)/(p-1):
+The identities, where w(p), W(p) are the local matching coefficients (char(L_ram)
+matches w(p) char(L0) + W(p) char(L1)) that `weilmatch.matching_weights` solves:
 
     1.1  w(q) r_{Dp,N}(m)  + W(q) r_{Dp,Nq}(m)  =  w(p) r_{Dq,N}(m)  + W(p) r_{Dq,Np}(m)
     1.3  w(q) r'_{Dp,N}(m) + W(q) r'_{Dp,Nq}(m) =  w(p) r'_{Dq,N}(m) + W(p) r'_{Dq,Np}(m)
@@ -79,7 +80,10 @@ class TheoremCase:
         for m, _value in self.pins:
             if not 1 <= m <= self.m_max:
                 raise ValueError("pin m=%d is outside 1..m_max=%d" % (m, self.m_max))
-        names = IDENTITIES[self.theorem].primes
+            if [n for n, _ in self.pins].count(m) > 1:
+                raise ValueError("pin m=%d is given more than once" % m)
+        identity = IDENTITIES[self.theorem]
+        names = identity.primes
         if [n for n in ("p", "q") if getattr(self, n) is not None] != list(names):
             raise ValueError("theorem %s takes exactly these primes: %s"
                              % (self.theorem, ", ".join(names)))
@@ -89,7 +93,8 @@ class TheoremCase:
         # a term reads the Eichler order of level N' in the algebra of
         # discriminant D': definite for r; indefinite for r', whose level
         # factors exist for squarefree N' only
-        for _weight, side, D, N in sum(self.terms(), []):
+        for _weight, side, d, n in identity.lhs + identity.rhs:
+            D, N = self._product(d), self._product(n)
             needs = "theorem %s: %s_{%d,%d} needs" % (self.theorem, side, D, N)
             if not is_squarefree(D) or math.gcd(D, N) != 1:
                 raise ValueError("%s a squarefree D' coprime to N'" % needs)
@@ -100,28 +105,25 @@ class TheoremCase:
                 raise ValueError("%s D' > 1 with an even number of primes and a "
                                  "squarefree N'" % needs)
 
+    def _product(self, text):  # "D", "Dp", "Nq", ...: a product of fields
+        return math.prod(getattr(self, c) for c in text)
+
     def terms(self):
-        """(lhs, rhs): lists of the (weight, side, D', N') terms in numbers."""
-        def weight(text):  # "1", "w(r)" or "W(r)"
-            if text == "1":
-                return Fraction(1)
-            r = getattr(self, text[2])
-            return Fraction(-2 if text[0] == "w" else r + 1, r - 1)
-        def value(text):  # "D", "Dp", "Nq", ...: a product of fields
-            return math.prod(getattr(self, c) for c in text)
+        """(lhs, rhs): lists of the (weight, side, D', N') terms in numbers;
+        w(r) and W(r) are `weilmatch.matching_weights(r)`."""
         identity = IDENTITIES[self.theorem]
-        return tuple([(weight(w), side, value(d), value(n)) for w, side, d, n in terms]
+        weights = {n: weilmatch.matching_weights(getattr(self, n))
+                   for n in identity.primes}
+        def weight(text):  # "1", "w(r)" or "W(r)"
+            return Fraction(1) if text == "1" else weights[text[2]][text[0] == "W"]
+        return tuple([(weight(w), side, self._product(d), self._product(n))
+                      for w, side, d, n in terms]
                      for terms in (identity.lhs, identity.rhs))
 
     def key(self) -> str:
-        parts = ["theorem=%s" % self.theorem, "D=%d" % self.D]
-        if self.p is not None:
-            parts.append("p=%d" % self.p)
-        if self.q is not None:
-            parts.append("q=%d" % self.q)
-        parts.append("N=%d" % self.N)
-        parts.append("mmax=%d" % self.m_max)
-        return "_".join(parts).replace("=", "").replace(".", "")
+        fields = (("theorem", self.theorem.replace(".", "")), ("D", self.D),
+                  ("p", self.p), ("q", self.q), ("N", self.N), ("mmax", self.m_max))
+        return "_".join("%s%s" % kv for kv in fields if kv[1] is not None)
 
     def describe(self) -> str:
         out = "theorem %s, D=%d, N=%d" % (self.theorem, self.D, self.N)
@@ -253,10 +255,8 @@ def run_suite(config: SuiteConfig):
         status = "PASS" if report.all_pass else "FAIL"
         print("%-4s %s  (%.2fs)" % (status, case.describe(), report.seconds))
         if not report.all_pass:
-            for m, lhs, rhs, ok in report.rows:
-                if not ok:
-                    print("     first failing row: m=%d lhs=%s rhs=%s" % (m, lhs, rhs))
-                    break
+            m, lhs, rhs, _ok = next(row for row in report.rows if not row[3])
+            print("     first failing row: m=%d lhs=%s rhs=%s" % (m, lhs, rhs))
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         summary = {"cases": [], "all_pass": all(r.all_pass for r in reports)}
@@ -401,6 +401,9 @@ def _verify_config(args) -> SuiteConfig:
 def _cmd_verify(args, parser) -> int:
     try:
         config = _verify_config(args)
+        if config.out_dir:
+            # an unusable directory is a usage error before any case runs
+            os.makedirs(config.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     code, reports = run_suite(config)

@@ -11,7 +11,6 @@ combinations of indicator functions of these cosets with coefficients in
 Q(zeta_p); the group action is generated by
 
     n(b):  multiply the mu-coset coefficient by psi(b * Q(mu))
-    m(a):  permute cosets by x -> a*x (unit a)
     w:     finite Fourier transform over L_dual / L, scaled by gamma * vol(L)
 
 with vol(L) = [L_dual : L]^(-1/2) and the Weil index gamma = +1 for the
@@ -27,7 +26,6 @@ own gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -133,7 +131,7 @@ def coset_char(space: LocalQuadSpace, i: int, j: int) -> SchwartzCombo:
 
 
 def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
-    """Apply a generator word: ("n", b), ("m", a), ("w",) or ("nminus", c)."""
+    """Apply a generator word: ("n", b) or ("w",)."""
     space = combo.space
     p, table = space.p, space.table
     kind = word[0]
@@ -141,13 +139,6 @@ def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
         b = int(word[1])
         out = {(i, j): v.rotate(p, -b * table[i][j])
                for (i, j), v in combo.terms}
-        return SchwartzCombo.from_dict(space, out)
-    if kind == "m":
-        a = int(word[1])
-        if math.gcd(a, p) != 1:
-            raise ValueError("m(a) is implemented for units a only")
-        # x -> a*x permutes the labels, so no two terms meet
-        out = {((a * i) % p, (a * j) % p): v for (i, j), v in combo.terms}
         return SchwartzCombo.from_dict(space, out)
     if kind == "w":
         factor = space.vol * space.gamma
@@ -163,13 +154,6 @@ def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
             out[(nu_i, nu_j)] = CyclotomicNumber(
                 p, [(r, c * factor) for r, c in enumerate(bins)])
         return SchwartzCombo.from_dict(space, out)
-    if kind == "nminus":
-        c = int(word[1])
-        # n_-(c) = w^{-1} n(-c) w and w^{-1} = w m(-1)
-        step = weil_act(("w",), combo)
-        step = weil_act(("n", -c), step)
-        step = weil_act(("m", -1), step)
-        return weil_act(("w",), step)
     raise ValueError("unknown generator word %r" % (word,))
 
 
@@ -182,9 +166,7 @@ def lambda_eval(combo: SchwartzCombo, g) -> CyclotomicNumber:
         current = weil_act(words.pop(), current)
     if len(words) == 1 and words[0][0] == "w":
         # only the zero-coset output coefficient is needed
-        total = ZERO
-        for _lab, v in current.terms:
-            total = total + v
+        total = sum((v for _lab, v in current.terms), ZERO)
         return total * (space.vol * space.gamma)
     if words:
         current = weil_act(words[0], current)
@@ -203,23 +185,39 @@ def _standard_sections(p: int) -> tuple:
             ("char(L1)", char_lattice(sp1)), ("char(L1_dual)", char_dual(sp1)))
 
 
-def verify_prop_3_1(p: int) -> bool:
-    """Both local matchings between the division order and the split lattices.
+def matching_weights(p: int) -> tuple:
+    """The local matching coefficients (a, b): char(L_ram) matches
+    a char(L0) + b char(L1).
 
-    (1) char(L_ram) against (-2/(p-1)) char(L0) + ((p+1)/(p-1)) char(L1);
-    (2) char(L_ram_dual) against (2p/(p-1)) char(L0) - ((p+1)/(p-1)) char(L1_dual);
-    equality of all lambda-values on the transversal {1, w}, exact.
+    {1, w} is a full transversal for these K0(p)-invariant sections, and
+    their lambda-values there give (1, -1/p) = a (1, 1) + b (1, 1/p), so
+    a = -2/(p-1) and b = (p+1)/(p-1).  The solution is checked against both
+    equations; ArithmeticError naming p if the system is singular.
     """
-    sections = _standard_sections(p)
-    c_minus = Fraction(-2, p - 1)
-    c_plus = Fraction(p + 1, p - 1)
-    for g in (IDENTITY, W):
-        ra, ra_dual, l0, l1, l1_dual = (lambda_eval(phi, g) for _, phi in sections)
-        if ra != l0 * c_minus + l1 * c_plus:
-            return False
-        if ra_dual != l0 * Fraction(2 * p, p - 1) - l1_dual * c_plus:
-            return False
-    return True
+    (r1, rw), (x1, xw), (y1, yw) = (
+        [lambda_eval(char_lattice(space), g).rational_value() for g in (IDENTITY, W)]
+        for space in (ramified_space(p), split_maximal_space(p), split_level_space(p)))
+    det = x1 * yw - y1 * xw
+    if det == 0:
+        raise ArithmeticError("matching system at p = %d is singular" % p)
+    a = (r1 * yw - y1 * rw) / det
+    b = (x1 * rw - r1 * xw) / det
+    if (a * x1 + b * y1, a * xw + b * yw) != (r1, rw):
+        raise ArithmeticError("matching weights at p = %d fail their system" % p)
+    return a, b
+
+
+def verify_prop_3_1(p: int) -> bool:
+    """Both local matchings of Prop. 3.1, exact on the transversal {1, w}:
+    (1) char(L_ram) against a char(L0) + b char(L1), solved by `matching_weights`;
+    (2) char(L_ram_dual) against -p a char(L0) - b char(L1_dual), the image of
+    (1) under omega(w), as omega(w) char(L) = gamma_L vol(L) char(L_dual).
+    """
+    a, b = matching_weights(p)
+    _, (_, ra_dual), (_, l0), _, (_, l1_dual) = _standard_sections(p)
+    return all(lambda_eval(ra_dual, g)
+               == lambda_eval(l0, g) * (-p * a) - lambda_eval(l1_dual, g) * b
+               for g in (IDENTITY, W))
 
 
 @lru_cache(maxsize=None)
@@ -265,12 +263,8 @@ def verify_basis_lemma(p: int) -> bool:
                 continue
             vals = tuple(lambda_eval(coset_char(sp1, a, b), g)
                          for g in transversal)
-            key = (a * b) % p
-            if key in values:
-                if values[key] != vals:
-                    return False
-            else:
-                values[key] = vals
+            if values.setdefault((a * b) % p, vals) != vals:
+                return False
     return True
 
 
@@ -303,7 +297,7 @@ def lambda_table_text(p: int) -> str:
         vals = [str(lambda_eval(combo, g)) for g in (IDENTITY, W)]
         lines.append("  %-17s : %s" % (name, ", ".join(vals)))
     lines.append("matching weights: -2/(p-1) = %s, (p+1)/(p-1) = %s"
-                 % (Fraction(-2, p - 1), Fraction(p + 1, p - 1)))
+                 % matching_weights(p))
     lines.append("prop-3.1 matchings hold: %s" % verify_prop_3_1(p))
     model = ramified_model(p)
     lines.append("division-order residue parameters (t, n) = (%d, %d)"

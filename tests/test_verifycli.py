@@ -41,6 +41,9 @@ def test_case_validation_errors():
         vc.TheoremCase("1.4", D=2, p=3, q=2, N=1).validate()  # and q | D
     with pytest.raises(ValueError):
         vc.TheoremCase("1.3", D=2, p=3, N=1).validate()  # 1.3 needs q
+    for pins in (((1, 5), (1, -12)), ((1, -12), (1, 5))):
+        with pytest.raises(ValueError, match="pin m=1 is given more than once"):
+            vc.TheoremCase("1.4", D=2, p=3, N=1, m_max=2, pins=pins).validate()
     vc.TheoremCase("1.3", D=2, p=3, q=5, N=7, m_max=10).validate()
 
 
@@ -215,6 +218,13 @@ def test_cli_certifies_past_p_255(argv, capsys):
       "--pin", "1:1/0"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
       "--pin", "7:1"], None),
+    # a repeated m, whichever of its pins is the true one (lhs(1) = -12)
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
+      "--pin", "1:5", "--pin", "1:-12"], None),
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
+      "--pin", "1:-12", "--pin", "1:5"], None),
+    (["verify", "--theorem", "1.4"], "D=2\np=3\nm_max=2\npin=1:5\npin=1:-12\n"),
+    (["verify", "--theorem", "1.4"], "D=2\np=3\nm_max=2\npin=1:-12\npin=1:5\n"),
     (["classset", "--D", "6"], None),
     (["classset", "--D", "4"], None),
     (["classset", "--D", "2", "--N", "2"], None),
@@ -245,6 +255,20 @@ def test_cli_malformed_pin_is_named(pin, capsys):
     assert exc.value.code == 2
     err_line = capsys.readouterr().err.splitlines()[-1]
     assert "pin %r is not M:VALUE" % pin in err_line
+
+
+def test_cli_unusable_out_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # an --out-dir that is an existing file stops the run before any case
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(vc, "run_case", lambda *a: pytest.fail("a case ran"))
+    for theorem in (["1.4", "--D", "2", "--p", "3", "--m-max", "2"], ["all"]):
+        with pytest.raises(SystemExit) as exc:
+            vc.main(["verify", "--theorem"] + theorem + ["--out-dir", str(blocker)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 2
 
 
 def test_cli_internal_failure_exits_3(monkeypatch, capsys):

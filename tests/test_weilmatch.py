@@ -16,6 +16,7 @@ from quatmatch.weilmatch import (
     lambda_eval,
     lambda_table_text,
     match_coefficients,
+    matching_weights,
     ramified_space,
     split_level_space,
     split_maximal_space,
@@ -26,6 +27,7 @@ from quatmatch.weilmatch import (
 )
 
 from weil_reference import (
+    act,
     lambda_eval_bruteforce,
     level_form,
     ramified_form,
@@ -123,6 +125,18 @@ def test_prop_3_1(p):
     assert verify_prop_3_1(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_matching_weights(p):
+    assert matching_weights(p) == (Fraction(-2, p - 1), Fraction(p + 1, p - 1))
+
+
+def test_matching_weights_singular_system(monkeypatch):
+    # with L1 replaced by L0 the two split columns agree on {1, w}
+    monkeypatch.setattr(weilmatch, "split_level_space", split_maximal_space)
+    with pytest.raises(ArithmeticError, match="p = 5"):
+        matching_weights(5)
+
+
 def _flip_gamma(monkeypatch, name):
     build = getattr(weilmatch, name)
     monkeypatch.setattr(weilmatch, name, lambda p: dataclasses.replace(
@@ -134,6 +148,10 @@ def test_prop_3_1_gamma_sensitivity(monkeypatch):
     with monkeypatch.context() as mp:
         _flip_gamma(mp, "ramified_space")
         assert not verify_prop_3_1(3)
+        # verify reads its weights from the same local matching
+        assert matching_weights(3) == (0, 1)
+        case = verifycli.TheoremCase("1.4", D=2, p=3, N=1, m_max=5)
+        assert not verifycli.run_case(case, verifycli.ClassSetPool()).all_pass
     with monkeypatch.context() as mp:
         _flip_gamma(mp, "split_level_space")
         assert not verify_prop_3_1(5)
@@ -248,7 +266,14 @@ def test_match_coefficients_rejects_zero_coset():
 def test_m_action_requires_unit():
     space = split_level_space(3)
     with pytest.raises(ValueError):
-        weil_act(("m", 3), char_lattice(space))
+        act(("m", 3), char_lattice(space))
+
+
+def test_weil_act_takes_n_and_w_only():
+    phi = char_lattice(split_level_space(3))
+    for word in (("m", 1), ("nminus", 1), ("nminus", 3)):
+        with pytest.raises(ValueError, match="unknown generator word"):
+            weil_act(word, phi)
 
 
 def test_lambda_table_text_smoke():

@@ -6,10 +6,12 @@ matrix and the two generators of L_dual/L.  `level_form` and
 `weilmatch` stores only as discriminant modules.  `lambda_eval_bruteforce`
 evaluates lambda(phi)(w n(i)) as a raw character sum over residue points
 of such a form, without the coset Fourier transform of `weil_act`.
-`verify_k_invariance` checks that every listed generator of a level
-subgroup fixes a Schwartz combination.
+`act` extends `weil_act` by the words m(a) and n_-(c), and
+`verify_k_invariance` uses it to check that every listed generator of a
+level subgroup fixes a Schwartz combination.
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -87,6 +89,23 @@ def lambda_eval_bruteforce(combo: SchwartzCombo, form: Form4,
     return total * Fraction(space.gamma, p) * Fraction(1, p ** 4)
 
 
+def act(word, combo: SchwartzCombo) -> SchwartzCombo:
+    """Apply ("m", a) for a unit a, ("nminus", c), or a word of `weil_act`."""
+    p = combo.space.p
+    if word[0] == "m":
+        a = int(word[1])
+        if math.gcd(a, p) != 1:
+            raise ValueError("m(a) is implemented for units a only")
+        # x -> a*x permutes the labels, so no two terms meet
+        out = {((a * i) % p, (a * j) % p): v for (i, j), v in combo.terms}
+        return SchwartzCombo.from_dict(combo.space, out)
+    if word[0] == "nminus":
+        # n_-(c) = w^{-1} n(-c) w and w^{-1} = w m(-1)
+        step = weil_act(("n", -int(word[1])), weil_act(("w",), combo))
+        return weil_act(("w",), act(("m", -1), step))
+    return weil_act(word, combo)
+
+
 _LEVELS = ("K0", "K0plus", "K")
 
 
@@ -109,6 +128,6 @@ def _generator_words(space, level):
 def verify_k_invariance(combo: SchwartzCombo, level: str) -> bool:
     """True iff every listed generator of the level group fixes the combo."""
     for word in _generator_words(combo.space, level):
-        if weil_act(word, combo) != combo:
+        if act(word, combo) != combo:
             return False
     return True

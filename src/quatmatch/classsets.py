@@ -17,7 +17,10 @@ Pipeline:
 * All vector counting is exact lattice-point enumeration: one
   fraction-free (Bareiss) elimination of E per form, then a Fincke-Pohst
   recursion on integer remainders with `isqrt` bounds (no floating point
-  anywhere, and no Fraction in the enumeration).
+  anywhere, and no Fraction in the enumeration).  It visits one vector of
+  each pair x, -x (the one whose last nonzero coordinate is positive) and
+  counts it twice.  `theta_counts` takes only a symmetric E with an even
+  diagonal, where Q is integral, and raises ValueError on any other.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ def theta_counts(E, mmax: int):
     """[r(0), r(1), ..., r(mmax)] for the integral positive definite form
     Q(x) = x E x^T / 2 of the integer even Gram E.
 
+    E must be symmetric with an even diagonal, so that Q is integral, and
+    Q must be positive definite; ValueError otherwise.
+
     Fraction-free (Bareiss) elimination of E, with
     leading minors Delta_0 = 1, Delta_1, ..., Delta_4 and eliminated rows U
     (U_ii = Delta_i), gives
@@ -69,7 +75,14 @@ def theta_counts(E, mmax: int):
     R = T*mmax - (the terms already fixed).  The bound is exact: for integers
     a > 0 and R >= 0, a*w^2 <= R holds exactly when |w| <= isqrt(R // a), so
     every x_i in range meets it and no point outside the ellipsoid is visited.
+    Q(x) = Q(-x), so only the x whose last nonzero coordinate is positive are
+    visited, each counted twice: while x_3, ..., x_{i+1} are all 0, x_i
+    starts at 0.  The zero vector is then counted twice too, and r(0) is 1.
     """
+    symmetric = all(E[i][j] == E[j][i] for i in range(4) for j in range(i))
+    if not symmetric or any(E[i][i] % 2 for i in range(4)):
+        raise ValueError("form is not an even Gram: E must be symmetric "
+                         "with an even diagonal")
     U = [list(row) for row in E]
     dens = []
     prev = 1
@@ -88,23 +101,26 @@ def theta_counts(E, mmax: int):
     counts = [0] * (mmax + 1)
     x = [0, 0, 0, 0]
 
-    def rec(i, R):
+    def rec(i, R, tie):  # tie: x_j = 0 for every j > i
         off = sum(U[i][j] * x[j] for j in range(i + 1, 4))
         s = math.isqrt(R // a[i])
         ai, ci = a[i], U[i][i]
-        for xi in range(-((s + off) // ci), (s - off) // ci + 1):
+        lo = 0 if tie else -((s + off) // ci)
+        xs = range(lo, (s - off) // ci + 1)
+        if i == 0:
+            base = top - R  # T*Q of the coordinates already fixed
+            for xi in xs:
+                w = ci * xi + off
+                counts[(base + ai * w * w) // T] += 2
+            return
+        for xi in xs:
             w = ci * xi + off
-            rem = R - ai * w * w
-            if i == 0:
-                v, r = divmod(top - rem, T)
-                if not r:
-                    counts[v] += 1
-            else:
-                x[i] = xi
-                rec(i - 1, rem)
+            x[i] = xi
+            rec(i - 1, R - ai * w * w, tie and not xi)
         x[i] = 0
 
-    rec(3, top)
+    rec(3, top, True)
+    counts[0] = 1
     return counts
 
 
@@ -151,10 +167,7 @@ def unit_weight(order: OrderLattice) -> int:
     """|units|/2 = half the number of norm-1 vectors of a definite order."""
     if not order.algebra.is_definite:
         raise ValueError("unit weights require a definite algebra")
-    n = theta_counts(order.even_gram(), 1)[1]
-    if n % 2:
-        raise ArithmeticError("unit count must be even")
-    return n // 2
+    return theta_counts(order.even_gram(), 1)[1] // 2
 
 
 def p_neighbors(ideal: RightIdeal, p: int):

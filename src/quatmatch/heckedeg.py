@@ -69,7 +69,7 @@ def volume(D: int, N: int) -> Fraction:
 
 
 def _sigma(p: int, k: int) -> int:
-    return sum(p ** i for i in range(k + 1))
+    return (p ** (k + 1) - 1) // (p - 1)  # 1 + p + ... + p^k; 0 at k = -1
 
 
 def local_degree(pattern: str, p: int, k: int) -> int:
@@ -108,7 +108,8 @@ def r_prime(D: int, N: int, m: int) -> Fraction:
     """Normalized two-sided degree: 1 at m=0, else 2*deg_T/volume (negative)."""
     if m == 0:
         return Fraction(1)
-    return Fraction(2 * deg_T(D, N, m)) / volume(D, N)
+    deg, vol = deg_T(D, N, m), volume(D, N)
+    return Fraction(2 * deg * vol.denominator, vol.numerator)
 
 
 # ---------------------------------------------------------------------------

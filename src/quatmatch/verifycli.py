@@ -191,22 +191,34 @@ class ClassSetPool:
         return self._memo[key]
 
 
-def _column(weight, side, D, N, m_max: int, pool: ClassSetPool):
-    """The weighted values of the term (weight, side, D, N) at m = 1 .. m_max."""
+def _column(side, D, N, m_max: int, pool: ClassSetPool):
+    """The values of r or r' at (D, N) for m = 1 .. m_max."""
     if side == "r":
-        values = genus_theta(pool.get(D, N), m_max)[1:]
-    else:
-        values = [heckedeg.r_prime(D, N, m) for m in range(1, m_max + 1)]
-    return values if weight == 1 else [weight * v for v in values]
+        return genus_theta(pool.get(D, N), m_max)[1:]
+    return [heckedeg.r_prime(D, N, m) for m in range(1, m_max + 1)]
+
+
+def _side(terms, m_max: int, pool: ClassSetPool):
+    """sum(weight * value) over the terms at m = 1 .. m_max: each term's
+    weighted column as integers over one denominator, summed over their lcm."""
+    columns = []
+    for weight, side, D, N in terms:
+        values = _column(side, D, N, m_max, pool)
+        den = math.lcm(*(v.denominator for v in values))
+        columns.append(([weight.numerator * v.numerator * (den // v.denominator)
+                         for v in values], weight.denominator * den))
+    den = math.lcm(*(d for _nums, d in columns))
+    scaled = [[n * (den // d) for n in nums] for nums, d in columns]
+    return [Fraction(sum(row), den) for row in zip(*scaled)]
 
 
 def run_case(case: TheoremCase, pool: ClassSetPool) -> VerificationReport:
-    """Both sides of the case's identity, row by row."""
+    """Both sides of the case's identity, row by row over 1 <= m <= m_max:
+    each side summed in integers by `_side`, then one Fraction per side per
+    row.  A row passes when the sides agree and the pin at m, if any, holds."""
     case.validate()
     started = time.monotonic()
-    lhs, rhs = ([sum(rest, first) for first, *rest in
-                 zip(*(_column(*t, case.m_max, pool) for t in terms))]
-                for terms in case.terms())
+    lhs, rhs = (_side(terms, case.m_max, pool) for terms in case.terms())
     pins = {m: Fraction(value) for m, value in case.pins}
     rows = [(m, left, right, left == right and (m not in pins or pins[m] == left))
             for m, left, right in zip(range(1, case.m_max + 1), lhs, rhs)]

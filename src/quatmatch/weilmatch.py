@@ -185,6 +185,7 @@ def _standard_sections(p: int) -> tuple:
             ("char(L1)", char_lattice(sp1)), ("char(L1_dual)", char_dual(sp1)))
 
 
+@lru_cache(maxsize=None)
 def matching_weights(p: int) -> tuple:
     """The local matching coefficients (a, b): char(L_ram) matches
     a char(L0) + b char(L1).
@@ -192,7 +193,8 @@ def matching_weights(p: int) -> tuple:
     {1, w} is a full transversal for these K0(p)-invariant sections, and
     their lambda-values there give (1, -1/p) = a (1, 1) + b (1, 1/p), so
     a = -2/(p-1) and b = (p+1)/(p-1).  The solution is checked against both
-    equations; ArithmeticError naming p if the system is singular.
+    equations; ArithmeticError naming p if the system is singular.  Cached,
+    as `ramified_space` is, so each prime is solved once per process.
     """
     (r1, rw), (x1, xw), (y1, yw) = (
         [lambda_eval(char_lattice(space), g).rational_value() for g in (IDENTITY, W)]

@@ -116,6 +116,51 @@ def test_non_positive_definite_rejected():
         theta_counts(order.even_gram(), 1)[1]
 
 
+@pytest.mark.parametrize("E", [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # odd diagonal
+    [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],  # not symmetric
+])
+def test_theta_counts_requires_an_even_gram(E):
+    # the identity used to give [1, 24, 24, 96], dropping the odd values
+    with pytest.raises(ValueError, match="even Gram"):
+        theta_counts(E, 3)
+
+
+def _random_even_grams(count, seed):
+    """Positive definite even Grams: a random symmetric matrix with an even
+    diagonal, kept if its leading minors are positive, then moved by a
+    random unimodular map so that the off-diagonal entries are large."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        e = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            e[i][i] = 2 * rng.randint(1, 6)
+            for j in range(i):
+                e[i][j] = e[j][i] = rng.randint(-3, 3)
+        if min(det4([row[:k] for row in e[:k]]) for k in range(1, 5)) <= 0:
+            continue
+        u = [[int(i == j) for j in range(4)] for i in range(4)]
+        for _ in range(6):
+            i, j = rng.sample(range(4), 2)
+            c = rng.randint(-2, 2)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        forms.append([[sum(u[i][a] * e[a][b] * u[j][b]
+                           for a in range(4) for b in range(4))
+                       for j in range(4)] for i in range(4)])
+    return forms
+
+
+def test_halved_enumeration_on_random_forms():
+    # theta_counts visits one vector of each pair x, -x; the reference
+    # enumerator in tests/ visits both
+    for e in _random_even_grams(50, seed=27):
+        counts = theta_counts(e, 20)
+        qgram = [[Fraction(x, 2) for x in row] for row in e]
+        assert counts == reference_theta_counts(qgram, 20), e
+        assert counts[0] == 1 and all(r % 2 == 0 for r in counts[1:]), e
+
+
 def test_unit_weight_generic_large_prime():
     order = maximal_order(construct_algebra(13))
     assert unit_weight(order) == 1  # only the units +-1

@@ -88,6 +88,16 @@ def test_r_prime_values_and_signs():
         assert r_prime(10, 1, m) < 0
 
 
+def test_r_prime_is_twice_the_degree_over_the_volume():
+    # r_prime builds its value as one Fraction from the volume's numerator
+    # and denominator; the quotient of Fractions is the reference
+    for D, N in [(6, 1), (6, 5), (6, 35), (10, 3), (14, 15), (15, 7),
+                 (21, 1), (210, 1), (210, 11)]:
+        for m in range(1, 41):
+            want = Fraction(2 * deg_T(D, N, m)) / volume(D, N)
+            assert r_prime(D, N, m) == want, (D, N, m)
+
+
 def _subgroup_count(modulus, index):
     """Index-`index` subgroups of (Z/modulus)^2 by explicit pair generation."""
     group = [(a, b) for a in range(modulus) for b in range(modulus)]

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from quatmatch import heckedeg, verifycli as vc
+from quatmatch.classsets import genus_theta
 from quatmatch.exactnum import is_prime, is_squarefree, prime_factors
 
 
@@ -293,6 +294,26 @@ def test_identities_off_the_main_grid(case, pool):
     # unequal unit weights, multi-class genera and multi-prime levels all
     # appear in these cases
     assert vc.run_case(case, pool).all_pass
+
+
+@pytest.mark.parametrize("case", vc.default_suite_cases() + [
+    vc.TheoremCase("1.4", D=2, p=13, N=1, m_max=20),  # weights -1/6 and 7/6
+], ids=lambda c: c.key())
+def test_rows_are_the_fraction_sums(case, pool):
+    # run_case sums each side in integers over one denominator; summing
+    # weight * value term by term in Fraction must give the same rows
+    def value(side, D, N, m):
+        if side == "r":
+            return genus_theta(pool.get(D, N), case.m_max)[m]
+        return heckedeg.r_prime(D, N, m)
+    lhs, rhs = case.terms()
+    report = vc.run_case(case, pool)
+    assert [m for m, *_ in report.rows] == list(range(1, case.m_max + 1))
+    for m, left, right, _ok in report.rows:
+        for terms, got in ((lhs, left), (rhs, right)):
+            want = sum((w * value(side, D, N, m) for w, side, D, N in terms),
+                       Fraction(0))
+            assert type(got) is Fraction and got == want, (m, terms)
 
 
 def _hand_written_rules(case):

@@ -130,7 +130,16 @@ def test_matching_weights(p):
     assert matching_weights(p) == (Fraction(-2, p - 1), Fraction(p + 1, p - 1))
 
 
-def test_matching_weights_singular_system(monkeypatch):
+@pytest.fixture
+def fresh_weights():
+    """`matching_weights` is cached: a test that patches a local space solves
+    the weights afresh and leaves none of its patched weights behind."""
+    matching_weights.cache_clear()
+    yield
+    matching_weights.cache_clear()
+
+
+def test_matching_weights_singular_system(monkeypatch, fresh_weights):
     # with L1 replaced by L0 the two split columns agree on {1, w}
     monkeypatch.setattr(weilmatch, "split_level_space", split_maximal_space)
     with pytest.raises(ArithmeticError, match="p = 5"):
@@ -143,7 +152,7 @@ def _flip_gamma(monkeypatch, name):
         build(p), gamma=-build(p).gamma))
 
 
-def test_prop_3_1_gamma_sensitivity(monkeypatch):
+def test_prop_3_1_gamma_sensitivity(monkeypatch, fresh_weights):
     # flipping the Weil index of either side must break the matching
     with monkeypatch.context() as mp:
         _flip_gamma(mp, "ramified_space")
@@ -152,6 +161,7 @@ def test_prop_3_1_gamma_sensitivity(monkeypatch):
         assert matching_weights(3) == (0, 1)
         case = verifycli.TheoremCase("1.4", D=2, p=3, N=1, m_max=5)
         assert not verifycli.run_case(case, verifycli.ClassSetPool()).all_pass
+    matching_weights.cache_clear()
     with monkeypatch.context() as mp:
         _flip_gamma(mp, "split_level_space")
         assert not verify_prop_3_1(5)

@@ -42,16 +42,12 @@ class QuaternionAlgebra:
         return _ram_cache(self.a, self.b)[0]
 
     @property
-    def ramified_at_infinity(self) -> bool:
-        return _ram_cache(self.a, self.b)[1]
-
-    @property
     def discriminant(self) -> int:
         return math.prod(self.ramified_primes)
 
     @property
     def is_definite(self) -> bool:
-        return self.ramified_at_infinity
+        return _ram_cache(self.a, self.b)[1]
 
     def __repr__(self):
         return "QuaternionAlgebra(a=%d, b=%d)" % (self.a, self.b)

@@ -6,17 +6,20 @@ entry divisible by p), and the division quaternion algebra with its maximal
 order.  The Weil representation of an even lattice L depends only on its
 discriminant module (L_dual/L, Q mod 1), so each space is stored as that
 module: the cosets mu_{i,j} + L carry labels (i, j) mod p, and a table
-holds the integers p*Q(mu_{i,j}) mod p.  Schwartz functions are
-combinations of indicator functions of these cosets with coefficients in
-Q(zeta_p); the group action is generated by
+holds the integers p*Q(mu_{i,j}) mod p.  Every section built here is the
+indicator of a union of these cosets.
 
-    n(b):  multiply the mu-coset coefficient by psi(b * Q(mu))
-    w:     finite Fourier transform over L_dual / L, scaled by gamma * vol(L)
+A section phi is read through lambda(phi)(g) = (omega(g) phi)(0), and the
+matchings compare these values only on the transversal {1, w n(b)}.  There
+lambda(phi)(1) is phi(0), and
 
-with vol(L) = [L_dual : L]^(-1/2) and the Weil index gamma = +1 for the
-split spaces and -1 for the ramified one.  The Fourier kernel is
-psi(B(nu, mu)) with B(nu, mu) = Q(nu + mu) - Q(nu) - Q(mu).  The section
-value lambda(phi)(g) is (omega(g) phi)(0).
+    lambda(phi)(w n(b)) = gamma * vol(L) * sum_mu phi(mu) psi(b * Q(mu))
+
+(Weil, Acta Math. 111, 1964), with w = w n(0), vol(L) = [L_dual : L]^(-1/2)
+and the Weil index gamma = +1 for the split spaces and -1 for the ramified
+one.  The action of the whole group on Schwartz functions is not needed
+here; the test suite keeps it as the reference these values are checked
+against.
 
 Character convention: psi_p(x) = e(-frac_p(x)), where frac_p is the p-adic
 fractional part, so psi_p is trivial on Z_p and psi_p(a/p) = zeta_p^(-a).
@@ -32,16 +35,6 @@ from functools import lru_cache
 
 from .exactnum import CyclotomicNumber, zeta
 from .quatalg import ramified_model
-
-ZERO = CyclotomicNumber.from_rational(0)
-ONE = CyclotomicNumber.from_rational(1)
-IDENTITY = ()
-W = (("w",),)
-
-
-def wn(i: int):
-    """The group word w * n(i)."""
-    return (("w",), ("n", i))
 
 
 @dataclass(frozen=True)
@@ -96,88 +89,57 @@ def ramified_space(p: int) -> LocalQuadSpace:
 
 
 # ---------------------------------------------------------------------------
-# Schwartz combinations and the group action
+# sections and their lambda-values
 
 @dataclass(frozen=True)
-class SchwartzCombo:
-    """Finite combination sum_label coeff * char(mu_label + L); every
-    coefficient is a `CyclotomicNumber` in Q(zeta_p)."""
+class Section:
+    """The indicator of a union of cosets mu + L: `labels` is the sorted
+    tuple of their labels (i, j)."""
     space: LocalQuadSpace
-    terms: tuple  # sorted tuple of (label, coefficient)
-
-    @staticmethod
-    def from_dict(space, data) -> "SchwartzCombo":
-        items = tuple(sorted((lab, c) for lab, c in data.items() if c != ZERO))
-        return SchwartzCombo(space, items)
+    labels: tuple
 
 
-def char_lattice(space: LocalQuadSpace) -> SchwartzCombo:
-    """char(L): the zero coset with coefficient 1."""
-    return SchwartzCombo.from_dict(space, {(0, 0): ONE})
+def char_lattice(space: LocalQuadSpace) -> Section:
+    """char(L): the zero coset."""
+    return Section(space, ((0, 0),))
 
 
-def char_dual(space: LocalQuadSpace) -> SchwartzCombo:
-    """char(L_dual): every coset with coefficient 1."""
-    return SchwartzCombo.from_dict(space,
-                                   {lab: ONE for lab in space.labels()})
+def char_dual(space: LocalQuadSpace) -> Section:
+    """char(L_dual): every coset."""
+    return Section(space, tuple(space.labels()))
 
 
-def coset_char(space: LocalQuadSpace, i: int, j: int) -> SchwartzCombo:
-    """char(mu_{i,j} + L)."""
-    if len(space.table) == 1 and (i, j) != (0, 0):
+def coset_char(space: LocalQuadSpace, i: int, j: int) -> Section:
+    """char(mu_{i,j} + L), for the label (i, j) read mod p."""
+    label = (i % space.p, j % space.p)
+    if len(space.table) == 1 and label != (0, 0):
         raise ValueError("self-dual lattice has only the zero coset")
-    return SchwartzCombo.from_dict(space,
-                                   {(i % space.p, j % space.p): ONE})
+    return Section(space, (label,))
 
 
-def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
-    """Apply a generator word: ("n", b) or ("w",)."""
-    space = combo.space
+def lambda_eval(phi: Section, b) -> CyclotomicNumber:
+    """lambda(phi)(g) = (omega(g) phi)(0) on the transversal: g = 1 for
+    b = None, and g = w n(b) for an integer b, so b = 0 gives g = w.
+
+    At g = 1 the value is phi(0).  At g = w n(b) it is the character sum
+    gamma vol(L) sum_mu phi(mu) zeta_p^(-b p Q(mu)), counted by exponent.
+    """
+    if b is None:
+        return CyclotomicNumber.from_rational(int((0, 0) in phi.labels))
+    space = phi.space
     p, table = space.p, space.table
-    kind = word[0]
-    if kind == "n":
-        b = int(word[1])
-        out = {(i, j): v.rotate(p, -b * table[i][j])
-               for (i, j), v in combo.terms}
-        return SchwartzCombo.from_dict(space, out)
-    if kind == "w":
-        factor = space.vol * space.gamma
-        out = {}
-        for nu_i, nu_j in space.labels():
-            q_nu = table[nu_i][nu_j]
-            bins = [0] * p  # the coefficient of zeta_p^r, r mod p
-            for (i, j), v in combo.terms:
-                # p*B(nu, mu) = p*(Q(nu + mu) - Q(nu) - Q(mu)) mod p
-                pb = table[(nu_i + i) % p][(nu_j + j) % p] - q_nu - table[i][j]
-                for r, c in v.terms:
-                    bins[(r - pb) % p] += c
-            out[(nu_i, nu_j)] = CyclotomicNumber(
-                p, [(r, c * factor) for r, c in enumerate(bins)])
-        return SchwartzCombo.from_dict(space, out)
-    raise ValueError("unknown generator word %r" % (word,))
-
-
-def lambda_eval(combo: SchwartzCombo, g) -> CyclotomicNumber:
-    """lambda(phi)(g) = (omega(g) phi)(0) for a word tuple g = (g1, g2, ...)."""
-    space = combo.space
-    current = combo
-    words = list(g)
-    while len(words) > 1:
-        current = weil_act(words.pop(), current)
-    if len(words) == 1 and words[0][0] == "w":
-        # only the zero-coset output coefficient is needed
-        total = sum((v for _lab, v in current.terms), ZERO)
-        return total * (space.vol * space.gamma)
-    if words:
-        current = weil_act(words[0], current)
-    return dict(current.terms).get((0, 0), ZERO)
+    counts = [0] * p
+    for i, j in phi.labels:
+        counts[-b * table[i][j] % p] += 1
+    factor = space.vol * space.gamma
+    return CyclotomicNumber(p, [(r, c * factor) for r, c in enumerate(counts) if c])
 
 
 # ---------------------------------------------------------------------------
 # the matching statements
 
 def _standard_sections(p: int) -> tuple:
-    """The five characters of Prop. 3.1, each as (report name, combination)."""
+    """The five characters of Prop. 3.1, each as (report name, section)."""
     ra = ramified_space(p)
     sp1 = split_level_space(p)
     return (("char(L_ram)", char_lattice(ra)), ("char(L_ram_dual)", char_dual(ra)),
@@ -197,7 +159,7 @@ def matching_weights(p: int) -> tuple:
     as `ramified_space` is, so each prime is solved once per process.
     """
     (r1, rw), (x1, xw), (y1, yw) = (
-        [lambda_eval(char_lattice(space), g).rational_value() for g in (IDENTITY, W)]
+        [lambda_eval(char_lattice(space), b).rational_value() for b in (None, 0)]
         for space in (ramified_space(p), split_maximal_space(p), split_level_space(p)))
     det = x1 * yw - y1 * xw
     if det == 0:
@@ -219,7 +181,7 @@ def verify_prop_3_1(p: int) -> bool:
     _, (_, ra_dual), (_, l0), _, (_, l1_dual) = _standard_sections(p)
     return all(lambda_eval(ra_dual, g)
                == lambda_eval(l0, g) * (-p * a) - lambda_eval(l1_dual, g) * b
-               for g in (IDENTITY, W))
+               for g in (None, 0))
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +191,7 @@ def _dft_matrix(p: int):
     Raises ArithmeticError on any other entry.
     """
     sp1 = split_level_space(p)
-    amat = tuple(tuple(lambda_eval(coset_char(sp1, 1, j), wn(i)) * p
+    amat = tuple(tuple(lambda_eval(coset_char(sp1, 1, j), i) * p
                        for j in range(p)) for i in range(p))
     for i in range(p):
         for j in range(p):
@@ -253,11 +215,11 @@ def verify_basis_lemma(p: int) -> bool:
         return False
     sp0 = split_maximal_space(p)
     sp1 = split_level_space(p)
-    if lambda_eval(char_lattice(sp0), IDENTITY) == 0:
+    if lambda_eval(char_lattice(sp0), None) == 0:
         return False
-    if any(lambda_eval(coset_char(sp1, 1, j), IDENTITY) != 0 for j in range(p)):
+    if any(lambda_eval(coset_char(sp1, 1, j), None) != 0 for j in range(p)):
         return False
-    transversal = [IDENTITY] + [wn(i) for i in range(p)]
+    transversal = [None] + list(range(p))
     values = {}
     for a in range(p):
         for b in range(p):
@@ -286,7 +248,7 @@ def match_coefficients(p: int, k: int, l: int):
     amat = _dft_matrix(p)
     d = ramified_model(p).d_value(k, l) % p
     for i in range(p):
-        if amat[i][d] != lambda_eval(phi_kl, wn(i)) * -p:
+        if amat[i][d] != lambda_eval(phi_kl, i) * -p:
             raise ArithmeticError("closed-form matching x = -e_%d fails A x = t "
                                   "at row %d" % (d, i))
     return [Fraction(-1) if j == d else Fraction(0) for j in range(p)]
@@ -295,8 +257,8 @@ def match_coefficients(p: int, k: int, l: int):
 def lambda_table_text(p: int) -> str:
     """Human-readable table of the standard lambda-values and matchings."""
     lines = ["lambda values at prime p = %d (columns: 1, w)" % p]
-    for name, combo in _standard_sections(p):
-        vals = [str(lambda_eval(combo, g)) for g in (IDENTITY, W)]
+    for name, phi in _standard_sections(p):
+        vals = [str(lambda_eval(phi, b)) for b in (None, 0)]
         lines.append("  %-17s : %s" % (name, ", ".join(vals)))
     lines.append("matching weights: -2/(p-1) = %s, (p+1)/(p-1) = %s"
                  % matching_weights(p))

@@ -8,8 +8,6 @@ from quatmatch import verifycli, weilmatch
 from quatmatch.exactnum import CyclotomicNumber, zeta
 from quatmatch.quatalg import RamifiedModel, ramified_model
 from quatmatch.weilmatch import (
-    IDENTITY,
-    W,
     char_dual,
     char_lattice,
     coset_char,
@@ -22,16 +20,17 @@ from quatmatch.weilmatch import (
     split_maximal_space,
     verify_basis_lemma,
     verify_prop_3_1,
-    weil_act,
-    wn,
 )
 
 from weil_reference import (
+    SchwartzCombo,
     act,
     lambda_eval_bruteforce,
     level_form,
     ramified_form,
+    reference_lambda,
     verify_k_invariance,
+    weil_act,
 )
 
 
@@ -78,13 +77,13 @@ def test_standard_lambda_values():
         ra = ramified_space(p)
         sp0 = split_maximal_space(p)
         sp1 = split_level_space(p)
-        assert lambda_eval(char_lattice(ra), IDENTITY) == 1
-        assert lambda_eval(char_lattice(ra), W) == Fraction(-1, p)
-        assert lambda_eval(char_dual(ra), IDENTITY) == 1
-        assert lambda_eval(char_dual(ra), W) == -p
-        assert lambda_eval(char_lattice(sp0), W) == 1
-        assert lambda_eval(char_lattice(sp1), W) == Fraction(1, p)
-        assert lambda_eval(char_dual(sp1), W) == p
+        assert lambda_eval(char_lattice(ra), None) == 1
+        assert lambda_eval(char_lattice(ra), 0) == Fraction(-1, p)
+        assert lambda_eval(char_dual(ra), None) == 1
+        assert lambda_eval(char_dual(ra), 0) == -p
+        assert lambda_eval(char_lattice(sp0), 0) == 1
+        assert lambda_eval(char_lattice(sp1), 0) == Fraction(1, p)
+        assert lambda_eval(char_dual(sp1), 0) == p
 
 
 def test_coset_lambda_values():
@@ -97,27 +96,51 @@ def test_coset_lambda_values():
                 if (a, b) == (0, 0):
                     continue
                 phi = coset_char(sp1, a, b)
-                assert lambda_eval(phi, IDENTITY) == 0
+                assert lambda_eval(phi, None) == 0
                 for i in range(p):
-                    assert lambda_eval(phi, wn(i)) == \
+                    assert lambda_eval(phi, i) == \
                         zeta(p, a * b * i % p) * Fraction(1, p)
                 phi_ra = coset_char(ra, a, b)
                 d = model.d_value(a, b)
                 for i in range(p):
-                    assert lambda_eval(phi_ra, wn(i)) == \
+                    assert lambda_eval(phi_ra, i) == \
                         zeta(p, i * d % p) * Fraction(-1, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lambda_eval_matches_reference_action(p):
+    # the closed character sum on {1, w n(i)} is the full group action read at 0,
+    # on the five Prop. 3.1 sections and on every coset section
+    ra = ramified_space(p)
+    sp1 = split_level_space(p)
+    sections = [char_lattice(ra), char_dual(ra), char_lattice(split_maximal_space(p)),
+                char_lattice(sp1), char_dual(sp1)]
+    sections += [coset_char(space, a, b) for space in (sp1, ra)
+                 for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    words = [((), None), ((("w",),), 0)]
+    words += [((("w",), ("n", i)), i) for i in range(p)]
+    for phi in sections:
+        for g, b in words:
+            assert reference_lambda(phi, g) == lambda_eval(phi, b)
+
+
+def test_coset_char_reduces_before_checking():
+    for space in (split_maximal_space(3), split_level_space(3)):
+        assert coset_char(space, 3, 0) == coset_char(space, 0, -3) == char_lattice(space)
+    assert coset_char(split_level_space(3), 4, -1) == coset_char(split_level_space(3), 1, 2)
+    with pytest.raises(ValueError, match="only the zero coset"):
+        coset_char(split_maximal_space(3), 1, 0)
 
 
 def test_lambda_bruteforce_cross_check():
     for p in (2, 3):
         for space, form in ((split_level_space(p), level_form(p)),
                             (ramified_space(p), ramified_form(p))):
-            combos = [char_lattice(space), char_dual(space),
-                      coset_char(space, 1, 0), coset_char(space, 1, 1)]
-            for combo in combos:
+            sections = [char_lattice(space), char_dual(space),
+                        coset_char(space, 1, 0), coset_char(space, 1, 1)]
+            for phi in sections:
                 for i in range(p):
-                    assert lambda_eval_bruteforce(combo, form, i) == \
-                        lambda_eval(combo, wn(i))
+                    assert lambda_eval_bruteforce(phi, form, i) == lambda_eval(phi, i)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -171,14 +194,14 @@ def test_fourier_inversion():
     for p in (2, 3, 5):
         for space in (split_maximal_space(p), split_level_space(p),
                       ramified_space(p)):
-            phi = char_lattice(space)
+            phi = SchwartzCombo.of(char_lattice(space))
             assert weil_act(("w",), weil_act(("w",), phi)) == phi
 
 
 def test_n_action_trivial_on_integral_lattice():
     for p in (2, 3):
         space = split_level_space(p)
-        phi = char_lattice(space)
+        phi = SchwartzCombo.of(char_lattice(space))
         for b in range(1, p + 1):
             assert weil_act(("n", b), phi) == phi
 
@@ -188,11 +211,11 @@ def test_k_invariance():
         ra = ramified_space(p)
         sp0 = split_maximal_space(p)
         sp1 = split_level_space(p)
-        for combo in (char_lattice(ra), char_lattice(sp0), char_lattice(sp1)):
-            assert verify_k_invariance(combo, "K0")
-        for combo in (char_dual(ra), char_dual(sp1)):
-            assert verify_k_invariance(combo, "K0plus")
-            assert not verify_k_invariance(combo, "K0")
+        for phi in (char_lattice(ra), char_lattice(sp0), char_lattice(sp1)):
+            assert verify_k_invariance(phi, "K0")
+        for phi in (char_dual(ra), char_dual(sp1)):
+            assert verify_k_invariance(phi, "K0plus")
+            assert not verify_k_invariance(phi, "K0")
         for a in range(p):
             for b in range(p):
                 if (a, b) == (0, 0):
@@ -221,7 +244,7 @@ def test_match_coefficients(p):
             assert sum(1 for c in coeffs if c) == 1
             # the matching identity holds on the whole transversal, g = 1 included
             phi_ra = coset_char(ra, k, l)
-            for g in [IDENTITY] + [wn(i) for i in range(p)]:
+            for g in [None] + list(range(p)):
                 lhs = lambda_eval(phi_ra, g)
                 rhs = CyclotomicNumber.from_rational(0)
                 for j, cj in enumerate(coeffs):
@@ -255,7 +278,7 @@ def flipped_dft(monkeypatch):
     """Every lambda-value is negated: the lambda block is then -A, not the
     DFT matrix that `_dft_matrix` expects."""
     monkeypatch.setattr(weilmatch, "lambda_eval",
-                        lambda combo, g: -lambda_eval(combo, g))
+                        lambda phi, b: -lambda_eval(phi, b))
     weilmatch._dft_matrix.cache_clear()
     yield
     weilmatch._dft_matrix.cache_clear()
@@ -276,11 +299,11 @@ def test_match_coefficients_rejects_zero_coset():
 def test_m_action_requires_unit():
     space = split_level_space(3)
     with pytest.raises(ValueError):
-        act(("m", 3), char_lattice(space))
+        act(("m", 3), SchwartzCombo.of(char_lattice(space)))
 
 
 def test_weil_act_takes_n_and_w_only():
-    phi = char_lattice(split_level_space(3))
+    phi = SchwartzCombo.of(char_lattice(split_level_space(3)))
     for word in (("m", 1), ("nminus", 1), ("nminus", 3)):
         with pytest.raises(ValueError, match="unknown generator word"):
             weil_act(word, phi)
@@ -301,6 +324,9 @@ LOCAL_DIGESTS = {
     7: "efc3751d4e9a215182396e4d457c6582a82fa9edb59e6df2018544579e56180e",
     11: "fbbd28423f10aa12bf455c08521095c37f012a08bb52bfdd88b90e19662587bc",
     13: "0506c4368d21a03fb34ba758f1c916f0a635a8b64dbab79c9ba7f4824fe170da",
+    17: "87520690f88b8627159a1597561925f53b2081a4eb07c0e4e46890c39b96a121",
+    19: "0e5b2f0f0a7afe4819176b202a7458aa4964bef00822790cd154081b997ff076",
+    23: "93600cebd64f512995100fbbdc410ed79af1aa29bebf68e8e16e160b2105c9f9",
 }
 
 

@@ -1,23 +1,88 @@
 """Reference checks for the local Weil layer, independent of `lambda_eval`.
 
+`weilmatch` evaluates lambda(phi) only on the transversal {1, w n(b)}.
+Here the group acts on Schwartz functions themselves:
+
+`SchwartzCombo` is a combination of coset indicators with coefficients in
+Q(zeta_p), and `weil_act` applies the generators
+
+    n(b):  multiply the mu-coset coefficient by psi(b * Q(mu))
+    w:     finite Fourier transform over L_dual / L, scaled by gamma * vol(L)
+
+with the Fourier kernel psi(B(nu, mu)), B(nu, mu) = Q(nu + mu) - Q(nu) - Q(mu).
+`act` extends `weil_act` by the words m(a) and n_-(c), and
+`verify_k_invariance` uses it to check that every listed generator of a
+level subgroup fixes a section.  `reference_lambda` reads a word's action
+at 0, the value `lambda_eval` is checked against.
+
 `Form4` is a local lattice written out in Z_p^4 coordinates: a 4x4 Gram
 matrix and the two generators of L_dual/L.  `level_form` and
 `ramified_form` are the level and division-order lattices that
 `weilmatch` stores only as discriminant modules.  `lambda_eval_bruteforce`
 evaluates lambda(phi)(w n(i)) as a raw character sum over residue points
-of such a form, without the coset Fourier transform of `weil_act`.
-`act` extends `weil_act` by the words m(a) and n_-(c), and
-`verify_k_invariance` uses it to check that every listed generator of a
-level subgroup fixes a Schwartz combination.
+of such a form, without the discriminant-module table.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from quatmatch.exactnum import CyclotomicNumber, zeta
 from quatmatch.quatalg import ramified_model
-from quatmatch.weilmatch import SchwartzCombo, weil_act
+from quatmatch.weilmatch import LocalQuadSpace, Section
+
+_ZERO = CyclotomicNumber.from_rational(0)
+_ONE = CyclotomicNumber.from_rational(1)
+
+
+@dataclass(frozen=True)
+class SchwartzCombo:
+    """Finite combination sum_label coeff * char(mu_label + L); every
+    coefficient is a nonzero `CyclotomicNumber` in Q(zeta_p)."""
+    space: LocalQuadSpace
+    terms: tuple  # sorted tuple of (label, coefficient)
+
+    @staticmethod
+    def from_dict(space, data) -> "SchwartzCombo":
+        items = tuple(sorted((lab, c) for lab, c in data.items() if c != _ZERO))
+        return SchwartzCombo(space, items)
+
+    @staticmethod
+    def of(section: Section) -> "SchwartzCombo":
+        """The section's indicator: coefficient 1 on each of its cosets."""
+        return SchwartzCombo(section.space, tuple((lab, _ONE) for lab in section.labels))
+
+    def at_zero(self) -> CyclotomicNumber:
+        """The value at 0: the coefficient of the zero coset."""
+        return dict(self.terms).get((0, 0), _ZERO)
+
+
+def weil_act(word, combo: SchwartzCombo) -> SchwartzCombo:
+    """Apply a generator word: ("n", b) or ("w",)."""
+    space = combo.space
+    p, table = space.p, space.table
+    kind = word[0]
+    if kind == "n":
+        b = int(word[1])
+        out = {(i, j): v.rotate(p, -b * table[i][j])
+               for (i, j), v in combo.terms}
+        return SchwartzCombo.from_dict(space, out)
+    if kind == "w":
+        factor = space.vol * space.gamma
+        out = {}
+        for nu_i, nu_j in space.labels():
+            q_nu = table[nu_i][nu_j]
+            bins = [0] * p  # the coefficient of zeta_p^r, r mod p
+            for (i, j), v in combo.terms:
+                # p*B(nu, mu) = p*(Q(nu + mu) - Q(nu) - Q(mu)) mod p
+                pb = table[(nu_i + i) % p][(nu_j + j) % p] - q_nu - table[i][j]
+                for r, c in v.terms:
+                    bins[(r - pb) % p] += c
+            out[(nu_i, nu_j)] = CyclotomicNumber(
+                p, [(r, c * factor) for r, c in enumerate(bins)])
+        return SchwartzCombo.from_dict(space, out)
+    raise ValueError("unknown generator word %r" % (word,))
 
 
 class Form4(NamedTuple):
@@ -63,19 +128,18 @@ def ramified_form(p: int) -> Form4:
     return Form4(p, qg, _vec(0, 0, Fraction(1, p), 0), _vec(0, 0, 0, Fraction(1, p)))
 
 
-def lambda_eval_bruteforce(combo: SchwartzCombo, form: Form4,
+def lambda_eval_bruteforce(section: Section, form: Form4,
                            i: int) -> CyclotomicNumber:
     """lambda(phi)(w n(i)) as a raw character sum over (mu + L)/pL of `form`.
 
     The sum runs over p^4 residue points per coset; [L_dual : L] = p^2, so
     vol(L) = 1/p.
     """
-    space = combo.space
     p = form.p
-    total = CyclotomicNumber.from_rational(0)
-    for lab, coeff in combo.terms:
+    total = _ZERO
+    for lab in section.labels:
         mu = form.coset_vector(lab)
-        coset_sum = CyclotomicNumber.from_rational(0)
+        coset_sum = _ZERO
         for r0 in range(p):
             for r1 in range(p):
                 for r2 in range(p):
@@ -85,8 +149,8 @@ def lambda_eval_bruteforce(combo: SchwartzCombo, form: Form4,
                         y = i * form.q(x)
                         assert p % y.denominator == 0
                         coset_sum = coset_sum + zeta(y.denominator, -y.numerator)
-        total = total + coset_sum * coeff
-    return total * Fraction(space.gamma, p) * Fraction(1, p ** 4)
+        total = total + coset_sum
+    return total * Fraction(section.space.gamma, p) * Fraction(1, p ** 4)
 
 
 def act(word, combo: SchwartzCombo) -> SchwartzCombo:
@@ -104,6 +168,15 @@ def act(word, combo: SchwartzCombo) -> SchwartzCombo:
         step = weil_act(("n", -int(word[1])), weil_act(("w",), combo))
         return weil_act(("w",), act(("m", -1), step))
     return weil_act(word, combo)
+
+
+def reference_lambda(section: Section, g) -> CyclotomicNumber:
+    """(omega(g) phi)(0) for a word g = (g1, g2, ...) of `act`, applied
+    right to left to the section's indicator phi."""
+    combo = SchwartzCombo.of(section)
+    for word in reversed(g):
+        combo = act(word, combo)
+    return combo.at_zero()
 
 
 _LEVELS = ("K0", "K0plus", "K")
@@ -125,8 +198,9 @@ def _generator_words(space, level):
     return ns + nms
 
 
-def verify_k_invariance(combo: SchwartzCombo, level: str) -> bool:
-    """True iff every listed generator of the level group fixes the combo."""
+def verify_k_invariance(section: Section, level: str) -> bool:
+    """True iff every listed generator of the level group fixes the section."""
+    combo = SchwartzCombo.of(section)
     for word in _generator_words(combo.space, level):
         if act(word, combo) != combo:
             return False

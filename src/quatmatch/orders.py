@@ -8,14 +8,18 @@ Every lattice operation here works on these integer rows and returns
 through `_lattice`.  A full-rank HNF is upper triangular, which is what
 `gram_det`, `index_in` and `_coordinates` rely on: the basis determinant
 is the product of the diagonal over den^4, and coordinates come from
-forward substitution.
+integer forward substitution, which raises ValueError when a vector is not
+in the lattice.  Coordinates and multiplication tables are integers.
+`is_order` reads the multiplication table: a lattice that holds 1 and is
+closed under products is a ring finitely generated over Z, so every
+element is integral and no separate integrality test is needed.
 
 The Gram matrix is taken with respect to (x, y) = trd(x * conj(y)), whose
 determinant equals the square of the reduced discriminant; a maximal order
 of B(D) has |det| = D^2 and an Eichler order of level N has |det| = (DN)^2.
 `gram` returns it as the integer matrix G read off the HNF, (x, y) = G/den^2,
 and `even_gram(scale)` as the integer even Gram G/(den^2 scale) of
-nrd/scale; the latter is the one integrality certificate of a form.  A
+nrd/scale; the latter is the only integrality certificate of a form.  A
 local splitting is handed out as its bare entry functionals.
 """
 
@@ -80,10 +84,16 @@ class OrderLattice:
         return Fraction(16 * ab * ab * d * d, self.den ** 8)
 
     def is_order(self) -> bool:
-        """1 lies in L, trd and nrd are integral on the basis, and L*L = L."""
-        return (all(c.denominator == 1 for c in _coordinates(self, (1, 0, 0, 0)))
-                and _integral_basis(self)
-                and lattice_sum(self, lattice_product(self, self)) == self)
+        """1 lies in L and L*L lies in L (the multiplication table exists).
+
+        Such a ring is finitely generated over Z, so trd and nrd are
+        integral on it (Voight, Quaternion Algebras, ch. 10)."""
+        try:
+            _coordinates(self, (1, 0, 0, 0))
+            multiplication_table(self)
+        except ValueError:
+            return False
+        return True
 
     # -- serialization ---------------------------------------------------------
     def to_text(self) -> str:
@@ -98,21 +108,20 @@ def _diagonal_product(lat: OrderLattice) -> int:
     return math.prod(lat.mat[r][r] for r in range(4))
 
 
-def _coordinates(lat: OrderLattice, v):
-    """c with sum_r c_r mat[r] = den * v, by forward substitution (the HNF is
-    upper triangular)."""
+def _coordinates(lat: OrderLattice, v, den: int = 1) -> tuple:
+    """The integer c with sum_r c_r mat[r] / lat.den = v / den, for an
+    integer vector v, by forward substitution (the HNF is upper triangular).
+
+    Raises ValueError when v / den is not in the lattice.
+    """
     c = []
     for k in range(4):
-        t = lat.den * Fraction(v[k]) - sum(c[r] * lat.mat[r][k] for r in range(k))
-        c.append(t / lat.mat[k][k])
-    return c
-
-
-def _integral_basis(lat: OrderLattice) -> bool:
-    """trd and nrd take integer values on every basis vector."""
-    a, b, den = lat.algebra.a, lat.algebra.b, lat.den
-    return all(2 * row[0] % den == 0 and quat_nrd(a, b, row) % (den * den) == 0
-               for row in lat.mat)
+        t = lat.den * v[k] - den * sum(c[r] * lat.mat[r][k] for r in range(k))
+        q, rem = divmod(t, den * lat.mat[k][k])
+        if rem:
+            raise ValueError("vector is not in the lattice")
+        c.append(q)
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +169,13 @@ def index_in(sub: OrderLattice, sup: OrderLattice) -> Fraction:
 # multiplication tables (for finite-ring computations inside an order)
 
 def multiplication_table(order: OrderLattice):
-    """T[r][s] = integer coordinates of b_r * b_s in the order's basis."""
+    """T[r][s] = integer coordinates of b_r * b_s in the order's basis.
+
+    Raises ValueError unless the lattice is closed under multiplication.
+    """
     a, b, den2 = order.algebra.a, order.algebra.b, order.den * order.den
-    table = []
-    for u in order.mat:
-        row = []
-        for v in order.mat:
-            coords = _coordinates(
-                order, [Fraction(x, den2) for x in quat_mul(a, b, u, v)])
-            if any(c.denominator != 1 for c in coords):
-                raise ValueError("lattice is not closed under multiplication")
-            row.append(tuple(int(c) for c in coords))
-        table.append(row)
-    return table
+    return [[_coordinates(order, quat_mul(a, b, u, v), den2) for v in order.mat]
+            for u in order.mat]
 
 
 def _vec_mul(table, x, y, mod):
@@ -203,8 +206,8 @@ def _multiplicative_closure(algebra, den, rows, max_rounds=24):
     """Smallest multiplicatively closed lattice containing the integer rows
     over den.
 
-    Returns None if closure does not stabilise quickly or trd or nrd is not
-    integral on the result (the candidate generates no order).
+    Returns None if closure does not stabilise quickly or nrd is not
+    integral on a step (the candidate generates no order).
     """
     lat = _lattice(algebra, den, rows)
     for _ in range(max_rounds):
@@ -212,7 +215,9 @@ def _multiplicative_closure(algebra, den, rows, max_rounds=24):
         if merged == lat:
             return lat
         lat = merged
-        if not _integral_basis(lat):
+        try:
+            lat.even_gram()
+        except ArithmeticError:
             return None
     return None
 
@@ -221,15 +226,17 @@ def maximal_order(algebra: QuaternionAlgebra) -> OrderLattice:
     """A maximal order, produced by saturating Z<1,i,j,k> prime by prime.
 
     Termination certificate: the Gram determinant of the result equals D^2,
-    the square of the algebra's discriminant, and multiplicative closure
-    plus integrality are verified on the way out.
+    the square of the algebra's discriminant, and `is_order` is verified on
+    the way out.
     """
     target = algebra.discriminant ** 2
     lat = standard_order(algebra)
     current = lat.gram_det()
     while current > target:
         excess = Fraction(current, target)
-        assert excess.denominator == 1
+        if excess.denominator != 1:
+            raise ArithmeticError("D=%d: Gram determinant %s is not a multiple "
+                                  "of D^2" % (algebra.discriminant, current))
         primes = prime_factors(int(excess))
         enlarged = False
         for p in primes:
@@ -270,13 +277,6 @@ def _enlarge_at(algebra, lat, p):
 # ---------------------------------------------------------------------------
 # local splitting O/p^k O  ~  2x2 matrices over Z/p^k
 
-def _order_one_coords(order):
-    one = _coordinates(order, (1, 0, 0, 0))
-    if any(c.denominator != 1 for c in one):
-        raise ValueError("order does not contain 1")
-    return tuple(int(c) for c in one)
-
-
 def _trd_vector(order):
     return tuple(2 * row[0] // order.den for row in order.mat)
 
@@ -289,12 +289,13 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1):
     lower-left entry used by the Eichler congruence.  The idempotent is
     found by exhaustive search mod p (deterministic, lexicographic), lifted
     by the Newton step e <- 3e^2 - 2e^3, then completed to a matrix-unit
-    frame e_ij; all sixteen relations are verified.
+    frame e_ij with e22 = 1 - e; all sixteen relations are verified, which
+    covers e^2 = e after the lift and e12 e21 = e.
     """
     if p in order.algebra.ramified_primes:
         raise ValueError("algebra is ramified at %d: no splitting" % p)
     table = multiplication_table(order)
-    one = _order_one_coords(order)
+    one = _coordinates(order, (1, 0, 0, 0))
     modulus = p ** k
 
     e = None
@@ -316,7 +317,6 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1):
         sq = _vec_mul(table, e, e, m)
         cube = _vec_mul(table, sq, e, m)
         e = tuple((3 * sq[t] - 2 * cube[t]) % m for t in range(4))
-    assert _vec_mul(table, e, e, modulus) == tuple(c % modulus for c in e)
 
     f = tuple((one[t] - e[t]) % modulus for t in range(4))  # complementary idempotent
     bas_vecs = [tuple(int(v == s) for v in range(4)) for s in range(4)]
@@ -331,10 +331,10 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1):
     if e12 is None or e21raw is None:
         raise ArithmeticError("failed to build off-diagonal matrix units")
     prod = _vec_mul(table, e12, e21raw, modulus)
-    # prod = lambda * e with lambda a unit
+    # prod = lambda * e with lambda a unit (the relation e12 e21 = e checks it)
     idx = next(t for t in range(4) if e[t] % p)
     lam = (prod[idx] * pow(e[idx], -1, modulus)) % modulus
-    if lam % p == 0 or any((prod[t] - lam * e[t]) % modulus for t in range(4)):
+    if lam % p == 0:
         raise ArithmeticError("off-diagonal pairing degenerate")
     lam_inv = pow(lam, -1, modulus)
     e21 = tuple((lam_inv * c) % modulus for c in e21raw)
@@ -348,9 +348,6 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1):
                     got = _vec_mul(table, units[i][j], units[r][s], modulus)
                     if got != tuple(c % modulus for c in expect):
                         raise ArithmeticError("matrix-unit relations failed")
-    if tuple((units[0][0][t] + units[1][1][t]) % modulus for t in range(4)) \
-            != tuple(c % modulus for c in one):
-        raise ArithmeticError("idempotents do not sum to 1")
 
     # entry (i, j) of x equals trd(e_ji * x)
     trd_vec = _trd_vector(order)

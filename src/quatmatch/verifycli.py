@@ -459,13 +459,10 @@ def _cmd_degree(args, parser) -> int:
 
 
 def _cmd_certify(args, parser) -> int:
-    if not is_prime(args.p):
-        parser.error("--p must be prime, got %d" % args.p)
-    if args.k < 0:
-        parser.error("--k must be >= 0, got %d" % args.k)
-    if args.M < args.k + 2:
-        parser.error("--M must be >= k + 2 = %d, got %d" % (args.k + 2, args.M))
-    count = heckedeg.oracle_local_orbits(args.pattern, args.p, args.k, args.M)
+    try:
+        count = heckedeg.oracle_local_orbits(args.pattern, args.p, args.k, args.M)
+    except ValueError as exc:
+        parser.error("--p %d --k %d --M %d: %s" % (args.p, args.k, args.M, exc))
     closed = heckedeg.local_degree(args.pattern, args.p, args.k)
     print("oracle orbits: %d, closed form: %d, %s"
           % (count, closed, "AGREE" if count == closed else "MISMATCH"))

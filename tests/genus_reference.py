@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from quatmatch.classsets import pair_gram, theta_counts
 from quatmatch.matrices import congruence_kernel, hnf_rows
-from quatmatch.orders import OrderLattice, _coordinates, _lattice
+from quatmatch.orders import OrderLattice, _lattice
 from quatmatch.quatalg import QuaternionAlgebra, quat_mul, quat_nrd
 
 
@@ -97,8 +97,15 @@ def basis(lat: OrderLattice):
 
 
 def coordinates(lat: OrderLattice, x: QuatElement):
-    """Coordinates of x with respect to the lattice basis (Fractions)."""
-    return _coordinates(lat, x.coords)
+    """Coordinates of x with respect to the lattice basis (Fractions): c with
+    sum_r c_r mat[r] = den * x, by forward substitution (the HNF is upper
+    triangular).  The package's `_coordinates` is the integer solve, which
+    raises off the lattice; the tests check it against this one."""
+    c = []
+    for k in range(4):
+        t = lat.den * x.coords[k] - sum(c[r] * lat.mat[r][k] for r in range(k))
+        c.append(t / lat.mat[k][k])
+    return c
 
 
 def contains(lat: OrderLattice, x: QuatElement) -> bool:
@@ -128,7 +135,8 @@ def dual_lattice(lat: OrderLattice) -> OrderLattice:
     """
     alg = lat.algebra
     w = (2, -2 * alg.a, -2 * alg.b, 2 * alg.a * alg.b)
-    inv = [_coordinates(lat, [int(r == c) for c in range(4)]) for r in range(4)]
+    inv = [coordinates(lat, element(alg, *(int(r == c) for c in range(4))))
+           for r in range(4)]
     return from_rows(
         alg, [[inv[c][r] / w[c] for c in range(4)] for r in range(4)])
 

@@ -366,6 +366,14 @@ CLASSSET_DIGESTS = {
     (23, 1): "ef9aff2f8fa2a8097247e1c25695f9c76edd2f34da192df2aaaef4fc5a4d2ed0",
     (30, 1): "34f6203956b6d52b4ad00d109ab742b27790bcf5d4ae57ace34057c32f8bfdee",
     (2, 9): "1b8452894c4b6cd9386ad9adc70bbe1fc788cab22e72359e2bfd266ee5b2f7b3",
+    # p^2 | N: the Newton lift in local_splitting runs (the grid has none)
+    (3, 4): "db4f01e3b491c59acca0386cda3286e24b5cddf26db008d3156c3df928f85934",
+    (3, 8): "fe122e1db8804d10d9e42b768a49c860327b3fb6056858368b6d0ed42405ee8d",
+    (7, 9): "d1e66f4c7432374902fcadaf49d3c2bad6bfe0f7d382b04873ed0c580592d423",
+    (2, 27): "d7e913376de14100ffd898f0af0bd25a4595e073bf6ad3b7cc1657dc355fbd38",
+    (2, 25): "d161fafa21ed317f1b990a7b9571b71dd56c48df44bac686cc6035fb732267a3",
+    (7, 4): "ba09202c4df603ddde4812cbd90d68b0ea524066b5205db773e28628aa360d16",
+    (42, 1): "0a96c82d0642f6a14b08ba41e7dfcba5ac679bcb851fb516d76bc6190ac88b4d",
 }
 
 

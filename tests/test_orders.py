@@ -5,6 +5,8 @@ import pytest
 
 from quatmatch.quatalg import construct_algebra
 from quatmatch.orders import (
+    _coordinates,
+    _multiplicative_closure,
     conjugate_lattice,
     eichler_order,
     index_in,
@@ -269,3 +271,47 @@ def test_integer_lattice_invariants(D):
     # even, integral with an odd diagonal, and not integral all occur
     assert any(even) and any(i and not e for i, e in zip(integral, even))
     assert not all(integral)
+
+
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_integer_coordinates(D):
+    # `_coordinates` is the one exact solve: integer forward substitution
+    # that raises off the lattice, checked against the Fraction reference
+    alg = construct_algebra(D)
+    rng = random.Random(20 + D)
+    for lat in _random_lattices(alg, rng, 10):
+        for _ in range(5):
+            c = tuple(rng.randint(-9, 9) for _ in range(4))
+            v = [sum(c[r] * lat.mat[r][k] for r in range(4)) for k in range(4)]
+            den = rng.randint(1, 6)
+            x = element(alg, *(Fraction(t, lat.den) for t in v))
+            assert _coordinates(lat, [den * t for t in v], den * lat.den) == c
+            assert tuple(coordinates(lat, x)) == c
+            # a random rational vector: integer coordinates or ValueError
+            w = [rng.randint(-20, 20) for _ in range(4)]
+            ref = coordinates(lat, element(alg, *(Fraction(t, den) for t in w)))
+            if all(r.denominator == 1 for r in ref):
+                assert _coordinates(lat, w, den) == tuple(ref)
+            else:
+                with pytest.raises(ValueError):
+                    _coordinates(lat, w, den)
+        # b_3 / 2 is never in the lattice
+        with pytest.raises(ValueError):
+            _coordinates(lat, lat.mat[3], 2 * lat.den)
+
+
+def test_multiplication_table_needs_closure():
+    alg = construct_algebra(2)
+    # Z<1, i, j, 2k> holds 1 but not ij = k
+    not_closed = _random_lattices(alg, random.Random(0), 4)[3]
+    with pytest.raises(ValueError):
+        multiplication_table(not_closed)
+    assert not not_closed.is_order()
+
+
+def test_closure_rejects_non_integral_lattice():
+    # Z<1, i, j, k, (1+i)/2> in B(2): its square term i/2 has nrd 1/4
+    alg = construct_algebra(2)
+    rows = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2], [1, 1, 0, 0]]
+    assert _multiplicative_closure(alg, 2, rows) is None
+    assert element(alg, 0, Fraction(1, 2)).reduced_norm() == Fraction(1, 4)

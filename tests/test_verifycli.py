@@ -431,3 +431,18 @@ def test_src_imports_stdlib_only():
                 assert top in sys.stdlib_module_names, (name, top)
                 checked += 1
     assert checked > 0
+
+
+def test_src_has_no_assert():
+    # `python -O` strips asserts, so no certificate may rest on one
+    package = os.path.dirname(os.path.abspath(vc.__file__))
+    checked = 0
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Assert), (name, node.lineno)
+        checked += 1
+    assert checked > 0

@@ -25,22 +25,23 @@ Pipeline:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import is_prime, prime_factors
 from .matrices import congruence_kernel
 from .orders import (
     OrderLattice,
+    _lattice,
     conjugate_lattice,
     eichler_order,
     index_in,
     lattice_product,
     local_splitting,
     maximal_order,
-    scale_lattice,
     sublattice,
 )
 from .quatalg import construct_algebra
@@ -136,6 +137,19 @@ class RightIdeal:
     def sort_key(self):
         return (self.nrd, self.lattice.sort_key())
 
+    @functools.cached_property
+    def left_order(self) -> OrderLattice:
+        """The left order (1/nrd I) * I * conj(I), built once per ideal.
+
+        I is locally principal, I_p = x O_p, so O_L,p = x O_p x^-1: an Eichler
+        order of the right order's level (Voight, GTM 288), tagged with it.
+        """
+        prod = lattice_product(self.lattice, conjugate_lattice(self.lattice))
+        ol = _lattice(prod.algebra, prod.den * self.nrd, prod.mat)
+        if not ol.is_order():
+            raise ArithmeticError("left order computation failed")
+        return replace(ol, level=self.right_order.level)
+
 
 def ideal_reduced_norm(lattice: OrderLattice) -> int:
     """Positive generator of the ideal of Z generated by nrd on an integral
@@ -147,20 +161,9 @@ def ideal_reduced_norm(lattice: OrderLattice) -> int:
 
 def make_right_ideal(lattice: OrderLattice, right_order: OrderLattice) -> RightIdeal:
     nrd = ideal_reduced_norm(lattice)
-    D, N = right_order.level
-    expected = nrd ** 4 * (D * N) ** 2
-    if abs(lattice.gram_det()) != expected:
+    if lattice.gram_det() != nrd ** 4 * right_order.gram_det():
         raise ArithmeticError("ideal norm/Gram scaling is inconsistent")
     return RightIdeal(lattice, right_order, nrd)
-
-
-def left_order(ideal: RightIdeal) -> OrderLattice:
-    """The left order (1/nrd I) * I * conj(I) of a locally principal ideal."""
-    prod = lattice_product(ideal.lattice, conjugate_lattice(ideal.lattice))
-    ol = scale_lattice(prod, Fraction(1, ideal.nrd))
-    if not ol.is_order():
-        raise ArithmeticError("left order computation failed")
-    return ol
 
 
 def unit_weight(order: OrderLattice) -> int:
@@ -183,7 +186,7 @@ def p_neighbors(ideal: RightIdeal, p: int):
     D, N = order.level
     if D * N % p == 0:
         raise ValueError("neighbor prime must be coprime to the level data")
-    ol = left_order(ideal)
+    ol = ideal.left_order
     (c11, c12), (c21, c22) = local_splitting(ol, p)
     out = []
     lines = [(1, t) for t in range(p)] + [(0, 1)]
@@ -259,7 +262,7 @@ def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
     elif not (is_prime(p) and D * N % p):
         raise ValueError("traversal prime must be a prime coprime to D*N = %d, "
                          "got %r" % (D * N, p))
-    root = make_right_ideal(OrderLattice(order.algebra, order.den, order.mat), order)
+    root = make_right_ideal(order, order)
     reps = [root]
     weights = [unit_weight(order)]
     acc = Fraction(1, weights[0])
@@ -272,7 +275,7 @@ def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
                                   "ran out of neighbors below the mass" % (D, N, p))
         if any(ideals_equivalent(nb, r) for r in reps):
             continue
-        w = unit_weight(left_order(nb))
+        w = unit_weight(nb.left_order)
         reps.append(nb)
         weights.append(w)
         acc += Fraction(1, w)

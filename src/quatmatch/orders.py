@@ -20,14 +20,17 @@ of B(D) has |det| = D^2 and an Eichler order of level N has |det| = (DN)^2.
 `gram` returns it as the integer matrix G read off the HNF, (x, y) = G/den^2,
 and `even_gram(scale)` as the integer even Gram G/(den^2 scale) of
 nrd/scale; the latter is the only integrality certificate of a form.  A
-local splitting is handed out as its bare entry functionals.
+local splitting is handed out as its bare entry functionals.  An Eichler
+order is one CRT congruence mod N on a maximal order.  Only the constructors
+that know a level set the (D, N) tag: `maximal_order`, `eichler_order` and
+`classsets.RightIdeal.left_order`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exactnum import prime_factors, prime_power_factors
@@ -35,14 +38,14 @@ from .matrices import congruence_kernel, hnf_rows
 from .quatalg import QuaternionAlgebra, quat_mul, quat_nrd
 
 
-def _lattice(algebra, den, rows, level=None) -> "OrderLattice":
+def _lattice(algebra, den, rows) -> "OrderLattice":
     """The canonical lattice spanned by the integer rows over den > 0."""
     mat = hnf_rows(rows)
     if len(mat) != 4:
         raise ValueError("lattice is not of full rank 4")
     g = math.gcd(den, *(x for row in mat for x in row))
     return OrderLattice(algebra, den // g,
-                        tuple(tuple(x // g for x in row) for row in mat), level)
+                        tuple(tuple(x // g for x in row) for row in mat))
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class OrderLattice:
     algebra: QuaternionAlgebra
     den: int
     mat: tuple
-    # (D, N) tag set by eichler_order; informative only, not part of identity
+    # (D, N) tag set by the order constructors; not part of identity
     level: tuple | None = field(default=None, compare=False)
 
     def gram(self):
@@ -146,17 +149,11 @@ def conjugate_lattice(a: OrderLattice) -> OrderLattice:
                     [(x0, -x1, -x2, -x3) for x0, x1, x2, x3 in a.mat])
 
 
-def scale_lattice(a: OrderLattice, c) -> OrderLattice:
-    c = Fraction(c)
-    return _lattice(a.algebra, a.den * c.denominator,
-                    [[x * c.numerator for x in row] for row in a.mat])
-
-
-def sublattice(lat: OrderLattice, coeffs, level=None) -> OrderLattice:
+def sublattice(lat: OrderLattice, coeffs) -> OrderLattice:
     """The lattice spanned by the integer combinations `coeffs` of lat's basis."""
     rows = [[sum(c[t] * lat.mat[t][col] for t in range(4)) for col in range(4)]
             for c in coeffs]
-    return _lattice(lat.algebra, lat.den, rows, level)
+    return _lattice(lat.algebra, lat.den, rows)
 
 
 def index_in(sub: OrderLattice, sup: OrderLattice) -> Fraction:
@@ -250,14 +247,14 @@ def maximal_order(algebra: QuaternionAlgebra) -> OrderLattice:
             raise ArithmeticError("saturation failure at discriminant %s" % current)
     if current != target or not lat.is_order():
         raise ArithmeticError("maximal order certificate failed")
-    return OrderLattice(lat.algebra, lat.den, lat.mat,
-                        level=(algebra.discriminant, 1))
+    return replace(lat, level=(algebra.discriminant, 1))
 
 
 def _enlarge_at(algebra, lat, p):
     """One enlargement step: adjoin an integral x = sum_r c_r b_r / p, close up.
 
-    With 0 <= c_r < p not all zero, x is never in lat already.
+    With 0 <= c_r < p not all zero, x is never in lat already; a closure
+    holds 1 and is closed under products, so it is an order.
     """
     a, b, den = algebra.a, algebra.b, lat.den * p
     scaled = [[x * p for x in row] for row in lat.mat]
@@ -268,8 +265,7 @@ def _enlarge_at(algebra, lat, p):
         if 2 * x[0] % den or quat_nrd(a, b, x) % (den * den):
             continue
         closed = _multiplicative_closure(algebra, den, scaled + [x])
-        if closed is not None and closed.gram_det() < lat.gram_det() \
-                and closed.is_order():
+        if closed is not None and closed.gram_det() < lat.gram_det():
             return closed
     return None
 
@@ -365,9 +361,11 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1):
 def eichler_order(omax: OrderLattice, N: int) -> OrderLattice:
     """The level-N Eichler suborder of a maximal order.
 
-    At each prime power p^k || N the suborder is cut out by the congruence
-    "lower-left matrix entry = 0 mod p^k" through a splitting of O/p^k O;
-    the result has index N in the maximal order and Gram determinant (DN)^2.
+    Each q = p^k || N gives "lower-left entry f_q = 0 mod q" through a
+    splitting of O/qO.  CRT joins them into one condition sum (N/q) f_q mod N:
+    N/q is a unit mod q and 0 mod every other prime power of N.  Its
+    congruence kernel cuts out the order (Z^4 at N = 1): index N in the
+    maximal order, Gram determinant (DN)^2.
     """
     algebra = omax.algebra
     D = algebra.discriminant
@@ -375,16 +373,11 @@ def eichler_order(omax: OrderLattice, N: int) -> OrderLattice:
         raise ValueError("level must be positive")
     if math.gcd(N, D) != 1:
         raise ValueError("level must be coprime to the discriminant")
-    coords_mat = [[1 if r == s else 0 for s in range(4)] for r in range(4)]
+    cond = [0, 0, 0, 0]
     for p, k in prime_power_factors(N):
         lower_left = local_splitting(omax, p, k)[1][0]
-        mod = p ** k
-        cond = [sum(f * x for f, x in zip(lower_left, row)) % mod
-                for row in coords_mat]
-        kern = congruence_kernel([cond], mod)
-        coords_mat = [[sum(kern[r][t] * coords_mat[t][s] for t in range(4))
-                       for s in range(4)] for r in range(4)]
-    result = sublattice(omax, coords_mat, level=(D, N))
+        cond = [(c + N // p ** k * f) % N for c, f in zip(cond, lower_left)]
+    result = sublattice(omax, congruence_kernel([cond], N))
     if index_in(result, omax) != N:
         raise ArithmeticError("Eichler order has wrong index")
     if not result.is_order():
@@ -392,4 +385,4 @@ def eichler_order(omax: OrderLattice, N: int) -> OrderLattice:
     result.even_gram()  # raises unless nrd is integral on the order
     if abs(result.gram_det()) != (D * N) ** 2:
         raise ArithmeticError("Eichler order has wrong discriminant")
-    return result
+    return replace(result, level=(D, N))

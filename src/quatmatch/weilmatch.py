@@ -122,17 +122,15 @@ def lambda_eval(phi: Section, b) -> CyclotomicNumber:
     b = None, and g = w n(b) for an integer b, so b = 0 gives g = w.
 
     At g = 1 the value is phi(0).  At g = w n(b) it is the character sum
-    gamma vol(L) sum_mu phi(mu) zeta_p^(-b p Q(mu)), counted by exponent.
+    gamma vol(L) sum_mu phi(mu) zeta_p^(-b p Q(mu)); CyclotomicNumber reads
+    the exponents mod p and adds up the repeats.
     """
     if b is None:
         return CyclotomicNumber.from_rational(int((0, 0) in phi.labels))
     space = phi.space
-    p, table = space.p, space.table
-    counts = [0] * p
-    for i, j in phi.labels:
-        counts[-b * table[i][j] % p] += 1
-    factor = space.vol * space.gamma
-    return CyclotomicNumber(p, [(r, c * factor) for r, c in enumerate(counts) if c])
+    table, factor = space.table, space.vol * space.gamma
+    return CyclotomicNumber(space.p, [(-b * table[i][j], factor)
+                                      for i, j in phi.labels])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from quatmatch import classsets, verifycli
 from quatmatch.orders import (
+    OrderLattice,
     conjugate_lattice,
     eichler_order,
     lattice_product,
@@ -18,7 +19,6 @@ from quatmatch.classsets import (
     genus_theta,
     ideal_class_set,
     ideals_equivalent,
-    left_order,
     make_right_ideal,
     mass_formula,
     p_neighbors,
@@ -226,7 +226,7 @@ def test_equivalence_reflexive_and_distinct(pool):
 def test_left_order_weights(pool):
     cs30 = pool.get(30, 1)
     for ideal, w in zip(cs30.representatives, cs30.weights):
-        assert unit_weight(left_order(ideal)) == w
+        assert unit_weight(ideal.left_order) == w
 
 
 def test_genus_lattice_invariants(pool):
@@ -291,7 +291,39 @@ def test_multilayer_class_sets(pool):
         assert cs.class_number == h
         assert sum(Fraction(1, w) for w in cs.weights) == cs.mass == mass_formula(D, N)
         for ideal, w in zip(cs.representatives, cs.weights):
-            assert unit_weight(left_order(ideal)) == w
+            assert unit_weight(ideal.left_order) == w
+
+
+@pytest.mark.parametrize("D,N", [(7, 5), (11, 2), (2, 9), (3, 4), (2, 15), (5, 6)])
+def test_class_set_from_every_left_order(D, N, pool):
+    # a left order is an Eichler order of the same level, in the same genus:
+    # its class set has the same mass, weights and genus average
+    cs = pool.get(D, N)
+    for ideal in cs.representatives:
+        other = ideal_class_set(ideal.left_order)
+        assert (other.D, other.N) == (D, N)
+        assert other.mass == cs.mass
+        assert other.class_number == cs.class_number
+        assert sorted(other.weights) == sorted(cs.weights)
+        assert genus_theta(other, 10) == genus_theta(cs, 10)
+
+
+def test_left_order_built_once_per_class(monkeypatch):
+    # each class's left order is built, and certified by is_order, once:
+    # its unit weight and its neighbours read the same one
+    order = eichler_order(maximal_order(construct_algebra(7)), 5)
+    checked = []
+    is_order = OrderLattice.is_order
+
+    def counting(lat):
+        checked.append(lat)
+        return is_order(lat)
+
+    monkeypatch.setattr(OrderLattice, "is_order", counting)
+    cs = ideal_class_set(order)
+    assert cs.class_number == 4
+    assert len(checked) == cs.class_number
+    assert set(checked) == {ideal.left_order for ideal in cs.representatives}
 
 
 def test_genus_theta_memo(monkeypatch):
@@ -374,6 +406,12 @@ CLASSSET_DIGESTS = {
     (2, 25): "d161fafa21ed317f1b990a7b9571b71dd56c48df44bac686cc6035fb732267a3",
     (7, 4): "ba09202c4df603ddde4812cbd90d68b0ea524066b5205db773e28628aa360d16",
     (42, 1): "0a96c82d0642f6a14b08ba41e7dfcba5ac679bcb851fb516d76bc6190ac88b4d",
+    # a prime square times another prime: eichler_order's CRT join of p^k || N
+    (5, 12): "84420c24e061605d9e10f86f39e50ab606939c3bf07ff8a3072e5090fd87db1a",
+    (3, 20): "636f4bebd0c005c713395a6d9ff0716458e46e9a7c19892385cf053665bca41f",
+    (7, 12): "0d9a09800de3d4f34f64671643f6c271323039ee1014a1c210f56face44929da",
+    (2, 45): "9ff58e8f875167c95aacdf896bd16a46cc95e440daf4a2fee3a80bd735773abb",
+    (5, 18): "f4b5f2fe24f8cf718c48866d47ec7a34b78171484947dce84ba3c374eb49d9cc",
 }
 
 

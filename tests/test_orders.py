@@ -15,7 +15,6 @@ from quatmatch.orders import (
     local_splitting,
     maximal_order,
     multiplication_table,
-    scale_lattice,
     standard_order,
     sublattice,
 )
@@ -222,9 +221,7 @@ def test_integer_lattice_operations(D):
             alg, [(u * v).coords for u in ea for v in eb])
         assert conjugate_lattice(a) == from_rows(
             alg, [u.conjugate().coords for u in ea])
-        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 6))
-        assert scale_lattice(a, c) == from_rows(
-            alg, [(u * c).coords for u in ea])
+        rng.choice([-3, -1, 2, 5]), rng.randint(1, 6)  # keep the draw sequence fixed
         assert lattice_sum(a, b) == from_rows(
             alg, [u.coords for u in ea + eb])
         coeffs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]

@@ -93,14 +93,10 @@ def deg_T(D: int, N: int, m: int) -> int:
         raise ValueError("m must be a positive integer")
     total = 1
     for p, k in prime_power_factors(m):
-        if D % p == 0:
-            total *= local_degree("ramified", p, k)
-        elif N % p == 0:
-            if N % (p * p) == 0:
-                raise ValueError("level factors are implemented for squarefree N only")
-            total *= local_degree("level", p, k)
-        else:
-            total *= local_degree("split", p, k)
+        if N % (p * p) == 0:
+            raise ValueError("level factors are implemented for squarefree N only")
+        pattern = "ramified" if D % p == 0 else "level" if N % p == 0 else "split"
+        total *= local_degree(pattern, p, k)
     return total
 
 

@@ -153,11 +153,9 @@ class RamifiedModel:
                 + b1 * f2 + b2 * f1 + t * b2 * f2)
 
     def nrd(self, x):
-        """d_value(a1, a2) - p * d_value(b1, b2), written out."""
+        """N(a1 + a2 u) - p * N(b1 + b2 u)."""
         a1, a2, b1, b2 = x
-        t, n = self.t, self.n
-        return (a1 * a1 + a1 * a2 * t + a2 * a2 * n
-                - self.p * (b1 * b1 + b1 * b2 * t + b2 * b2 * n))
+        return self.d_value(a1, a2) - self.p * self.d_value(b1, b2)
 
 
 @lru_cache(maxsize=None)

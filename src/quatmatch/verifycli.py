@@ -304,31 +304,6 @@ def _parse_pins(pin_args):
     return tuple(pins)
 
 
-_CASE_KEYS = ("D", "N", "p", "q", "m_max", "pin")
-_CONFIG_KEYS = ("theorem", "out_dir", "format") + _CASE_KEYS
-_FORMATS = ("table", "json", "csv")
-
-
-def _read_config(path):
-    """key=value lines mirroring the command-line flags; '#' comments."""
-    out = {}
-    with open(path, encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError("unknown config key %r in %s" % (key, path))
-            if key == "pin":
-                out.setdefault("pin", []).append(value)
-            else:
-                out[key] = value
-    return out
-
-
 @functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -336,7 +311,9 @@ def _build_parser():
         description="exact verification of quaternionic counting identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="verify one identity family or the full grid")
+    # a usage that fits one line, as argparse's own list of nine flags does not
+    pv = sub.add_parser("verify", help="verify one identity family or the full grid",
+                        usage="%(prog)s --theorem THEOREM [options]")
     pv.add_argument("--theorem", required=True,
                     choices=list(IDENTITIES) + ["all"])
     pv.add_argument("--D", type=int, default=None)
@@ -345,12 +322,9 @@ def _build_parser():
     pv.add_argument("--q", type=int, default=None)
     pv.add_argument("--m-max", type=int, default=None)
     pv.add_argument("--out-dir", default=None)
-    pv.add_argument("--format", default=None, choices=_FORMATS,
-                    help="default table")
+    pv.add_argument("--format", default="table", choices=("table", "json", "csv"))
     pv.add_argument("--pin", action="append", default=None,
                     metavar="M:VALUE", help="assert lhs(M) == VALUE (harness sanity)")
-    pv.add_argument("--config", default=None,
-                    help="key=value file supplying defaults for the flags above")
 
     pc = sub.add_parser("classset", help="print class-set data for (D, N)")
     pc.add_argument("--D", type=int, required=True)
@@ -375,39 +349,20 @@ def _build_parser():
 
 def _verify_config(args) -> SuiteConfig:
     """The suite a `verify` invocation asks for; ValueError on invalid input."""
-    merged = _read_config(args.config) if args.config else {}
-    def pick(name, flag_value, cast, default=None):
-        if flag_value is not None:
-            return flag_value
-        if name in merged:
-            return cast(merged[name])
-        return default
-    if merged.get("theorem", args.theorem) != args.theorem:
-        raise ValueError("config theorem=%s disagrees with --theorem %s"
-                         % (merged["theorem"], args.theorem))
-    out_dir = pick("out_dir", args.out_dir, str)
-    fmt = pick("format", args.format, str, "table")
-    if fmt not in _FORMATS:
-        raise ValueError("unknown format %r; choose from %s" % (fmt, ", ".join(_FORMATS)))
     if args.theorem == "all":
-        given = [name for name in _CASE_KEYS
-                 if getattr(args, name) is not None or name in merged]
+        given = [name for name in ("D", "N", "p", "q", "m_max", "pin")
+                 if getattr(args, name) is not None]
         if given:
             raise ValueError("--theorem all runs the default grid and takes no "
                              "per-case input, got %s" % ", ".join(given))
-        return SuiteConfig(default_suite_cases(), out_dir, fmt)
-    D = pick("D", args.D, int)
-    if D is None:
+        return SuiteConfig(default_suite_cases(), args.out_dir, args.format)
+    if args.D is None:
         raise ValueError("--D is required for a single theorem case")
-    case = TheoremCase(
-        args.theorem, D=D,
-        N=pick("N", args.N, int, 1),
-        p=pick("p", args.p, int),
-        q=pick("q", args.q, int),
-        m_max=pick("m_max", args.m_max, int, IDENTITIES[args.theorem].m_max),
-        pins=_parse_pins(args.pin if args.pin is not None else merged.get("pin")))
+    m_max = IDENTITIES[args.theorem].m_max if args.m_max is None else args.m_max
+    case = TheoremCase(args.theorem, D=args.D, N=1 if args.N is None else args.N,
+                       p=args.p, q=args.q, m_max=m_max, pins=_parse_pins(args.pin))
     case.validate()
-    return SuiteConfig([case], out_dir, fmt)
+    return SuiteConfig([case], args.out_dir, args.format)
 
 
 def _cmd_verify(args, parser) -> int:

@@ -81,11 +81,10 @@ def ramified_space(p: int) -> LocalQuadSpace:
 
     In the coordinates (a1 + a2 u) + (b1 + b2 u) pi of `quatalg.RamifiedModel`
     (u^2 = t*u - n, pi^2 = p), Q = N(alpha) - p N(beta).  The dual cosets are
-    mu_{i,j} = (i + j u)/pi, so Q(mu_{i,j}) = -(i^2 + t*ij + n*j^2)/p.
+    mu_{i,j} = (i + j u)/pi, so Q(mu_{i,j}) = -N(i + j u)/p = -d_value(i, j)/p.
     """
-    model = ramified_model(p)
-    t, n = model.t, model.n
-    return LocalQuadSpace(p, _table(p, lambda i, j: -(i * i + t * i * j + n * j * j)), -1)
+    d_value = ramified_model(p).d_value
+    return LocalQuadSpace(p, _table(p, lambda i, j: -d_value(i, j)), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ def test_deg_values():
     assert deg_T(6, 1, 35) == 48
     with pytest.raises(ValueError):
         deg_T(2, 1, 5)  # odd number of prime factors
+    assert deg_T(6, 25, 7) == 8  # p^2 | N is checked only at the primes of m
     with pytest.raises(ValueError):
         deg_T(6, 25, 5)  # non-squarefree level factor
     with pytest.raises(ValueError, match="positive"):

@@ -102,29 +102,20 @@ def test_suite_writes_reports(tmp_path, pool):
     assert "verdict PASS" in (out / report_file).read_text()
 
 
-def test_config_file_parsing(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("theorem=1.3\nD=2\np=3\nq=5\nN=1\nm_max=4\n"
-                   "pin=1:3\n# comment\nformat=csv\n")
-    parsed = vc._read_config(str(cfg))
-    assert parsed["D"] == "2" and parsed["pin"] == ["1:3"]
-    assert parsed["format"] == "csv"
-
-
 def test_cli_verify_single(tmp_path, capsys):
-    out = tmp_path / "o"
-    code = vc.main(["verify", "--theorem", "1.3", "--D", "2", "--p", "3",
-                    "--q", "5", "--N", "1", "--m-max", "4",
-                    "--out-dir", str(out)])
-    assert code == 0
-    assert (out / "summary.json").exists()
-
-
-def test_cli_verify_with_config(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("D=2\np=3\nq=5\nm_max=4\n")
-    code = vc.main(["verify", "--theorem", "1.3", "--config", str(cfg)])
-    assert code == 0
+    # the table default comes from argparse; each format names its own file
+    for fmt, ext in ((None, "txt"), ("json", "json"), ("csv", "csv")):
+        out = tmp_path / ext
+        code = vc.main(["verify", "--theorem", "1.3", "--D", "2", "--p", "3",
+                        "--q", "5", "--N", "1", "--m-max", "4",
+                        "--out-dir", str(out)]
+                       + (["--format", fmt] if fmt else []))
+        assert code == 0
+        name = "report_theorem13_D2_p3_q5_N1_mmax4.%s" % ext
+        assert sorted(os.listdir(out)) == [name, "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["file"] for c in summary["cases"]] == [name]
+        assert summary["all_pass"] is True
 
 
 def test_cli_degree_and_certify(capsys):
@@ -201,11 +192,6 @@ def test_cli_certifies_past_p_255(argv, capsys):
     (["verify", "--theorem", "1.4", "--p", "3"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--q", "5"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--q", "2"], None),
-    (["verify", "--theorem", "1.4"], "D=2\np=3\nq=5\n"),
-    (["verify", "--theorem", "1.4"], "D=2\np=3\nformat=xml\n"),
-    (["verify", "--theorem", "1.4"], "D=2\np=3\ncache_dir=cache\n"),
-    (["verify", "--theorem", "1.4"], "theorem=1.3\nD=2\np=3\nq=5\n"),
-    (["verify", "--theorem", "all"], "format=xml\n"),
     (["verify", "--theorem", "all", "--D", "999", "--m-max", "3", "--pin", "1:5"],
      None),
     (["verify", "--theorem", "all", "--N", "5"], None),
@@ -213,8 +199,6 @@ def test_cli_certifies_past_p_255(argv, capsys):
     (["verify", "--theorem", "all", "--q", "5"], None),
     (["verify", "--theorem", "all", "--m-max", "3"], None),
     (["verify", "--theorem", "all", "--pin", "1:5"], None),
-    (["verify", "--theorem", "all"], "D=2\n"),
-    (["verify", "--theorem", "all"], "m_max=3\npin=1:5\n"),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
       "--pin", "1:1/0"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
@@ -224,8 +208,10 @@ def test_cli_certifies_past_p_255(argv, capsys):
       "--pin", "1:5", "--pin", "1:-12"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "2",
       "--pin", "1:-12", "--pin", "1:5"], None),
-    (["verify", "--theorem", "1.4"], "D=2\np=3\nm_max=2\npin=1:5\npin=1:-12\n"),
-    (["verify", "--theorem", "1.4"], "D=2\np=3\nm_max=2\npin=1:-12\npin=1:5\n"),
+    (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--format", "xml"], None),
+    (["verify", "--theorem", "all", "--format", "xml"], None),
+    # a config file that the command once accepted: verify reads flags only
+    (["verify", "--theorem", "1.4"], "D=2\np=3\nm_max=2\npin=1:-12\n"),
     (["classset", "--D", "6"], None),
     (["classset", "--D", "4"], None),
     (["classset", "--D", "2", "--N", "2"], None),

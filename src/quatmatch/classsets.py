@@ -15,8 +15,8 @@ Pipeline:
   nrd(x) = x E x^T / 2: `OrderLattice.even_gram` for an order, `pair_gram`
   for a pair lattice, each certified integral there and nowhere else.
 * All vector counting is exact lattice-point enumeration: one
-  fraction-free (Bareiss) elimination of E per form, then a Fincke-Pohst
-  recursion on integer remainders with `isqrt` bounds (no floating point
+  fraction-free (Bareiss) elimination of E per form, then a four-loop
+  Fincke-Pohst on integer remainders with `isqrt` bounds (no floating point
   anywhere, and no Fraction in the enumeration).  It visits one vector of
   each pair x, -x (the one whose last nonzero coordinate is positive) and
   counts it twice.  `theta_counts` takes only a symmetric E with an even
@@ -67,15 +67,16 @@ def theta_counts(E, mmax: int):
     E must be symmetric with an even diagonal, so that Q is integral, and
     Q must be positive definite; ValueError otherwise.
 
-    Fraction-free (Bareiss) elimination of E, with
-    leading minors Delta_0 = 1, Delta_1, ..., Delta_4 and eliminated rows U
-    (U_ii = Delta_i), gives
-        T*Q(x) = sum_i a_i (U_ii x_i + sum_{j>i} U_ij x_j)^2,
+    Fraction-free (Bareiss) elimination of E, with leading minors Delta_0 = 1,
+    Delta_1, ..., Delta_4 and eliminated rows U (U_ii = Delta_i), gives
+        T*Q(x) = sum_i a_i (U_ii x_i + o_i)^2,  o_i = sum_{j>i} U_ij x_j,
         T = lcm_i(2 Delta_{i-1} Delta_i),  a_i = T / (2 Delta_{i-1} Delta_i),
-    all in integers.  Fincke-Pohst then runs on the integer remainder
-    R = T*mmax - (the terms already fixed).  The bound is exact: for integers
-    a > 0 and R >= 0, a*w^2 <= R holds exactly when |w| <= isqrt(R // a), so
-    every x_i in range meets it and no point outside the ellipsoid is visited.
+    all in integers.  Fincke-Pohst then runs as four nested loops, x_3
+    outermost, on the integer remainder R = T*mmax - (the terms already
+    fixed); the loop over x_j adds U_ij x_j to the offset o_i of each inner
+    row.  The bound is exact: for integers a > 0 and R >= 0, a*w^2 <= R
+    holds exactly when |w| <= isqrt(R // a), so every x_i in range meets it
+    and no point outside the ellipsoid is visited.
     Q(x) = Q(-x), so only the x whose last nonzero coordinate is positive are
     visited, each counted twice: while x_3, ..., x_{i+1} are all 0, x_i
     starts at 0.  The zero vector is then counted twice too, and r(0) is 1.
@@ -97,30 +98,30 @@ def theta_counts(E, mmax: int):
         dens.append(2 * prev * pivot)
         prev = pivot
     T = math.lcm(*dens)
-    a = [T // d for d in dens]
+    a0, a1, a2, a3 = (T // d for d in dens)
+    (c0, u01, u02, u03), (_, c1, u12, u13), (_, _, c2, u23), (_, _, _, c3) = U
     top = T * mmax
     counts = [0] * (mmax + 1)
-    x = [0, 0, 0, 0]
-
-    def rec(i, R, tie):  # tie: x_j = 0 for every j > i
-        off = sum(U[i][j] * x[j] for j in range(i + 1, 4))
-        s = math.isqrt(R // a[i])
-        ai, ci = a[i], U[i][i]
-        lo = 0 if tie else -((s + off) // ci)
-        xs = range(lo, (s - off) // ci + 1)
-        if i == 0:
-            base = top - R  # T*Q of the coordinates already fixed
-            for xi in xs:
-                w = ci * xi + off
-                counts[(base + ai * w * w) // T] += 2
-            return
-        for xi in xs:
-            w = ci * xi + off
-            x[i] = xi
-            rec(i - 1, R - ai * w * w, tie and not xi)
-        x[i] = 0
-
-    rec(3, top, True)
+    for x3 in range(math.isqrt(top // a3) // c3 + 1):
+        R3 = top - a3 * (c3 * x3) ** 2
+        s2 = math.isqrt(R3 // a2)
+        o2, o1_3, o0_3 = u23 * x3, u13 * x3, u03 * x3  # o_i_j: terms j and up
+        lo = -((s2 + o2) // c2) if x3 else 0
+        for x2 in range(lo, (s2 - o2) // c2 + 1):
+            w2 = c2 * x2 + o2
+            R2 = R3 - a2 * w2 * w2
+            s1 = math.isqrt(R2 // a1)
+            o1, o0_2 = o1_3 + u12 * x2, o0_3 + u02 * x2
+            lo = -((s1 + o1) // c1) if x3 or x2 else 0
+            for x1 in range(lo, (s1 - o1) // c1 + 1):
+                w1 = c1 * x1 + o1
+                R1 = R2 - a1 * w1 * w1
+                s0 = math.isqrt(R1 // a0)
+                o0 = o0_2 + u01 * x1
+                lo = -((s0 + o0) // c0) if x3 or x2 or x1 else 0
+                base = top - R1  # T*Q of x_1, x_2, x_3
+                for w0 in range(c0 * lo + o0, s0 + 1, c0):
+                    counts[(base + a0 * w0 * w0) // T] += 2
     counts[0] = 1
     return counts
 
@@ -297,20 +298,21 @@ def genus_theta(cs: IdealClassSet, mmax: int):
     r_{D,N}(m) = (1/mass^2) * sum_{i,j} r_{I_j conj(I_i)}(m) / (w_i w_j).
     The pair lattices for (i, j) and (j, i) are conjugate, since
     I conj(J) = conj(J conj(I)), so each unordered pair is enumerated once.
+    The sum runs in integers over L = lcm(w_i w_j), one Fraction per m.
     The class set keeps the series at the largest mmax computed so far and
     serves smaller requests from it; each call returns a fresh list.
     """
     if len(cs._theta) <= mmax:
         reps, weights = cs.representatives, cs.weights
-        total = [Fraction(0)] * (mmax + 1)
-        for i in range(len(reps)):
-            for j in range(i, len(reps)):
-                coeff = Fraction(1 if i == j else 2, weights[i] * weights[j])
-                theta = theta_counts(pair_gram(reps[i], reps[j]), mmax)
-                for m in range(mmax + 1):
-                    total[m] += coeff * theta[m]
-        mass2 = cs.mass * cs.mass
-        cs._theta = [t / mass2 for t in total]
+        pairs = [(i, j) for i in range(len(reps)) for j in range(i, len(reps))]
+        L = math.lcm(*(weights[i] * weights[j] for i, j in pairs))
+        total = [0] * (mmax + 1)
+        for i, j in pairs:
+            coeff = (1 if i == j else 2) * (L // (weights[i] * weights[j]))
+            theta = theta_counts(pair_gram(reps[i], reps[j]), mmax)
+            total = [t + coeff * r for t, r in zip(total, theta)]
+        num, den = cs.mass.denominator ** 2, L * cs.mass.numerator ** 2
+        cs._theta = [Fraction(t * num, den) for t in total]
     return cs._theta[:mmax + 1]
 
 

@@ -28,14 +28,17 @@ v_p(nrd) = k, counted in closed form, the disjoint orbits fill that set,
 so the count holds at (p, k, M) with no element sampled.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
-and the normalised coefficient attached to the correspondence is
+and the normalised coefficient of the correspondence is r' = (deg over the
+first factor + deg over the second) / volume = 2 * deg_T / volume for
+m >= 1; conjugation exchanges the two projection degrees.  `deg_T` reads
+one m.  `degree_column` reads every m <= m_max in one pass over the prime
+powers and checks the column against the weight-2 Eisenstein series of
+level D*N (Diamond-Shurman, GTM 228, 1.2 and 4.6), built by a divisor-sum
+sieve that reads no local factor:
 
-    r_prime(D, N, m) = (deg over first factor + deg over second factor)
-                       / volume(D, N)
-                     = 2 * deg_T(D, N, m) / volume(D, N)     (m >= 1)
+    deg_T(D, N, m) = sum_{t | DN} eps(t) * t * sigma(m/t),
 
-with r_prime(D, N, 0) = 1.  The two projection degrees coincide because
-conjugation exchanges them.
+eps(t) = (-1)^(number of primes of t dividing D), sigma(m/t) = 0 unless t | m.
 """
 
 from __future__ import annotations
@@ -100,12 +103,41 @@ def deg_T(D: int, N: int, m: int) -> int:
     return total
 
 
-def r_prime(D: int, N: int, m: int) -> Fraction:
-    """Normalized two-sided degree: 1 at m=0, else 2*deg_T/volume (negative)."""
-    if m == 0:
-        return Fraction(1)
-    deg, vol = deg_T(D, N, m), volume(D, N)
-    return Fraction(2 * deg * vol.denominator, vol.numerator)
+def degree_column(D: int, N: int, m_max: int) -> list:
+    """[0, deg_T(D, N, 1), ..., deg_T(D, N, m_max)] for squarefree N, checked
+    against the Eisenstein series of the module docstring: ArithmeticError
+    naming (D, N) and the first m where they differ."""
+    volume(D, N)
+    if not is_squarefree(N):
+        raise ValueError("level factors are implemented for squarefree N only")
+    sigma = [0] * (m_max + 1)
+    for d in range(1, m_max + 1):
+        for m in range(d, m_max + 1, d):
+            sigma[m] += d
+    primes = [p for p in range(2, m_max + 1) if sigma[p] == p + 1]
+    deg = [0] + [1] * m_max
+    for p in primes:
+        pattern = "ramified" if D % p == 0 else "level" if N % p == 0 else "split"
+        pk, k = p, 1
+        while pk <= m_max:
+            factor = local_degree(pattern, p, k)
+            for m in range(pk, m_max + 1, pk):
+                if m // pk % p:
+                    deg[m] *= factor
+            pk, k = pk * p, k + 1
+    signed = [(1, 1)]  # (t, eps(t) * t) over the divisors t of D*N
+    for p in prime_factors(D * N):
+        signed += [(t * p, -e * p if D % p == 0 else e * p) for t, e in signed]
+    f = [0] * (m_max + 1)
+    for t, e in signed:
+        for j in range(1, m_max // t + 1):
+            f[t * j] += e * sigma[j]
+    if deg != f:
+        m = next(m for m in range(m_max + 1) if deg[m] != f[m])
+        raise ArithmeticError(
+            "Eisenstein check fails for (D, N) = (%d, %d) at m=%d: "
+            "deg_T = %d, f(m) = %d" % (D, N, m, deg[m], f[m]))
+    return deg
 
 
 # ---------------------------------------------------------------------------

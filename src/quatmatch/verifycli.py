@@ -90,6 +90,8 @@ class TheoremCase:
         for r in (getattr(self, n) for n in names):
             if not is_prime(r):
                 raise ValueError("%r is not prime" % (r,))
+        if self.p == self.q:
+            raise ValueError("p and q must be distinct primes")
         # a term reads the Eichler order of level N' in the algebra of
         # discriminant D': definite for r; indefinite for r', whose level
         # factors exist for squarefree N' only
@@ -179,10 +181,12 @@ class VerificationReport:
 
 
 class ClassSetPool:
-    """In-memory pool of definite class sets, each built once per run."""
+    """In-memory pool of definite class sets and of indefinite degree
+    columns, each built once per run for its (D, N)."""
 
     def __init__(self):
         self._memo = {}
+        self._degrees = {}
 
     def get(self, D: int, N: int):
         key = (D, N)
@@ -190,12 +194,24 @@ class ClassSetPool:
             self._memo[key] = class_set_for(D, N)
         return self._memo[key]
 
+    def degrees(self, D: int, N: int, m_max: int):
+        """`heckedeg.degree_column` of (D, N) at the largest m_max so far."""
+        if len(self._degrees.get((D, N), ())) <= m_max:
+            self._degrees[(D, N)] = heckedeg.degree_column(D, N, m_max)
+        return self._degrees[(D, N)]
+
 
 def _column(side, D, N, m_max: int, pool: ClassSetPool):
-    """The values of r or r' at (D, N) for m = 1 .. m_max."""
+    """The values of r or r' at (D, N) for m = 1 .. m_max, as integer
+    numerators over one positive denominator: (numerators, denominator)."""
     if side == "r":
-        return genus_theta(pool.get(D, N), m_max)[1:]
-    return [heckedeg.r_prime(D, N, m) for m in range(1, m_max + 1)]
+        values = genus_theta(pool.get(D, N), m_max)[1:]
+        den = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+    # r' = 2*deg_T/vol = 2*vol.den*deg_T / vol.num, and the volume is negative
+    vol = heckedeg.volume(D, N)
+    degrees = pool.degrees(D, N, m_max)[1:m_max + 1]
+    return [-2 * vol.denominator * d for d in degrees], -vol.numerator
 
 
 def _side(terms, m_max: int, pool: ClassSetPool):
@@ -203,10 +219,9 @@ def _side(terms, m_max: int, pool: ClassSetPool):
     weighted column as integers over one denominator, summed over their lcm."""
     columns = []
     for weight, side, D, N in terms:
-        values = _column(side, D, N, m_max, pool)
-        den = math.lcm(*(v.denominator for v in values))
-        columns.append(([weight.numerator * v.numerator * (den // v.denominator)
-                         for v in values], weight.denominator * den))
+        nums, den = _column(side, D, N, m_max, pool)
+        columns.append(([weight.numerator * n for n in nums],
+                        weight.denominator * den))
     den = math.lcm(*(d for _nums, d in columns))
     scaled = [[n * (den // d) for n in nums] for nums, d in columns]
     return [Fraction(sum(row), den) for row in zip(*scaled)]
@@ -409,7 +424,7 @@ def _cmd_degree(args, parser) -> int:
         parser.error("D=%d, N=%d, m=%d: %s" % (args.D, args.N, args.m, exc))
     print("deg_T(D=%d, N=%d, m=%d) = %d" % (args.D, args.N, args.m, deg))
     print("volume = %s" % vol)
-    print("r_prime = %s" % heckedeg.r_prime(args.D, args.N, args.m))
+    print("r_prime = %s" % (Fraction(2 * deg) / vol))
     return 0
 
 

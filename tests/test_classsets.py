@@ -73,6 +73,17 @@ def test_counts_match_divisor_formula():
         assert theta[m] == 24 * sigma_odd(m)
 
 
+def test_sums_of_four_squares_are_jacobis_count():
+    # Q = x1^2 + ... + x4^2: every offset U_ij is 0, so each coordinate's
+    # range is symmetric and the x, -x halving alone decides what is visited
+    E = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    theta = theta_counts(E, 60)
+    assert theta[0] == 1
+    for m in range(1, 61):
+        assert theta[m] == 8 * sum(d for d in range(1, m + 1)
+                                   if m % d == 0 and d % 4), m
+
+
 def _scrambled_hurwitz_forms():
     """The Hurwitz Q-Gram and five images under random unimodular maps."""
     qg = q_gram(maximal_order(construct_algebra(2)))

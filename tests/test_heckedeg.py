@@ -10,12 +10,14 @@ from quatmatch import heckedeg
 from quatmatch.exactnum import valuation
 from quatmatch.heckedeg import (
     deg_T,
+    degree_column,
     local_degree,
     oracle_local_orbits,
-    r_prime,
     volume,
 )
 from quatmatch.quatalg import ramified_model
+from quatmatch.verifycli import (ClassSetPool, TheoremCase, _column,
+                                 default_suite_cases)
 
 
 def test_volume_values():
@@ -78,25 +80,72 @@ def test_deg_multiplicative():
         assert deg_T(10, 3, m1 * m2) == deg_T(10, 3, m1) * deg_T(10, 3, m2)
 
 
+def _r_prime(D, N, m_max):
+    """[r'(1), ..., r'(m_max)] from the integer column that verify sums."""
+    nums, den = _column("r'", D, N, m_max, ClassSetPool())
+    assert den > 0
+    return [None] + [Fraction(n, den) for n in nums]
+
+
 def test_r_prime_values_and_signs():
-    assert r_prime(6, 1, 0) == 1
-    assert r_prime(6, 1, 1) == -12
-    assert r_prime(6, 1, 5) == -72
-    assert r_prime(6, 5, 1) == -2
-    assert r_prime(10, 3, 1) == Fraction(-3, 2)
-    for m in range(1, 40):
-        assert r_prime(6, 1, m) < 0
-        assert r_prime(10, 1, m) < 0
+    assert _r_prime(6, 1, 5)[1] == -12
+    assert _r_prime(6, 1, 5)[5] == -72
+    assert _r_prime(6, 5, 1)[1] == -2
+    assert _r_prime(10, 3, 1)[1] == Fraction(-3, 2)
+    for D in (6, 10):
+        assert all(value < 0 for value in _r_prime(D, 1, 39)[1:])
 
 
 def test_r_prime_is_twice_the_degree_over_the_volume():
-    # r_prime builds its value as one Fraction from the volume's numerator
-    # and denominator; the quotient of Fractions is the reference
+    # the column is 2*vol.den*deg over vol.num with the sign moved to the
+    # numerators; the quotient of Fractions is the reference
     for D, N in [(6, 1), (6, 5), (6, 35), (10, 3), (14, 15), (15, 7),
                  (21, 1), (210, 1), (210, 11)]:
+        column = _r_prime(D, N, 40)
         for m in range(1, 41):
             want = Fraction(2 * deg_T(D, N, m)) / volume(D, N)
-            assert r_prime(D, N, m) == want, (D, N, m)
+            assert column[m] == want, (D, N, m)
+
+
+def _identity_levels(cases):
+    """The (D', N') of every r' term of the cases."""
+    return {(D, N) for case in cases for terms in case.terms()
+            for _w, side, D, N in terms if side == "r'"}
+
+
+# the off-grid identity cases that CI runs through the command line
+CI_CASES = [("1.1", 1, 2, 5, 1), ("1.3", 7, 2, 3, 5), ("1.4", 5, 2, None, 3),
+            ("1.5", 10, 3, None, 1), ("1.4", 2, 13, None, 1), ("1.5", 6, 7, None, 1)]
+
+
+def test_degree_column_is_deg_T_on_every_identity_level():
+    ci = [TheoremCase(t, D=D, p=p, q=q, N=N) for t, D, p, q, N in CI_CASES]
+    suite = _identity_levels(default_suite_cases())
+    assert len(suite) == 26
+    four_primes = {(210, 1), (210, 11), (210, 143)}
+    for D, N in sorted(suite | _identity_levels(ci) | four_primes):
+        column = degree_column(D, N, 200)
+        assert len(column) == 201 and column[0] == 0
+        assert column[1:] == [deg_T(D, N, m) for m in range(1, 201)], (D, N)
+
+
+def test_eisenstein_check_catches_a_wrong_local_factor(monkeypatch):
+    # one local factor off by one, at the first m that reads it
+    original = heckedeg.local_degree
+    def corrupted(pattern, p, k):
+        return original(pattern, p, k) + ((pattern, p, k) == ("level", 5, 2))
+    monkeypatch.setattr(heckedeg, "local_degree", corrupted)
+    with pytest.raises(ArithmeticError, match=r"\(6, 5\) at m=25:"):
+        degree_column(6, 5, 100)
+    degree_column(6, 5, 24)  # no m below 25 reads the factor
+
+
+def test_degree_column_rejects_a_non_squarefree_level():
+    with pytest.raises(ValueError, match="squarefree"):
+        degree_column(6, 25, 7)
+    with pytest.raises(ValueError):
+        degree_column(2, 1, 7)  # definite: no volume
+    assert deg_T(6, 25, 7) == 8  # the per-m evaluator still reads only m's primes
 
 
 def _subgroup_count(modulus, index):

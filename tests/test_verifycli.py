@@ -192,6 +192,8 @@ def test_cli_certifies_past_p_255(argv, capsys):
     (["verify", "--theorem", "1.4", "--p", "3"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--q", "5"], None),
     (["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--q", "2"], None),
+    (["verify", "--theorem", "1.1", "--D", "1", "--p", "3", "--q", "3"], None),
+    (["verify", "--theorem", "1.3", "--D", "2", "--p", "3", "--q", "3"], None),
     (["verify", "--theorem", "all", "--D", "999", "--m-max", "3", "--pin", "1:5"],
      None),
     (["verify", "--theorem", "all", "--N", "5"], None),
@@ -232,6 +234,41 @@ def test_cli_rejects_bad_verify_input(argv, config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 2 and "error: " in err.splitlines()[1]
+
+
+@pytest.mark.parametrize("theorem, D", [("1.1", 1), ("1.3", 2)])
+def test_equal_p_and_q_are_named(theorem, D, capsys):
+    # named before any term, whose own check would blame D' and N'
+    with pytest.raises(SystemExit):
+        vc.main(["verify", "--theorem", theorem, "--D", str(D),
+                 "--p", "3", "--q", "3"])
+    err_line = capsys.readouterr().err.splitlines()[-1]
+    assert err_line.endswith("error: p and q must be distinct primes")
+
+
+def test_one_degree_column_per_level(monkeypatch):
+    # the default grid reads 26 r' levels, each column built once: its 1.3
+    # cases (m_max 100) sort before the 1.4 and 1.5 cases that share their
+    # levels at a smaller m_max
+    calls = []
+    original = heckedeg.degree_column
+    def counted(D, N, m_max):
+        calls.append((D, N))
+        return original(D, N, m_max)
+    monkeypatch.setattr(heckedeg, "degree_column", counted)
+    pool = vc.ClassSetPool()
+    for case in sorted(vc.default_suite_cases(), key=lambda c: c.key()):
+        vc.run_case(case, pool)
+    assert len(calls) == 26 and len(set(calls)) == 26
+
+
+def test_degree_column_is_extended_for_a_larger_m_max():
+    pool = vc.ClassSetPool()
+    short = pool.degrees(6, 5, 10)
+    assert pool.degrees(6, 5, 4) is short
+    longer = pool.degrees(6, 5, 30)
+    assert len(longer) == 31 and longer[:11] == short
+    assert pool.degrees(6, 5, 20) is longer
 
 
 @pytest.mark.parametrize("pin", ["1", "x:1"])
@@ -291,7 +328,7 @@ def test_rows_are_the_fraction_sums(case, pool):
     def value(side, D, N, m):
         if side == "r":
             return genus_theta(pool.get(D, N), case.m_max)[m]
-        return heckedeg.r_prime(D, N, m)
+        return Fraction(2 * heckedeg.deg_T(D, N, m)) / heckedeg.volume(D, N)
     lhs, rhs = case.terms()
     report = vc.run_case(case, pool)
     assert [m for m, *_ in report.rows] == list(range(1, case.m_max + 1))

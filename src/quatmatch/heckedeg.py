@@ -16,16 +16,17 @@ by the class equation.  The three patterns share one path.  A pattern
 supplies its order's multiplication, reduced norm, membership test and
 Z-basis, its numbers of unit and of nonzero nonunit residues mod p, and its
 candidate representatives.  Once per family and process, each candidate c
-is checked to lie in O with v_p(nrd) = k, and one Hermite normal form, of
-c*O + p^k*O, does two jobs.  That lattice is the principal right ideal
-c*O_p read mod p^k, so distinct forms prove the candidates pairwise
-inequivalent.  Its index in O, the product of the form's pivots, is the
-number of z in O/p^k O with c*z in p^k*O, which for every M >= k is the
-order of the stabilizer of c in the units U_M of O/p^M O; so neither job
-depends on M.  Each candidate's orbit has |U_M| / |Stab_M(c)| elements.
-When these orbit sizes add up to the number of elements of O/p^M O with
-v_p(nrd) = k, counted in closed form, the disjoint orbits fill that set,
-so the count holds at (p, k, M) with no element sampled.
+is checked to lie in O with nrd(c) = +-p^k, and one Hermite normal form, of
+the four rows of c*O, does two jobs.  As c*conj(c) = +-p^k and conj(c) lies
+in O, c*O contains p^k*O, so it is the principal right ideal c*O_p read in
+Z^4, and distinct forms prove the candidates pairwise inequivalent.  Its
+index in O, the product of the form's pivots, is the number of z in
+O/p^k O with c*z in p^k*O, which for every M >= k is the order of the
+stabilizer of c in the units U_M of O/p^M O; so neither job depends on M.
+Each candidate's orbit has |U_M| / |Stab_M(c)| elements.  When these orbit
+sizes add up to the number of elements of O/p^M O with v_p(nrd) = k,
+counted in closed form, the disjoint orbits fill that set, so the count
+holds at (p, k, M) with no element sampled.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient of the correspondence is r' = (deg over the
@@ -153,16 +154,18 @@ def degree_column(D: int, N: int, m_max: int) -> list:
 #   (i)  no two candidates are right-equivalent over Z_p;
 #   (ii) each candidate c lies in S_M, |Stab_M(c)| divides |U_M|, and
 #        sum_c |U_M| / |Stab_M(c)| = |S_M|, the class equation.
-# For M > k, (i) also holds mod p^M: as nrd(c) = p^k*u with u a unit, a
-# congruence c' = c*g + p^M*z is the equation c' = c*(g + w) over Z_p, with
-# w = p^(M-k)*conj(c)*z/u in p*O, and g + w is a unit.  So the orbits of
-# the candidates are disjoint, and by (ii) they fill S_M.
+# Each candidate c lies in O with nrd(c) = c*conj(c) = +-p^k, and the
+# orders are closed under the standard involution, so conj(c) lies in O.
+# For M > k, (i) also holds mod p^M: a congruence c' = c*g + p^M*z is the
+# equation c' = c*(g + w) over Z_p, with w = +-p^(M-k)*conj(c)*z in p*O,
+# and g + w is a unit.  So the orbits of the candidates are disjoint, and
+# by (ii) they fill S_M.
 # (i) compares principal right ideals.  c' = c*g with g in O_p^x exactly
 # when c'*O_p = c*O_p (then g = c^-1*c' and its inverse lie in O_p).  And
-# p^k*O = c*conj(c)*u^-1*O lies in c*O_p, so the Z-lattice c*O + p^k*O, in
-# the order's Z-basis, has c*O_p as its p-adic completion; as it contains
-# p^k*Z^4 it is fixed by that completion, and its Hermite normal form, which
-# is unique, names c*O_p.  So candidates with distinct forms are pairwise
+# p^k*O = +-c*conj(c)*O lies in c*O, so the Z-lattice c*O, in the order's
+# Z-basis, contains p^k*Z^4: c is a unit at every prime l != p, and c*O is
+# fixed by its p-adic completion c*O_p.  Its Hermite normal form, which is
+# unique, names c*O_p.  So candidates with distinct forms are pairwise
 # inequivalent over Z_p: one form per candidate, no pair test, and no M.
 # `_certify` proves (i) once per process for each candidate family: its
 # cache is keyed on the family tuple, not on (pattern, p, k), so a changed
@@ -175,11 +178,12 @@ def degree_column(D: int, N: int, m_max: int) -> list:
 # unique mod p^k: then c*y lies in p^M*O exactly when c*z lies in p^k*O.
 # So for every M >= k, y -> z is a bijection from the kernel of y -> c*y on
 # O/p^M O onto the kernel of z -> c*z on O/p^k O = (Z/p^k)^4, as large as
-# its cokernel O/(c*O + p^k*O), whose order is the product of the pivots
-# of the form of (i).  It stays a count: no closed form is assumed.
-# Per family, once: (i), the member/valuation check and the stabilizer
-# orders, all in `_certify`.  Per M: |U_M| and |S_M|, that each order
-# divides |U_M|, and the class equation.
+# its cokernel O/c*O (c*O contains p^k*O), whose order is the product of
+# the pivots of the form of (i).  It stays a count: no closed form is
+# assumed.
+# Per family, once: (i), the member/norm check and the stabilizer orders,
+# all in `_certify`.  Per M: |U_M| and |S_M|, that each order divides
+# |U_M|, and the class equation.
 # All three counts are of O/p^M O.  `_count` counts the flat coordinates
 # mod p^M: the level order's Z-basis is e11, e12, p*e21, e22, so O/p^M O
 # has p elements over each level matrix mod p^M, all of one nrd mod p^M,
@@ -249,22 +253,24 @@ def _candidates(pattern: str, p: int, k: int):
     return cands
 
 
-def _right_ideal(order, c, q):
-    """The Hermite normal form of c*O + q*O in the order's Z-basis, of the
-    rows of q*I and a row c*b for each basis element b, as one flat tuple.
+def _right_ideal(order, c):
+    """The Hermite normal form of c*O in the order's Z-basis, of a row c*b
+    for each basis element b, as one flat tuple; c is a member of O with
+    nrd(c) != 0.
 
     It has full rank, so row i has its pivot in column i and the pivots are
-    h[::5]; their product is the index of c*O + q*O in O, the number of y
-    in O/qO with c*y in qO.  At q = p^k for a member c with v_p(nrd c) = k,
-    the form names the right ideal c*O_p and the index is |Stab_M(c)| for
-    every M >= k (see the comment block above).
+    h[::5]; their product is the index of c*O in O.  For nrd(c) = +-p^k,
+    c*O = c*O + p^k*O, as p^k*O = +-c*conj(c)*O: the form names the right
+    ideal c*O_p, and the index is the number of z in O/p^k O with c*z in
+    p^k*O, which is |Stab_M(c)| for every M >= k (see the comment block
+    above).
     """
     s = order.scale
-    rows = [[q, 0, 0, 0], [0, q, 0, 0], [0, 0, q, 0], [0, 0, 0, q]]
+    rows = []
     for i, d in enumerate(s):
         b = [0, 0, 0, 0]
         b[i] = d
-        rows.append([v // e % q for v, e in zip(order.mul(c, b), s)])
+        rows.append([v // e for v, e in zip(order.mul(c, b), s)])
     return tuple([v for row in hnf_rows(rows) for v in row])
 
 
@@ -273,28 +279,30 @@ def _certify(pattern: str, p: int, k: int, cands: tuple) -> tuple:
     """Certify the candidate family and count its stabilizers, or raise
     ArithmeticError naming the check that fails and a candidate.
 
-    Each candidate must lie in the order with v_p(nrd) = k.  Then one
-    Hermite normal form at p^k, `_right_ideal`, gives its right ideal
-    c*O_p, which no other candidate may share, and its |Stab_M(c)|, the
-    same for every M >= k.  Neither depends on M, so the certificate holds
-    at every M of the oracle.  Returns the pairs (order, (how many
-    candidates, first candidate)) of the stabilizer orders.  The cache is
-    keyed on the family itself, so a changed family is certified anew, and
-    a failed family raises and is never stored.
+    Each candidate must lie in the order with nrd(c) = +-p^k, so that
+    c*conj(c) = +-p^k puts p^k*O inside c*O.  Then one Hermite normal
+    form, of c*O, `_right_ideal`, gives its right ideal c*O_p, which no
+    other candidate may share, and its |Stab_M(c)|, the same for every
+    M >= k.  Neither depends on M, so the certificate holds at every M of
+    the oracle.  Returns the pairs (order, (how many candidates, first
+    candidate)) of the stabilizer orders.  The cache is keyed on the family
+    itself, so a changed family is certified anew, and a failed family
+    raises and is never stored.
     """
     order, pk = _local_order(pattern, p), p ** k
     ideals, stabs = {}, {}
     for c in cands:
         n = order.nrd(c)
-        if not (order.member(c) and n % pk == 0 and n // pk % p):
+        if not (order.member(c) and abs(n) == pk):
             raise ArithmeticError(
-                "member/valuation check fails for %s p=%d k=%d: candidate %r "
-                "has nrd %d, want a member with v_p(nrd) = %d"
-                % (pattern, p, k, c, n, k))
-        form = _right_ideal(order, c, pk)
-        # each entry lies in [0, p^k], so the form is the digits of one int
-        # in base p^k + 1; a dict of int keys, unlike one of 16-tuples,
-        # leaves no tuples on CPython's free list when it is freed
+                "member/norm check fails for %s p=%d k=%d: candidate %r "
+                "has nrd %d, want a member with nrd = +-%d"
+                % (pattern, p, k, c, n, pk))
+        form = _right_ideal(order, c)
+        # c*O contains p^k*Z^4, so each entry lies in [0, p^k] and the form
+        # is the digits of one int in base p^k + 1; a dict of int keys,
+        # unlike one of 16-tuples, leaves no tuples on CPython's free list
+        # when it is freed
         ideal = 0
         for v in form:
             ideal = ideal * (pk + 1) + v
@@ -333,7 +341,7 @@ def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
 
     `pattern` is "split", "level" or "ramified"; the computation is carried
     out in the corresponding local order O mod p^M.  Once per family, each
-    candidate is checked to lie in O with v_p(nrd) = k, the candidates are
+    candidate is checked to lie in O with nrd = +-p^k, the candidates are
     certified pairwise inequivalent, and the order of each one's stabilizer
     in the units U_M of O/p^M O is counted, at p^k, as it does not depend
     on M.  Per M, each such order must divide |U_M|, and the orbit sizes

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import CyclotomicNumber, zeta
+from .exactnum import CyclotomicNumber
 from .quatalg import ramified_model
 
 
@@ -183,19 +183,31 @@ def verify_prop_3_1(p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _dft_matrix(p: int):
-    """A = (p * lambda(phi_{1,j})(w n(i))), checked entrywise to be the DFT
-    matrix (zeta_p^(i * j)); A is therefore invertible with A^(-1) = conj(A) / p.
-    Raises ArithmeticError on any other entry.
+    """The exponents of A = (p * lambda(phi_{1,j})(w n(i))), checked
+    entrywise to be those of the DFT matrix (zeta_p^(i * j)); A is therefore
+    invertible with A^(-1) = conj(A) / p.  Returns the exponent table e,
+    A_ij = zeta_p^(e[i][j]).  Raises ArithmeticError on any other entry.
+
+    Each entry is the one term of `lambda_eval` times p: A_ij =
+    p gamma vol(L) zeta_p^(-i pQ(mu_{1,j})).  The scalar p gamma vol(L) = 1
+    of the split level space is checked once; after it, as zeta_p has order
+    p, A_ij = zeta_p^(i j) holds exactly when -i pQ(mu_{1,j}) = i j (mod p),
+    so each integer congruence is the CyclotomicNumber equality it replaces.
     """
     sp1 = split_level_space(p)
-    amat = tuple(tuple(lambda_eval(coset_char(sp1, 1, j), i) * p
-                       for j in range(p)) for i in range(p))
+    scale = p * sp1.gamma * sp1.vol
+    if scale != 1:
+        raise ArithmeticError("lambda block is not the DFT matrix at p = %d: "
+                              "p*gamma*vol = %s, not 1" % (p, scale))
+    exponents = tuple(tuple(-i * t % p for t in sp1.table[1])
+                      for i in range(p))
     for i in range(p):
         for j in range(p):
-            if amat[i][j] != zeta(p, i * j % p):
-                raise ArithmeticError("lambda block is not the DFT matrix at "
-                                      "(%d, %d): %s" % (i, j, amat[i][j]))
-    return amat
+            if exponents[i][j] != i * j % p:
+                raise ArithmeticError(
+                    "lambda block is not the DFT matrix at (%d, %d): zeta_%d^%d"
+                    % (i, j, p, exponents[i][j]))
+    return exponents
 
 
 def verify_basis_lemma(p: int) -> bool:
@@ -238,14 +250,26 @@ def match_coefficients(p: int, k: int, l: int):
     sides scaled by p the matching is the system A x = t for the checked DFT
     matrix A (see `_dft_matrix`); A is invertible, so checking A x = t
     exactly, row by row, certifies x as its unique solution.
+
+    Row i reads A_id = t_i = -p lambda(phi_kl)(w n(i)), and the right side is
+    the one term -p gamma vol(L) zeta_p^(-i pQ(mu_kl)) of `lambda_eval`.  The
+    scalar -p gamma vol(L) = 1 of the ramified space is checked once; after
+    it, as zeta_p has order p, the row holds exactly when i d = -i pQ(mu_kl)
+    (mod p), so each integer congruence is the CyclotomicNumber equality it
+    replaces.
     """
     if (k % p, l % p) == (0, 0):
         raise ValueError("the zero coset has no matching of this shape")
-    phi_kl = coset_char(ramified_space(p), k, l)
-    amat = _dft_matrix(p)
+    ra = ramified_space(p)
+    scale = -p * ra.gamma * ra.vol
+    if scale != 1:
+        raise ArithmeticError("closed-form matching fails A x = t at p = %d: "
+                              "-p*gamma*vol = %s, not 1" % (p, scale))
+    exponents = _dft_matrix(p)
     d = ramified_model(p).d_value(k, l) % p
+    pq = ra.table[k % p][l % p]
     for i in range(p):
-        if amat[i][d] != lambda_eval(phi_kl, i) * -p:
+        if (exponents[i][d] + i * pq) % p:
             raise ArithmeticError("closed-form matching x = -e_%d fails A x = t "
                                   "at row %d" % (d, i))
     return [Fraction(-1) if j == d else Fraction(0) for j in range(p)]

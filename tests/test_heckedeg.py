@@ -2,12 +2,14 @@ import collections
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from quatmatch import heckedeg
 from quatmatch.exactnum import valuation
+from quatmatch.matrices import hnf_rows
 from quatmatch.heckedeg import (
     deg_T,
     degree_column,
@@ -224,20 +226,53 @@ def _nonunit(order, p):
                 if any(s) and order.member(s) and order.nrd(s) % p == 0)
 
 
-# mutation -> (candidate family, the check that must catch it)
+def _unit_of_norm_one(order, p):
+    """A unit g != +-1 of the order with nrd(g) = +-1: (1, 1, 0, 1) for the
+    matrix orders, 1 + pi at p = 2 (nrd -1) and 2 + pi at p = 3 (nrd 1)."""
+    if order.pi_squared_is_p:
+        g = {2: (1, 0, 1, 0), 3: (2, 0, 1, 0)}[p]
+    else:
+        g = (1, 1, 0, 1)
+    assert order.member(g) and abs(order.nrd(g)) == 1
+    return g
+
+
+# mutation -> (candidate family, the check that must catch it); a check of
+# None is the member/norm check if the added candidate fails it, else
+# "are equivalent"
 _MUTATIONS = {
     "duplicated": (lambda cands, order, p, M: cands + cands[:1], "are equivalent"),
     # the orbits left no longer fill S_M
     "dropped": (lambda cands, order, p, M: cands[:-1], "class equation fails"),
-    # p * c has v_p(nrd) = k + 2; for ramified p * pi^k = pi^(k+2)
+    # p * c has nrd +-p^(k+2); for ramified p * pi^k = pi^(k+2)
     "wrong-valuation": (lambda cands, order, p, M:
                         cands[:-1] + [tuple(p * v for v in cands[-1])],
-                        "member/valuation check fails"),
-    # c * g mod p^M generates the right ideal of c, so its form repeats c's
+                        "member/norm check fails"),
+    # c * g mod p^M generates the right ideal of c, so its form repeats c's;
+    # where the reduction mod p^M moves its nrd off +-p^k (ramified, odd k)
+    # the member/norm check catches it first
     "translated-duplicate": (lambda cands, order, p, M: cands + [
         tuple(v % p ** M for v in order.mul(cands[-1], _unit(order, p)))],
-        "are equivalent"),
+        None),
+    # c * g for a unit g != +-1 of nrd +-1, not reduced: nrd +-p^k, and the
+    # right ideal of c
+    "unit-multiple": (lambda cands, order, p, M: cands + [
+        order.mul(cands[-1], _unit_of_norm_one(order, p))], "are equivalent"),
 }
+
+
+def _caught_by(mutation, family, order, p, k):
+    """The message `mutation` of the family must raise: for a check of
+    None, the member/norm check's, naming the added candidate and its nrd,
+    if that nrd is not +-p^k."""
+    caught_by = _MUTATIONS[mutation][1]
+    if caught_by is not None:
+        return caught_by
+    c = family[-1]
+    if abs(order.nrd(c)) == p ** k:
+        return "are equivalent"
+    return re.escape("member/norm check fails") + ".*" + re.escape(
+        "candidate %r has nrd %d" % (c, order.nrd(c)))
 
 
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
@@ -255,10 +290,14 @@ def test_oracle_rejects_mutated_candidates(mutation, pattern, p, k, M, side,
     # enumerate in full, or only sampled by test_panel_coverage
     assert ((pattern, p, k, M) in _PANEL_OPS) == (side == "panel")
     order = heckedeg._local_order(pattern, p)
-    mutate, caught_by = _MUTATIONS[mutation]
-    original = heckedeg._candidates
-    monkeypatch.setattr(heckedeg, "_candidates",
-                        lambda *a: mutate(original(*a), order, p, M))
+    mutate = _MUTATIONS[mutation][0]
+    family = mutate(heckedeg._candidates(pattern, p, k), order, p, M)
+    caught_by = _caught_by(mutation, family, order, p, k)
+    if mutation == "translated-duplicate":
+        # the reduction mod p^M moves pi * u off nrd +-p for ramified k = 1
+        assert caught_by.startswith("member") == (
+            (pattern, k) == ("ramified", 1))
+    monkeypatch.setattr(heckedeg, "_candidates", lambda *a: family)
     with pytest.raises(ArithmeticError, match=caught_by):
         oracle_local_orbits(pattern, p, k, M)
 
@@ -285,13 +324,27 @@ def test_certificate_cache_cannot_hide_a_mutation(pattern, p, k, monkeypatch):
     assert oracle_local_orbits(pattern, p, k, M) == closed
     assert calls == []
     order = heckedeg._local_order(pattern, p)
-    original = heckedeg._candidates
-    for mutate, caught_by in _MUTATIONS.values():
-        monkeypatch.setattr(heckedeg, "_candidates",
-                            lambda *a: mutate(original(*a), order, p, M))
+    cands = heckedeg._candidates(pattern, p, k)
+    for mutation, (mutate, _) in _MUTATIONS.items():
+        family = mutate(cands, order, p, M)
+        caught_by = _caught_by(mutation, family, order, p, k)
+        monkeypatch.setattr(heckedeg, "_candidates", lambda *a: family)
         for _ in range(2):
             with pytest.raises(ArithmeticError, match=caught_by):
                 oracle_local_orbits(pattern, p, k, M)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_level_oracle_rejects_a_non_member(p, k, monkeypatch):
+    # (1, 0, 1, p^k) has nrd p^k but a lower-left entry that p does not
+    # divide: a split matrix outside the level order, whose rows c*b do not
+    # lie in its Z-basis
+    family = heckedeg._candidates("level", p, k) + [(1, 0, 1, p ** k)]
+    monkeypatch.setattr(heckedeg, "_candidates", lambda *a: family)
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "member/norm check fails for level p=%d k=%d: candidate "
+            "(1, 0, 1, %d) has nrd %d" % (p, k, p ** k, p ** k))):
+        oracle_local_orbits("level", p, k, k + 2)
 
 
 _GRID = [(pattern, p, k, M) for pattern in ("split", "level", "ramified")
@@ -300,9 +353,36 @@ _CI_OPS = [(pattern, p, k, k + 2) for pattern in ("split", "level", "ramified")
            for p in (11, 13) for k in (2, 3)]
 
 
+def _form_mod(order, x, q):
+    """The Hermite normal form of x*O + q*O in the order's Z-basis, of the
+    rows of q*I and a row x*b mod q for each basis element b, as one flat
+    tuple, for any member x: the reference `heckedeg._right_ideal` is
+    checked against on the candidates, where x*O contains q*O at q = p^k.
+    Its pivots, h[::5], multiply to the index of x*O + q*O in O, the number
+    of y in O/qO with x*y in qO."""
+    s = order.scale
+    rows = [[q * int(i == j) for j in range(4)] for i in range(4)]
+    for i, d in enumerate(s):
+        b = [0, 0, 0, 0]
+        b[i] = d
+        rows.append([v // e % q for v, e in zip(order.mul(x, b), s)])
+    return tuple([v for row in hnf_rows(rows) for v in row])
+
+
 def _stabilizer(order, c, q):
     """|{y in O/qO : c*y in qO}|, the product of the pivots of the form."""
-    return math.prod(heckedeg._right_ideal(order, c, q)[::5])
+    return math.prod(_form_mod(order, c, q)[::5])
+
+
+def test_right_ideal_is_the_form_mod_p_k():
+    # each candidate c has nrd +-p^k, so c*O contains p^k*O and the four
+    # rows of c*O have the form of c*O + p^k*O, read mod p^k
+    for pattern, p, k in sorted({op[:3] for op in _GRID + _CI_OPS}):
+        order = heckedeg._local_order(pattern, p)
+        for c in heckedeg._candidates(pattern, p, k):
+            assert abs(order.nrd(c)) == p ** k
+            assert heckedeg._right_ideal(order, c) == \
+                _form_mod(order, c, p ** k), (pattern, p, k, c)
 
 
 def _conj(pattern, p, x):
@@ -331,29 +411,29 @@ def _equivalent_mod(pattern, p, k, M, x, y):
 
 
 def test_right_ideal_decides_equivalence():
-    # the form at p^k against `_equivalent_mod` on members of valuation k,
-    # the only ones `_certify` reads a form of: each candidate c shares its
-    # form with c*u for a unit u, equivalent to it mod p^M, and not with the
-    # next candidate d, inequivalent to it.  c*s for a nonzero nonunit s is
-    # inequivalent too, but its valuation exceeds k, where the form at p^k
-    # need not name c*s*O_p and can equal c's (split p=2 k=1: c = (2,0,0,1)
-    # and s = e22), so the member/valuation check runs first
+    # the form mod p^k against `_equivalent_mod` on members of valuation k:
+    # each candidate c shares its form with c*u mod p^M for a unit u,
+    # equivalent to it mod p^M, and not with the next candidate d,
+    # inequivalent to it.  c*s for a nonzero nonunit s is inequivalent too,
+    # but its valuation exceeds k, where the form mod p^k need not name
+    # c*s*O_p and can equal c's (split p=2 k=1: c = (2,0,0,1) and s = e22),
+    # so `_certify`'s member/norm check runs first
     for pattern, p, k, M in _GRID + _CI_OPS:
         order = heckedeg._local_order(pattern, p)
         u, s = _unit(order, p), _nonunit(order, p)
         cands = heckedeg._candidates(pattern, p, k)
         for c, d in itertools.zip_longest(cands, cands[1:]):
-            form = heckedeg._right_ideal(order, c, p ** k)
+            form = _form_mod(order, c, p ** k)
             cu, cs = (tuple(v % p ** M for v in order.mul(c, g))
                       for g in (u, s))
             assert _equivalent_mod(pattern, p, k, M, c, cu)
-            assert heckedeg._right_ideal(order, cu, p ** k) == form, (
+            assert _form_mod(order, cu, p ** k) == form, (
                 pattern, p, k, M, c)
             assert not _equivalent_mod(pattern, p, k, M, c, cs)
             assert order.nrd(cs) % p ** (k + 1) == 0
             if d is not None:
                 assert not _equivalent_mod(pattern, p, k, M, c, d)
-                assert heckedeg._right_ideal(order, d, p ** k) != form, (
+                assert _form_mod(order, d, p ** k) != form, (
                     pattern, p, k, M, c, d)
 
 
@@ -587,12 +667,11 @@ def test_class_equation_inputs_by_brute_force(pattern, p, k, M):
             if a != b:
                 parent[a] = b
     orbit = collections.Counter(find(x) for x in level_k)
-    # the form at p^k is one per orbit, over all of S_M: constant on each
+    # the form mod p^k is one per orbit, over all of S_M: constant on each
     # orbit, and different across orbits
     forms = {}
     for x in level_k:
-        forms.setdefault(find(x), set()).add(
-            heckedeg._right_ideal(order, x, pk))
+        forms.setdefault(find(x), set()).add(_form_mod(order, x, pk))
     assert all(len(f) == 1 for f in forms.values())
     assert len(set().union(*forms.values())) == len(orbit)
     cands = heckedeg._candidates(pattern, p, k)

@@ -262,8 +262,12 @@ class _ShiftedResidue(RamifiedModel):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_match_coefficients_rejects_wrong_residue(p, monkeypatch):
-    # the closed form -e_d is only accepted because A x = t holds exactly
-    model = ramified_model(p)
+    # the closed form -e_d is only accepted because A x = t holds exactly.
+    # The space is built from the true model before the patch, and handed
+    # back as is: `ramified_space` is cached, and one built from the shifted
+    # model would shift its table with d, and stay cached for later tests
+    model, space = ramified_model(p), ramified_space(p)
+    monkeypatch.setattr(weilmatch, "ramified_space", lambda q: space)
     monkeypatch.setattr(weilmatch, "ramified_model",
                         lambda q: _ShiftedResidue(model.p, model.t, model.n))
     for k in range(p):
@@ -274,21 +278,70 @@ def test_match_coefficients_rejects_wrong_residue(p, monkeypatch):
 
 
 @pytest.fixture
-def flipped_dft(monkeypatch):
-    """Every lambda-value is negated: the lambda block is then -A, not the
-    DFT matrix that `_dft_matrix` expects."""
-    monkeypatch.setattr(weilmatch, "lambda_eval",
-                        lambda phi, b: -lambda_eval(phi, b))
+def fresh_dft():
+    """`_dft_matrix` is cached: a test that patches the split level space
+    checks the block afresh and leaves no patched block behind."""
     weilmatch._dft_matrix.cache_clear()
     yield
     weilmatch._dft_matrix.cache_clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_non_dft_block_is_rejected(p, flipped_dft):
+def test_non_dft_block_is_rejected(p, monkeypatch, fresh_dft):
+    # with the Weil index of the split level space flipped, the lambda block
+    # is -A: the scalar p*gamma*vol that the exponent check reads is -1
+    _flip_gamma(monkeypatch, "split_level_space")
     assert not verify_basis_lemma(p)
     with pytest.raises(ArithmeticError, match="not the DFT matrix"):
         match_coefficients(p, 1, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_flipped_ramified_gamma_fails_a_x_t(p, monkeypatch):
+    # the right side t is scaled by -p*gamma*vol of the ramified space
+    _flip_gamma(monkeypatch, "ramified_space")
+    for k in range(p):
+        for l in range(p):
+            if (k, l) != (0, 0):
+                with pytest.raises(ArithmeticError, match="fails A x = t"):
+                    match_coefficients(p, k, l)
+
+
+def _shift_entry(monkeypatch, name, i, j):
+    """Patch the space `name` so that its table entry (i, j) is one more."""
+    build = getattr(weilmatch, name)
+
+    def shifted(p):
+        space = build(p)
+        table = [list(row) for row in space.table]
+        table[i][j] = (table[i][j] + 1) % p
+        return dataclasses.replace(space, table=tuple(map(tuple, table)))
+    monkeypatch.setattr(weilmatch, name, shifted)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_changed_table_entry_is_rejected(p, monkeypatch, fresh_dft):
+    # one entry pQ(mu) of either table, one more mod p: the DFT check reads
+    # row 1 of the split level table, and A x = t for the coset (k, l) reads
+    # entry (k, l) of the ramified table, and no other
+    for j in range(p):
+        with monkeypatch.context() as mp:
+            _shift_entry(mp, "split_level_space", 1, j)
+            weilmatch._dft_matrix.cache_clear()
+            assert not verify_basis_lemma(p)
+            with pytest.raises(ArithmeticError, match="not the DFT matrix"):
+                match_coefficients(p, 1, 0)
+    weilmatch._dft_matrix.cache_clear()
+    labels = [(k, l) for k in range(p) for l in range(p) if (k, l) != (0, 0)]
+    for k, l in labels:
+        with monkeypatch.context() as mp:
+            _shift_entry(mp, "ramified_space", k, l)
+            for label in labels:
+                if label == (k, l):
+                    with pytest.raises(ArithmeticError, match="fails A x = t"):
+                        match_coefficients(p, *label)
+                else:
+                    match_coefficients(p, *label)
 
 
 def test_match_coefficients_rejects_zero_coset():
@@ -327,6 +380,10 @@ LOCAL_DIGESTS = {
     17: "87520690f88b8627159a1597561925f53b2081a4eb07c0e4e46890c39b96a121",
     19: "0e5b2f0f0a7afe4819176b202a7458aa4964bef00822790cd154081b997ff076",
     23: "93600cebd64f512995100fbbdc410ed79af1aa29bebf68e8e16e160b2105c9f9",
+    29: "598670d428186fa7a3190140507b2eea60ff953dba3250b9bb9d6c4af473c134",
+    53: "939230bac97d733a636816fea5363e2ad3a8792cbceebda45484d7fffa3690e5",
+    79: "aa518534aa2fbc9f26bb7abf91142dbf804525d45c59625034556a2881471588",
+    101: "6583b534a9deb8d35527c414ea672b19501a16a42db346d0d047b17963722335",
 }
 
 

@@ -12,21 +12,11 @@ of m with local factors
 where k = v_p(m).  Each closed form is certified by `oracle_local_orbits`,
 an orbit count in the local order O of the pattern (M_2(Z_p), the Iwahori
 order, the maximal order of the division algebra) reduced mod p^M, proved
-by the class equation.  The three patterns share one path.  A pattern
+by the class equation with no element sampled; the proof is the comment
+block above the oracles.  The three patterns share one path.  A pattern
 supplies its order's multiplication, reduced norm, membership test and
 Z-basis, its numbers of unit and of nonzero nonunit residues mod p, and its
-candidate representatives.  Once per family and process, each candidate c
-is checked to lie in O with nrd(c) = +-p^k, and one Hermite normal form, of
-the four rows of c*O, does two jobs.  As c*conj(c) = +-p^k and conj(c) lies
-in O, c*O contains p^k*O, so it is the principal right ideal c*O_p read in
-Z^4, and distinct forms prove the candidates pairwise inequivalent.  Its
-index in O, the product of the form's pivots, is the number of z in
-O/p^k O with c*z in p^k*O, which for every M >= k is the order of the
-stabilizer of c in the units U_M of O/p^M O; so neither job depends on M.
-Each candidate's orbit has |U_M| / |Stab_M(c)| elements.  When these orbit
-sizes add up to the number of elements of O/p^M O with v_p(nrd) = k,
-counted in closed form, the disjoint orbits fill that set, so the count
-holds at (p, k, M) with no element sampled.
+candidate representatives.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient of the correspondence is r' = (deg over the
@@ -90,6 +80,11 @@ def local_degree(pattern: str, p: int, k: int) -> int:
     raise ValueError("unknown local pattern: %r" % (pattern,))
 
 
+def _pattern(D: int, N: int, p: int) -> str:
+    """The pattern of `local_degree` at p for the level (D, N)."""
+    return "ramified" if D % p == 0 else "level" if N % p == 0 else "split"
+
+
 def deg_T(D: int, N: int, m: int) -> int:
     """Degree (over one factor) of the determinant-m correspondence."""
     volume(D, N)  # the one check that (D, N) is an indefinite level
@@ -99,8 +94,7 @@ def deg_T(D: int, N: int, m: int) -> int:
     for p, k in prime_power_factors(m):
         if N % (p * p) == 0:
             raise ValueError("level factors are implemented for squarefree N only")
-        pattern = "ramified" if D % p == 0 else "level" if N % p == 0 else "split"
-        total *= local_degree(pattern, p, k)
+        total *= local_degree(_pattern(D, N, p), p, k)
     return total
 
 
@@ -118,10 +112,9 @@ def degree_column(D: int, N: int, m_max: int) -> list:
     primes = [p for p in range(2, m_max + 1) if sigma[p] == p + 1]
     deg = [0] + [1] * m_max
     for p in primes:
-        pattern = "ramified" if D % p == 0 else "level" if N % p == 0 else "split"
         pk, k = p, 1
         while pk <= m_max:
-            factor = local_degree(pattern, p, k)
+            factor = local_degree(_pattern(D, N, p), p, k)
             for m in range(pk, m_max + 1, pk):
                 if m // pk % p:
                     deg[m] *= factor
@@ -167,10 +160,6 @@ def degree_column(D: int, N: int, m_max: int) -> list:
 # fixed by its p-adic completion c*O_p.  Its Hermite normal form, which is
 # unique, names c*O_p.  So candidates with distinct forms are pairwise
 # inequivalent over Z_p: one form per candidate, no pair test, and no M.
-# `_certify` proves (i) once per process for each candidate family: its
-# cache is keyed on the family tuple, not on (pattern, p, k), so a changed
-# family is certified anew, and a failed certificate raises and is never
-# stored.
 # In (ii), Stab_M(c) = {1 + y : c*y = 0 in O/p^M O}.  Such a y has
 # nrd(c)*y = conj(c)*c*y in p^M*O, so y lies in p^(M-k)*O; with M >= k + 1
 # that puts nrd(1 + y) = 1 + tr(y) + nrd(y) in 1 + p*Z_p, so 1 + y is a
@@ -259,11 +248,9 @@ def _right_ideal(order, c):
     nrd(c) != 0.
 
     It has full rank, so row i has its pivot in column i and the pivots are
-    h[::5]; their product is the index of c*O in O.  For nrd(c) = +-p^k,
-    c*O = c*O + p^k*O, as p^k*O = +-c*conj(c)*O: the form names the right
-    ideal c*O_p, and the index is the number of z in O/p^k O with c*z in
-    p^k*O, which is |Stab_M(c)| for every M >= k (see the comment block
-    above).
+    h[::5]; their product is the index of c*O in O.  For nrd(c) = +-p^k the
+    form names the right ideal c*O_p and the index is |Stab_M(c)| for every
+    M >= k, by (i) and (ii) of the comment block above.
     """
     s = order.scale
     rows = []
@@ -279,15 +266,13 @@ def _certify(pattern: str, p: int, k: int, cands: tuple) -> tuple:
     """Certify the candidate family and count its stabilizers, or raise
     ArithmeticError naming the check that fails and a candidate.
 
-    Each candidate must lie in the order with nrd(c) = +-p^k, so that
-    c*conj(c) = +-p^k puts p^k*O inside c*O.  Then one Hermite normal
-    form, of c*O, `_right_ideal`, gives its right ideal c*O_p, which no
-    other candidate may share, and its |Stab_M(c)|, the same for every
-    M >= k.  Neither depends on M, so the certificate holds at every M of
-    the oracle.  Returns the pairs (order, (how many candidates, first
-    candidate)) of the stabilizer orders.  The cache is keyed on the family
-    itself, so a changed family is certified anew, and a failed family
-    raises and is never stored.
+    Each candidate must lie in the order with nrd(c) = +-p^k, and no two
+    may share the form `_right_ideal` of c*O; the product of its pivots is
+    |Stab_M(c)| at every M >= k of the oracle.  Returns the pairs (order,
+    (how many candidates, first candidate)) of the stabilizer orders.  The
+    cache is keyed on the family itself, not on (pattern, p, k), so a
+    changed family is certified anew, and a failed family raises and is
+    never stored.
     """
     order, pk = _local_order(pattern, p), p ** k
     ideals, stabs = {}, {}
@@ -340,14 +325,12 @@ def oracle_local_orbits(pattern: str, p: int, k: int, M: int) -> int:
     multiplication by units, and prove the count at (p, k, M).
 
     `pattern` is "split", "level" or "ramified"; the computation is carried
-    out in the corresponding local order O mod p^M.  Once per family, each
-    candidate is checked to lie in O with nrd = +-p^k, the candidates are
-    certified pairwise inequivalent, and the order of each one's stabilizer
-    in the units U_M of O/p^M O is counted, at p^k, as it does not depend
-    on M.  Per M, each such order must divide |U_M|, and the orbit sizes
-    |U_M| / |Stab_M(c)| must add up exactly to the number |S_M| of
-    elements of O/p^M O with v_p(nrd) = k: the class equation.  The proof
-    needs M >= k + 1; the margin M >= k + 2 is kept as the caller's
+    out in the corresponding local order O mod p^M.  Once per family,
+    `_certify` checks the candidates and counts their stabilizers.  Per M,
+    each stabilizer order must divide |U_M|, the units of O/p^M O, and the
+    orbit sizes |U_M| / |Stab_M(c)| must add up exactly to the number |S_M|
+    of elements of O/p^M O with v_p(nrd) = k: the class equation.  The
+    proof needs M >= k + 1; the margin M >= k + 2 is kept as the caller's
     contract.  A failed check raises ArithmeticError naming it, the op (the
     family's checks name (pattern, p, k)) and both sides.
     """

@@ -97,20 +97,30 @@ def construct_algebra(D: int) -> QuaternionAlgebra:
     of prime factors; in that case the returned constants are negative so
     the norm form is positive definite.  The search over candidate pairs is
     deterministic (magnitude-lexicographic), so the result is reproducible.
+    A bound below the largest prime q of D is skipped: q is odd and divides
+    neither constant, so no pair within it ramifies at q.  When the bounded
+    search fails, b = -D (definite) or b = +-D (indefinite) is tried with
+    each a of the widest candidate list.
     """
     if D < 1 or not is_squarefree(D):
         raise ValueError("discriminant must be a squarefree positive integer")
     if D == 1:
         return QuaternionAlgebra(1, 1)
-    target = tuple(prime_factors(D))
-    definite = len(target) % 2 == 1
+    primes = tuple(prime_factors(D))
+    definite = len(primes) % 2 == 1
+    target = (primes, definite)
     for bound in (50, 200, 1000):
+        if bound < primes[-1]:
+            continue
         values = _candidate_values(bound, definite)
         for a in values:
             for b in values:
-                finite, inf = _ram_cache(a, b)
-                if finite == target and inf == definite:
+                if _ram_cache(a, b) == target:
                     return QuaternionAlgebra(a, b)
+    for a in _candidate_values(1000, definite):
+        for b in ((-D,) if definite else (D, -D)):
+            if _ram_cache(a, b) == target:
+                return QuaternionAlgebra(a, b)
     raise ArithmeticError("no structure constants found for D=%d" % D)
 
 

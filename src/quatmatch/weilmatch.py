@@ -9,22 +9,25 @@ module: the cosets mu_{i,j} + L carry labels (i, j) mod p, and a table
 holds the integers p*Q(mu_{i,j}) mod p.  Every section built here is the
 indicator of a union of these cosets.
 
-A section phi is read through lambda(phi)(g) = (omega(g) phi)(0), and the
-matchings compare these values only on the transversal {1, w n(b)}.  There
-lambda(phi)(1) is phi(0), and
+A section phi is read through lambda(phi)(g) = (omega(g) phi)(0) on the
+transversal {1, w n(b)}.  There lambda(phi)(1) is phi(0), and
 
     lambda(phi)(w n(b)) = gamma * vol(L) * sum_mu phi(mu) psi(b * Q(mu))
 
 (Weil, Acta Math. 111, 1964), with w = w n(0), vol(L) = [L_dual : L]^(-1/2)
 and the Weil index gamma = +1 for the split spaces and -1 for the ramified
-one.  The action of the whole group on Schwartz functions is not needed
-here; the test suite keeps it as the reference these values are checked
-against.
+one.  On {1, w} the value is rational, and `lambda_eval` returns it as a
+Fraction: the matchings of Prop. 3.1 and the identity weights read only
+these.  At w n(b) a coset section has the one term
+gamma * vol(L) * zeta_p^(-b * pQ(mu)), which the DFT and A x = t
+certificates read as its rational scalar and its exponent mod p.  No value
+of Q(zeta_p) is formed here; the test suite keeps the group action on
+Schwartz functions, with coefficients in Q(zeta_p), as the reference.
 
-Character convention: psi_p(x) = e(-frac_p(x)), where frac_p is the p-adic
-fractional part, so psi_p is trivial on Z_p and psi_p(a/p) = zeta_p^(-a).
-Both psi and each space's gamma are fixed; each space constructor sets its
-own gamma.
+Character convention: e(t) = exp(2 pi i t) and psi_p(x) = e(-frac_p(x)),
+where frac_p is the p-adic fractional part, so psi_p is trivial on Z_p and
+psi_p(a/p) = zeta_p^(-a).  Both psi and each space's gamma are fixed; each
+space constructor sets its own gamma.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import CyclotomicNumber
 from .quatalg import ramified_model
 
 
@@ -116,20 +118,21 @@ def coset_char(space: LocalQuadSpace, i: int, j: int) -> Section:
     return Section(space, (label,))
 
 
-def lambda_eval(phi: Section, b) -> CyclotomicNumber:
-    """lambda(phi)(g) = (omega(g) phi)(0) on the transversal: g = 1 for
-    b = None, and g = w n(b) for an integer b, so b = 0 gives g = w.
+def lambda_eval(phi: Section, b) -> Fraction:
+    """lambda(phi)(g) = (omega(g) phi)(0) at g = 1 for b = None, and at
+    g = w = w n(0) for b = 0; ValueError for any other b.
 
-    At g = 1 the value is phi(0).  At g = w n(b) it is the character sum
-    gamma vol(L) sum_mu phi(mu) zeta_p^(-b p Q(mu)); CyclotomicNumber reads
-    the exponents mod p and adds up the repeats.
+    At g = 1 the value is phi(0).  At g = w every character value
+    psi(0 * Q(mu)) is 1, so the sum is gamma vol(L) times the number of
+    cosets of phi.
     """
     if b is None:
-        return CyclotomicNumber.from_rational(int((0, 0) in phi.labels))
+        return Fraction(int((0, 0) in phi.labels))
+    if b != 0:
+        raise ValueError("lambda is evaluated on {1, w} only (b = None or 0), "
+                         "got b = %r" % (b,))
     space = phi.space
-    table, factor = space.table, space.vol * space.gamma
-    return CyclotomicNumber(space.p, [(-b * table[i][j], factor)
-                                      for i, j in phi.labels])
+    return space.gamma * space.vol * len(phi.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def matching_weights(p: int) -> tuple:
     as `ramified_space` is, so each prime is solved once per process.
     """
     (r1, rw), (x1, xw), (y1, yw) = (
-        [lambda_eval(char_lattice(space), b).rational_value() for b in (None, 0)]
+        [lambda_eval(char_lattice(space), b) for b in (None, 0)]
         for space in (ramified_space(p), split_maximal_space(p), split_level_space(p)))
     det = x1 * yw - y1 * xw
     if det == 0:
@@ -188,11 +191,11 @@ def _dft_matrix(p: int):
     invertible with A^(-1) = conj(A) / p.  Returns the exponent table e,
     A_ij = zeta_p^(e[i][j]).  Raises ArithmeticError on any other entry.
 
-    Each entry is the one term of `lambda_eval` times p: A_ij =
-    p gamma vol(L) zeta_p^(-i pQ(mu_{1,j})).  The scalar p gamma vol(L) = 1
-    of the split level space is checked once; after it, as zeta_p has order
-    p, A_ij = zeta_p^(i j) holds exactly when -i pQ(mu_{1,j}) = i j (mod p),
-    so each integer congruence is the CyclotomicNumber equality it replaces.
+    Each entry is p times the one-term Weil value of a coset section (see
+    the module docstring): A_ij = p gamma vol(L) zeta_p^(-i pQ(mu_{1,j})).
+    The rational scalar p gamma vol(L) = 1 of the split level space is
+    checked once; after it, as zeta_p has order p, A_ij = zeta_p^(i j)
+    holds exactly when -i pQ(mu_{1,j}) = i j (mod p).
     """
     sp1 = split_level_space(p)
     scale = p * sp1.gamma * sp1.vol
@@ -215,28 +218,27 @@ def verify_basis_lemma(p: int) -> bool:
 
     On the transversal {1, w n(i)} the sections lambda(phi0), lambda(phi_{1,j})
     form a block-triangular matrix: column g = 1 is (c, 0, ..., 0) with
-    c != 0, and the remaining p x p block is A^T / p for the checked DFT
-    matrix A, so the matrix is invertible.
+    c = phi0(0) != 0, and the remaining p x p block is A^T / p for the
+    checked DFT matrix A, so the matrix is invertible.  Every nonzero coset
+    section is 0 at g = 1, and at w n(i) its one-term Weil value is named
+    by its table entry pQ(mu_{a,b}); so the values depend only on ab mod p
+    exactly when the table entries do.
     """
     try:
         _dft_matrix(p)
     except ArithmeticError:
         return False
-    sp0 = split_maximal_space(p)
     sp1 = split_level_space(p)
-    if lambda_eval(char_lattice(sp0), None) == 0:
+    if lambda_eval(char_lattice(split_maximal_space(p)), None) == 0:
         return False
-    if any(lambda_eval(coset_char(sp1, 1, j), None) != 0 for j in range(p)):
-        return False
-    transversal = [None] + list(range(p))
-    values = {}
+    entries = {}
     for a in range(p):
         for b in range(p):
             if (a, b) == (0, 0):
                 continue
-            vals = tuple(lambda_eval(coset_char(sp1, a, b), g)
-                         for g in transversal)
-            if values.setdefault((a * b) % p, vals) != vals:
+            if lambda_eval(coset_char(sp1, a, b), None) != 0:
+                return False
+            if entries.setdefault(a * b % p, sp1.table[a][b]) != sp1.table[a][b]:
                 return False
     return True
 
@@ -252,11 +254,11 @@ def match_coefficients(p: int, k: int, l: int):
     exactly, row by row, certifies x as its unique solution.
 
     Row i reads A_id = t_i = -p lambda(phi_kl)(w n(i)), and the right side is
-    the one term -p gamma vol(L) zeta_p^(-i pQ(mu_kl)) of `lambda_eval`.  The
-    scalar -p gamma vol(L) = 1 of the ramified space is checked once; after
-    it, as zeta_p has order p, the row holds exactly when i d = -i pQ(mu_kl)
-    (mod p), so each integer congruence is the CyclotomicNumber equality it
-    replaces.
+    -p times the one-term Weil value of the coset section (see the module
+    docstring), -p gamma vol(L) zeta_p^(-i pQ(mu_kl)).  The rational scalar
+    -p gamma vol(L) = 1 of the ramified space is checked once; after it, as
+    zeta_p has order p, the row holds exactly when i d = -i pQ(mu_kl)
+    (mod p).
     """
     if (k % p, l % p) == (0, 0):
         raise ValueError("the zero coset has no matching of this shape")

@@ -3,13 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quatmatch.exactnum import (
-    OO,
-    CyclotomicNumber,
-    hilbert_symbol,
-    legendre_symbol,
-    zeta,
-)
+from quatmatch.exactnum import OO, hilbert_symbol, legendre_symbol
+
+from cyclotomic import CyclotomicNumber, zeta
 
 
 PRIMES = (2, 3, 5, 7, 11, 13)

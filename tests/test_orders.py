@@ -71,6 +71,19 @@ def test_maximal_orders_certificates(d, target):
     assert _even_integral(order)
 
 
+@pytest.mark.parametrize("d,pair", [(1009, (-11, -1009)), (2018, (11, 2018)),
+                                    (6054, (-13, -6054)), (10007, (-1, -10007))])
+def test_maximal_order_for_a_prime_above_the_search_bound(d, pair):
+    # no pair with |a|, |b| <= 1000 ramifies at a prime above 1000: the
+    # constants come from b = -D (definite) or b = +-D (indefinite)
+    alg = construct_algebra(d)
+    assert (alg.a, alg.b) == pair and alg.discriminant == d
+    order = maximal_order(alg)
+    assert abs(order.gram_det()) == d * d
+    assert order.is_order()
+    assert _even_integral(order)
+
+
 def test_dual_examples():
     alg = construct_algebra(2)
     order = maximal_order(alg)

@@ -435,14 +435,21 @@ def test_package_root_is_bare():
     assert set(names) - module_attrs == {"__version__"}
 
 
-def test_src_imports_stdlib_only():
+def _src_trees():
+    """(file name, AST) for every module of the package."""
     package = os.path.dirname(os.path.abspath(vc.__file__))
-    checked = 0
+    trees = []
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                trees.append((name, ast.parse(fh.read(), name)))
+    assert trees
+    return trees
+
+
+def test_src_imports_stdlib_only():
+    checked = 0
+    for name, tree in _src_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 tops = [alias.name.partition(".")[0] for alias in node.names]
@@ -458,14 +465,27 @@ def test_src_imports_stdlib_only():
 
 def test_src_has_no_assert():
     # `python -O` strips asserts, so no certificate may rest on one
-    package = os.path.dirname(os.path.abspath(vc.__file__))
-    checked = 0
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _src_trees():
         for node in ast.walk(tree):
             assert not isinstance(node, ast.Assert), (name, node.lineno)
-        checked += 1
-    assert checked > 0
+
+
+def test_src_has_no_cyclotomic_field():
+    # the package computes over Q: values of Q(zeta_p) live in the tests'
+    # reference, and no module defines or imports the field or its roots
+    banned = {"CyclotomicNumber", "zeta"}
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                found = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = {part for alias in node.names
+                         for part in (alias.name.rpartition(".")[2], alias.asname)}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found = {t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)}
+            else:
+                continue
+            assert not found & banned, (name, node.lineno, found & banned)

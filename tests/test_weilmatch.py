@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from quatmatch import verifycli, weilmatch
-from quatmatch.exactnum import CyclotomicNumber, zeta
 from quatmatch.quatalg import RamifiedModel, ramified_model
 from quatmatch.weilmatch import (
     char_dual,
@@ -22,6 +21,7 @@ from quatmatch.weilmatch import (
     verify_prop_3_1,
 )
 
+from cyclotomic import zeta
 from weil_reference import (
     SchwartzCombo,
     act,
@@ -29,6 +29,7 @@ from weil_reference import (
     level_form,
     ramified_form,
     reference_lambda,
+    table_lambda,
     verify_k_invariance,
     weil_act,
 )
@@ -86,7 +87,20 @@ def test_standard_lambda_values():
         assert lambda_eval(char_dual(sp1), 0) == p
 
 
+def test_lambda_eval_is_rational_on_1_and_w_only():
+    for p in (2, 3, 5):
+        for phi in (char_lattice(ramified_space(p)), char_dual(split_level_space(p)),
+                    coset_char(split_level_space(p), 1, 1)):
+            for b in (None, 0):
+                assert type(lambda_eval(phi, b)) is Fraction
+            for b in (1, -1, p):
+                with pytest.raises(ValueError, match="on {1, w} only"):
+                    lambda_eval(phi, b)
+
+
 def test_coset_lambda_values():
+    # the one-term values read off the tables are the closed forms the DFT
+    # and A x = t certificates check, and the reference action gives them
     for p in (2, 3, 5):
         sp1 = split_level_space(p)
         ra = ramified_space(p)
@@ -98,30 +112,33 @@ def test_coset_lambda_values():
                 phi = coset_char(sp1, a, b)
                 assert lambda_eval(phi, None) == 0
                 for i in range(p):
-                    assert lambda_eval(phi, i) == \
-                        zeta(p, a * b * i % p) * Fraction(1, p)
+                    want = zeta(p, a * b * i % p) * Fraction(1, p)
+                    assert table_lambda(phi, i) == want
+                    assert reference_lambda(phi, (("w",), ("n", i))) == want
                 phi_ra = coset_char(ra, a, b)
                 d = model.d_value(a, b)
                 for i in range(p):
-                    assert lambda_eval(phi_ra, i) == \
-                        zeta(p, i * d % p) * Fraction(-1, p)
+                    want = zeta(p, i * d % p) * Fraction(-1, p)
+                    assert table_lambda(phi_ra, i) == want
+                    assert reference_lambda(phi_ra, (("w",), ("n", i))) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_lambda_eval_matches_reference_action(p):
-    # the closed character sum on {1, w n(i)} is the full group action read at 0,
-    # on the five Prop. 3.1 sections and on every coset section
+    # the full group action read at 0 is lambda_eval on {1, w} and the table's
+    # one-term sum at every w n(i), on the five Prop. 3.1 sections and on
+    # every coset section
     ra = ramified_space(p)
     sp1 = split_level_space(p)
     sections = [char_lattice(ra), char_dual(ra), char_lattice(split_maximal_space(p)),
                 char_lattice(sp1), char_dual(sp1)]
     sections += [coset_char(space, a, b) for space in (sp1, ra)
                  for a in range(p) for b in range(p) if (a, b) != (0, 0)]
-    words = [((), None), ((("w",),), 0)]
-    words += [((("w",), ("n", i)), i) for i in range(p)]
     for phi in sections:
-        for g, b in words:
-            assert reference_lambda(phi, g) == lambda_eval(phi, b)
+        assert reference_lambda(phi, ()) == lambda_eval(phi, None)
+        assert reference_lambda(phi, (("w",),)) == lambda_eval(phi, 0)
+        for i in range(p):
+            assert reference_lambda(phi, (("w",), ("n", i))) == table_lambda(phi, i)
 
 
 def test_coset_char_reduces_before_checking():
@@ -139,8 +156,9 @@ def test_lambda_bruteforce_cross_check():
             sections = [char_lattice(space), char_dual(space),
                         coset_char(space, 1, 0), coset_char(space, 1, 1)]
             for phi in sections:
+                assert lambda_eval_bruteforce(phi, form, 0) == lambda_eval(phi, 0)
                 for i in range(p):
-                    assert lambda_eval_bruteforce(phi, form, i) == lambda_eval(phi, i)
+                    assert lambda_eval_bruteforce(phi, form, i) == table_lambda(phi, i)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -242,15 +260,13 @@ def test_match_coefficients(p):
             d = model.d_value(k, l) % p
             assert coeffs[d] == -1
             assert sum(1 for c in coeffs if c) == 1
-            # the matching identity holds on the whole transversal, g = 1 included
+            # the matching identity holds under the reference action on the
+            # whole transversal {1, w n(i)}, g = 1 included
             phi_ra = coset_char(ra, k, l)
-            for g in [None] + list(range(p)):
-                lhs = lambda_eval(phi_ra, g)
-                rhs = CyclotomicNumber.from_rational(0)
-                for j, cj in enumerate(coeffs):
-                    if cj:
-                        rhs = rhs + lambda_eval(coset_char(sp1, 1, j), g) * cj
-                assert lhs == rhs
+            for g in [()] + [(("w",), ("n", i)) for i in range(p)]:
+                rhs = sum(reference_lambda(coset_char(sp1, 1, j), g) * cj
+                          for j, cj in enumerate(coeffs) if cj)
+                assert reference_lambda(phi_ra, g) == rhs
 
 
 class _ShiftedResidue(RamifiedModel):
@@ -342,6 +358,14 @@ def test_changed_table_entry_is_rejected(p, monkeypatch, fresh_dft):
                         match_coefficients(p, *label)
                 else:
                     match_coefficients(p, *label)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_basis_lemma_rejects_a_changed_entry_off_row_1(p, monkeypatch, fresh_dft):
+    # the DFT check reads row 1 of the split level table only; an entry of
+    # row 2 that no longer depends on ab mod p alone fails the basis lemma
+    _shift_entry(monkeypatch, "split_level_space", 2, 1)
+    assert not verify_basis_lemma(p)
 
 
 def test_match_coefficients_rejects_zero_coset():

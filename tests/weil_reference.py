@@ -1,7 +1,8 @@
 """Reference checks for the local Weil layer, independent of `lambda_eval`.
 
-`weilmatch` evaluates lambda(phi) only on the transversal {1, w n(b)}.
-Here the group acts on Schwartz functions themselves:
+`weilmatch` evaluates lambda(phi) only on {1, w}, where it is rational, and
+reads the values at w n(b) as integer exponents mod p.  Here the group acts
+on Schwartz functions themselves:
 
 `SchwartzCombo` is a combination of coset indicators with coefficients in
 Q(zeta_p), and `weil_act` applies the generators
@@ -13,7 +14,10 @@ with the Fourier kernel psi(B(nu, mu)), B(nu, mu) = Q(nu + mu) - Q(nu) - Q(mu).
 `act` extends `weil_act` by the words m(a) and n_-(c), and
 `verify_k_invariance` uses it to check that every listed generator of a
 level subgroup fixes a section.  `reference_lambda` reads a word's action
-at 0, the value `lambda_eval` is checked against.
+at 0, the value `lambda_eval` is checked against on {1, w}.
+`table_lambda` is lambda(phi)(w n(i)) read off the discriminant table, one
+term gamma * vol(L) * zeta_p^(-i pQ(mu)) per coset: the value whose scalar
+and exponents the DFT and A x = t certificates read.
 
 `Form4` is a local lattice written out in Z_p^4 coordinates: a 4x4 Gram
 matrix and the two generators of L_dual/L.  `level_form` and
@@ -28,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from quatmatch.exactnum import CyclotomicNumber, zeta
 from quatmatch.quatalg import ramified_model
 from quatmatch.weilmatch import LocalQuadSpace, Section
+
+from cyclotomic import CyclotomicNumber, zeta
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
@@ -151,6 +156,15 @@ def lambda_eval_bruteforce(section: Section, form: Form4,
                         coset_sum = coset_sum + zeta(y.denominator, -y.numerator)
         total = total + coset_sum
     return total * Fraction(section.space.gamma, p) * Fraction(1, p ** 4)
+
+
+def table_lambda(section: Section, i: int) -> CyclotomicNumber:
+    """lambda(phi)(w n(i)) = gamma vol(L) sum_mu phi(mu) zeta_p^(-i pQ(mu)),
+    each coset's term read off `space.table`."""
+    space = section.space
+    return CyclotomicNumber(space.p, [(-i * space.table[a][b],
+                                       space.gamma * space.vol)
+                                      for a, b in section.labels])
 
 
 def act(word, combo: SchwartzCombo) -> SchwartzCombo:

@@ -235,10 +235,6 @@ class IdealClassSet:
     def class_number(self) -> int:
         return len(self.representatives)
 
-    def __repr__(self):
-        return ("IdealClassSet(D=%d, N=%d, H=%d, weights=%r)"
-                % (self.D, self.N, self.class_number, self.weights))
-
 
 def ideal_class_set(order: OrderLattice, traversal_prime=None) -> IdealClassSet:
     """Enumerate the right-ideal classes of a definite Eichler order.

@@ -14,9 +14,10 @@ an orbit count in the local order O of the pattern (M_2(Z_p), the Iwahori
 order, the maximal order of the division algebra) reduced mod p^M, proved
 by the class equation with no element sampled; the proof is the comment
 block above the oracles.  The three patterns share one path.  A pattern
-supplies its order's multiplication, reduced norm, membership test and
-Z-basis, its numbers of unit and of nonzero nonunit residues mod p, and its
-candidate representatives.
+supplies its order's reduced norm, membership test, Z-basis and Hermite
+form of a principal right ideal (the ramified order also its product, which
+that form reads), its numbers of unit and of nonzero nonunit residues mod
+p, and its candidate representatives.
 
 `volume` is the exact rational -D*N/12 * prod_{p|N}(1+1/p) * prod_{p|D}(1-1/p),
 and the normalised coefficient of the correspondence is r' = (deg over the
@@ -42,7 +43,7 @@ from typing import Callable, NamedTuple
 from .classsets import mass_formula
 from .exactnum import (is_prime, is_squarefree, prime_factors,
                        prime_power_factors)
-from .matrices import hnf_rows
+from .matrices import hnf2, hnf_rows
 from .quatalg import ramified_model
 
 
@@ -160,6 +161,17 @@ def degree_column(D: int, N: int, m_max: int) -> list:
 # fixed by its p-adic completion c*O_p.  Its Hermite normal form, which is
 # unique, names c*O_p.  So candidates with distinct forms are pairwise
 # inequivalent over Z_p: one form per candidate, no pair test, and no M.
+# The matrix orders read the form by columns.  There O is the y in M_2(Z)
+# with y21 in q*Z, q = 1 (split) or p (level): the columns of y run
+# independently over L1 = Z + q*Z and L2 = Z^2, so c*O is the x whose first
+# column lies in c*L1 and whose second lies in c*L2.  In the Z-basis e11,
+# e12, q*e21, e22 the form of c*O therefore interleaves the 2x2 forms
+# (a0, a1; 0, a3) of c*L1, in the basis e1, q*e2, and (b0, b1; 0, b3) of
+# c*L2: its rows (a0, 0, a1, 0), (0, b0, 0, b1), (0, 0, a3, 0) and
+# (0, 0, 0, b3) have positive pivots on the diagonal and each entry above
+# a pivot reduced, so they are the unique form.  For split, c*L1 = c*L2.
+# The ramified order's form is the HNF of the four rows c*b for its
+# Z-basis b.
 # In (ii), Stab_M(c) = {1 + y : c*y = 0 in O/p^M O}.  Such a y has
 # nrd(c)*y = conj(c)*c*y in p^M*O, so y lies in p^(M-k)*O; with M >= k + 1
 # that puts nrd(1 + y) = 1 + tr(y) + nrd(y) in 1 + p*Z_p, so 1 + y is a
@@ -180,25 +192,46 @@ def degree_column(D: int, N: int, m_max: int) -> list:
 
 
 class _LocalOrder(NamedTuple):
-    mul: Callable
     nrd: Callable
     member: Callable
     scale: tuple  # the order's Z-basis: scale[i] * e_i in flat coordinates
+    form: Callable  # (order, c) -> the form `_right_ideal` of c*O
     # the unit and the nonzero nonunit residues mod p, in flat coordinates
     units: int
     singular: int
     inner: object = None  # the order of x' for x = p*x' (None: this one)
     # pi^2 = p, so a nonzero nonunit residue lifts only to v_p(nrd) = 1
     pi_squared_is_p: bool = False
+    # the product `_rows_form` reads; None for the matrix orders, whose
+    # forms are read by columns with no product taken
+    mul: Callable = None
 
 
 def _det2(x):
     return x[0] * x[3] - x[1] * x[2]
 
 
-def _mul2(x, y):
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+def _rows_form(order, c):
+    """The form of the four rows c*b, for b the ramified order's Z-basis,
+    the unit vectors of its flat coordinates."""
+    rows = [order.mul(c, b) for b in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                      (0, 0, 1, 0), (0, 0, 0, 1))]
+    return tuple([v for row in hnf_rows(rows) for v in row])
+
+
+def _split_form(order, c):
+    """The form of c*O from the one 2x2 form of c*Z^2, both columns."""
+    g, x, h = hnf2(c[0], c[2], c[1], c[3])
+    return (g, 0, x, 0, 0, g, 0, x, 0, 0, h, 0, 0, 0, 0, h)
+
+
+def _level_form(order, c):
+    """The form of c*O from the 2x2 forms of its first column c*(Z + p*Z),
+    in the basis e1, p*e2, and of its second, c*Z^2."""
+    p = order.scale[2]
+    a0, a1, a3 = hnf2(c[0], c[2] // p, p * c[1], c[3])
+    b0, b1, b3 = hnf2(c[0], c[2], c[1], c[3])
+    return (a0, 0, a1, 0, 0, b0, 0, b1, 0, 0, a3, 0, 0, 0, 0, b3)
 
 
 @lru_cache(maxsize=None)
@@ -208,17 +241,17 @@ def _local_order(pattern: str, p: int) -> _LocalOrder:
     if pattern == "ramified":
         # the nonunits mod p are pi*O/p*O, the p^2 residues of pi*(a + b*u)
         model = ramified_model(p)
-        return _LocalOrder(model.mul, model.nrd, lambda x: True,
-                           (1, 1, 1, 1), p ** 4 - p * p, p * p - 1,
-                           pi_squared_is_p=True)
+        return _LocalOrder(model.nrd, lambda x: True, (1, 1, 1, 1),
+                           _rows_form, p ** 4 - p * p, p * p - 1,
+                           pi_squared_is_p=True, mul=model.mul)
     if pattern == "level":
         units = (p - 1) ** 2 * p  # x0, x3 nonzero, x1 free, x2 = 0
-        return _LocalOrder(_mul2, _det2, lambda x: x[2] % p == 0,
-                           (1, 1, p, 1), units, p ** 3 - 1 - units,
-                           _local_order("split", p))
+        return _LocalOrder(_det2, lambda x: x[2] % p == 0,
+                           (1, 1, p, 1), _level_form, units,
+                           p ** 3 - 1 - units, _local_order("split", p))
     units = (p * p - 1) * (p * p - p)  # |GL_2(F_p)|
-    return _LocalOrder(_mul2, _det2, lambda x: True, (1, 1, 1, 1),
-                       units, p ** 4 - 1 - units)
+    return _LocalOrder(_det2, lambda x: True, (1, 1, 1, 1),
+                       _split_form, units, p ** 4 - 1 - units)
 
 
 def _pi_power(p: int, k: int):
@@ -243,22 +276,18 @@ def _candidates(pattern: str, p: int, k: int):
 
 
 def _right_ideal(order, c):
-    """The Hermite normal form of c*O in the order's Z-basis, of a row c*b
-    for each basis element b, as one flat tuple; c is a member of O with
-    nrd(c) != 0.
+    """The Hermite normal form of c*O in the order's Z-basis, as one flat
+    tuple; c is a member of O with nrd(c) != 0.  It is computed from c: two
+    2x2 forms, one per column, for a split or level c (for split one form
+    serves both), and four rows c*b for the ramified order; the comment
+    block above proves the column forms exact.
 
     It has full rank, so row i has its pivot in column i and the pivots are
     h[::5]; their product is the index of c*O in O.  For nrd(c) = +-p^k the
     form names the right ideal c*O_p and the index is |Stab_M(c)| for every
     M >= k, by (i) and (ii) of the comment block above.
     """
-    s = order.scale
-    rows = []
-    for i, d in enumerate(s):
-        b = [0, 0, 0, 0]
-        b[i] = d
-        rows.append([v // e for v, e in zip(order.mul(c, b), s)])
-    return tuple([v for row in hnf_rows(rows) for v in row])
+    return order.form(order, c)
 
 
 @lru_cache(maxsize=None)
@@ -284,13 +313,13 @@ def _certify(pattern: str, p: int, k: int, cands: tuple) -> tuple:
                 "has nrd %d, want a member with nrd = +-%d"
                 % (pattern, p, k, c, n, pk))
         form = _right_ideal(order, c)
-        # c*O contains p^k*Z^4, so each entry lies in [0, p^k] and the form
-        # is the digits of one int in base p^k + 1; a dict of int keys,
-        # unlike one of 16-tuples, leaves no tuples on CPython's free list
-        # when it is freed
+        # c*O contains p^k*Z^4, so each entry lies in [0, p^k]; the form is
+        # 0 below its diagonal, and its upper triangle is the digits of one
+        # int in base p^k + 1.  A dict of int keys, unlike one of tuples,
+        # leaves no tuples on CPython's free list when it is freed
         ideal = 0
-        for v in form:
-            ideal = ideal * (pk + 1) + v
+        for i in (0, 1, 2, 3, 5, 6, 7, 10, 11, 15):
+            ideal = ideal * (pk + 1) + form[i]
         if ideal in ideals:
             raise ArithmeticError(
                 "candidates %r and %r are equivalent" % (ideals[ideal], c))

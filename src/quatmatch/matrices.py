@@ -44,6 +44,24 @@ def hnf_rows(rows):
     return [r for r in mat[:top]]
 
 
+def hnf2(a, b, c, d):
+    """`hnf_rows` of the rows (a, b), (c, d) of nonzero determinant, as the
+    pivots and the entry above the second: (g, x, h) for the form
+    (g, x; 0, h), with g = gcd(a, c), h = |ad - bc| / g and x in [0, h).
+
+    Euclid's loop on the first column swaps the rows and subtracts a
+    multiple of one from the other, so the rows keep spanning the lattice
+    and |det| is kept; it ends with (+-g, y), (0, +-h).
+    """
+    while c:
+        q = a // c
+        a, b, c, d = c, d, a - q * c, b - q * d
+    if a < 0:
+        a, b = -a, -b
+    h = abs(d)
+    return a, b % h, h
+
+
 def congruence_kernel(vectors, modulus):
     """Basis of {c in Z^4 : sum_i c_i * v[i] == 0 (mod modulus) for each v}.
 

@@ -49,9 +49,6 @@ class QuaternionAlgebra:
     def is_definite(self) -> bool:
         return _ram_cache(self.a, self.b)[1]
 
-    def __repr__(self):
-        return "QuaternionAlgebra(a=%d, b=%d)" % (self.a, self.b)
-
 
 @lru_cache(maxsize=None)
 def _ram_cache(a, b):

@@ -110,14 +110,6 @@ def char_dual(space: LocalQuadSpace) -> Section:
     return Section(space, tuple(space.labels()))
 
 
-def coset_char(space: LocalQuadSpace, i: int, j: int) -> Section:
-    """char(mu_{i,j} + L), for the label (i, j) read mod p."""
-    label = (i % space.p, j % space.p)
-    if len(space.table) == 1 and label != (0, 0):
-        raise ValueError("self-dual lattice has only the zero coset")
-    return Section(space, (label,))
-
-
 def lambda_eval(phi: Section, b) -> Fraction:
     """lambda(phi)(g) = (omega(g) phi)(0) at g = 1 for b = None, and at
     g = w = w n(0) for b = 0; ValueError for any other b.
@@ -211,36 +203,6 @@ def _dft_matrix(p: int):
                     "lambda block is not the DFT matrix at (%d, %d): zeta_%d^%d"
                     % (i, j, p, exponents[i][j]))
     return exponents
-
-
-def verify_basis_lemma(p: int) -> bool:
-    """The p+1 sections are a basis and coset sections depend only on ab mod p.
-
-    On the transversal {1, w n(i)} the sections lambda(phi0), lambda(phi_{1,j})
-    form a block-triangular matrix: column g = 1 is (c, 0, ..., 0) with
-    c = phi0(0) != 0, and the remaining p x p block is A^T / p for the
-    checked DFT matrix A, so the matrix is invertible.  Every nonzero coset
-    section is 0 at g = 1, and at w n(i) its one-term Weil value is named
-    by its table entry pQ(mu_{a,b}); so the values depend only on ab mod p
-    exactly when the table entries do.
-    """
-    try:
-        _dft_matrix(p)
-    except ArithmeticError:
-        return False
-    sp1 = split_level_space(p)
-    if lambda_eval(char_lattice(split_maximal_space(p)), None) == 0:
-        return False
-    entries = {}
-    for a in range(p):
-        for b in range(p):
-            if (a, b) == (0, 0):
-                continue
-            if lambda_eval(coset_char(sp1, a, b), None) != 0:
-                return False
-            if entries.setdefault(a * b % p, sp1.table[a][b]) != sp1.table[a][b]:
-                return False
-    return True
 
 
 def match_coefficients(p: int, k: int, l: int):

@@ -214,6 +214,19 @@ def test_oracle_guards():
             oracle_local_orbits("split", p, 1, 3)
 
 
+def _mul2(x, y):
+    """The product of 2x2 matrices in flat coordinates (x11, x12, x21, x22)."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _mul(order):
+    """The order's product in flat coordinates: the ramified model's, which
+    the order carries, or the matrix product, which `heckedeg` never takes
+    (it reads the matrix orders' forms by columns)."""
+    return order.mul or _mul2
+
+
 def _unit(order, p):
     """The first unit of the order mod p, in product order, other than 1."""
     return next(g for g in itertools.product(range(p), repeat=4)
@@ -252,12 +265,13 @@ _MUTATIONS = {
     # where the reduction mod p^M moves its nrd off +-p^k (ramified, odd k)
     # the member/norm check catches it first
     "translated-duplicate": (lambda cands, order, p, M: cands + [
-        tuple(v % p ** M for v in order.mul(cands[-1], _unit(order, p)))],
+        tuple(v % p ** M for v in _mul(order)(cands[-1], _unit(order, p)))],
         None),
     # c * g for a unit g != +-1 of nrd +-1, not reduced: nrd +-p^k, and the
     # right ideal of c
     "unit-multiple": (lambda cands, order, p, M: cands + [
-        order.mul(cands[-1], _unit_of_norm_one(order, p))], "are equivalent"),
+        _mul(order)(cands[-1], _unit_of_norm_one(order, p))],
+        "are equivalent"),
 }
 
 
@@ -357,7 +371,7 @@ def _form_mod(order, x, q):
     """The Hermite normal form of x*O + q*O in the order's Z-basis, of the
     rows of q*I and a row x*b mod q for each basis element b, as one flat
     tuple, for any member x: the reference `heckedeg._right_ideal` is
-    checked against on the candidates, where x*O contains q*O at q = p^k.
+    checked against where x*O contains q*O, as at q = |nrd(x)|.
     Its pivots, h[::5], multiply to the index of x*O + q*O in O, the number
     of y in O/qO with x*y in qO."""
     s = order.scale
@@ -365,7 +379,7 @@ def _form_mod(order, x, q):
     for i, d in enumerate(s):
         b = [0, 0, 0, 0]
         b[i] = d
-        rows.append([v // e % q for v, e in zip(order.mul(x, b), s)])
+        rows.append([v // e % q for v, e in zip(_mul(order)(x, b), s)])
     return tuple([v for row in hnf_rows(rows) for v in row])
 
 
@@ -385,6 +399,26 @@ def test_right_ideal_is_the_form_mod_p_k():
                 _form_mod(order, c, p ** k), (pattern, p, k, c)
 
 
+@pytest.mark.parametrize("pattern", ["split", "level", "ramified"])
+def test_right_ideal_off_the_candidates(pattern):
+    # any member c of nrd n != 0 has c*O containing n*O = c*conj(c)*O, so its
+    # form is the form mod |n|: the column forms hold off the candidates'
+    # shapes, at any nrd and either sign
+    rng = random.Random(37)
+    for p in (2, 3, 5, 7, 11):
+        order = heckedeg._local_order(pattern, p)
+        signs = set()
+        for _ in range(60):
+            c = tuple(d * rng.randint(-40, 40) for d in order.scale)
+            n = order.nrd(c)
+            if n == 0:
+                continue
+            signs.add(n > 0)
+            assert heckedeg._right_ideal(order, c) == \
+                _form_mod(order, c, abs(n)), (pattern, p, c)
+        assert signs == {True, False}, (pattern, p)
+
+
 def _conj(pattern, p, x):
     """The standard involution: the adjugate of a matrix, and in the flat
     coordinates of `ramified_model(p)`, (a1 + t*a2, -a2, -b1, -b2)."""
@@ -402,7 +436,7 @@ def _equivalent_mod(pattern, p, k, M, x, y):
     if valuation(n, p) != k:
         return False
     pk, mod = p ** k, p ** (M - k)
-    num = order.mul(_conj(pattern, p, x), y)
+    num = _mul(order)(_conj(pattern, p, x), y)
     if any(v % pk for v in num):
         return False
     uinv = pow(n // pk % mod, -1, mod)
@@ -424,7 +458,7 @@ def test_right_ideal_decides_equivalence():
         cands = heckedeg._candidates(pattern, p, k)
         for c, d in itertools.zip_longest(cands, cands[1:]):
             form = _form_mod(order, c, p ** k)
-            cu, cs = (tuple(v % p ** M for v in order.mul(c, g))
+            cu, cs = (tuple(v % p ** M for v in _mul(order)(c, g))
                       for g in (u, s))
             assert _equivalent_mod(pattern, p, k, M, c, cu)
             assert _form_mod(order, cu, p ** k) == form, (
@@ -463,7 +497,7 @@ def _kernel_by_count(order, c, p, M):
             for b in range(0, mods[i + 1], order.scale[i + 1]):
                 y = [0, 0, 0, 0]
                 y[i], y[i + 1] = a, b
-                out[tuple(v % m for v, m in zip(order.mul(c, y), mods))] += 1
+                out[tuple(v % m for v, m in zip(_mul(order)(c, y), mods))] += 1
         return out
 
     first, second = products(0), products(2)
@@ -488,7 +522,7 @@ def test_stabilizer_is_the_kernel_count(pattern):
             deep = (heckedeg._pi_power(p, 2 * M + 1) if pattern == "ramified"
                     else (p ** (M + 1), 0, 0, 1))
             elements = [(0, 0, 0, 0), tuple(q * v for v in member()), deep,
-                        order.mul(deep, member())]
+                        _mul(order)(deep, member())]
             elements += [member() for _ in range(4)]
             elements += [tuple(p ** rng.randrange(M + 2) * v for v in member())
                          for _ in range(4)]
@@ -545,7 +579,7 @@ def test_panel_coverage(pattern, p, k, M):
              rng.randrange(q))
         if pattern == "ramified":
             if order.nrd(x) % p:
-                panel.append(tuple(v % q for v in order.mul(x, cands[0])))
+                panel.append(tuple(v % q for v in _mul(order)(x, cands[0])))
         elif valuation(order.nrd(x), p) == k:
             panel.append(x)
     for x in panel:
@@ -595,7 +629,7 @@ def test_count_is_the_enumerated_number(pattern, p):
 def _right(order, g, mods):
     """x -> x*g on flat tuples, each coordinate reduced mod its entry of
     `mods`: the matrix of the Z-linear map, with rows e_i*g."""
-    rows = [order.mul(e, g) for e in ((1, 0, 0, 0), (0, 1, 0, 0),
+    rows = [_mul(order)(e, g) for e in ((1, 0, 0, 0), (0, 1, 0, 0),
                                       (0, 0, 1, 0), (0, 0, 0, 1))]
     (r00, r01, r02, r03), (r10, r11, r12, r13), \
         (r20, r21, r22, r23), (r30, r31, r32, r33) = rows

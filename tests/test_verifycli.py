@@ -489,3 +489,80 @@ def test_src_has_no_cyclotomic_field():
             else:
                 continue
             assert not found & banned, (name, node.lineno, found & banned)
+
+
+# Commands that between them enter every function of the package: the
+# default grid, one case through every `verify` flag (its reports as csv),
+# the two other report formats, and each other subcommand, `certify` once
+# per pattern.
+_REACH_COMMANDS = [
+    ["verify", "--theorem", "all"],
+    ["verify", "--theorem", "1.3", "--D", "2", "--p", "3", "--q", "5",
+     "--N", "1", "--m-max", "10", "--pin", "1:3", "--format", "csv",
+     "--out-dir", "OUT"],
+    ["verify", "--theorem", "1.4", "--D", "2", "--p", "3", "--m-max", "20"],
+    ["verify", "--theorem", "1.5", "--D", "10", "--p", "3", "--m-max", "12",
+     "--format", "json"],
+    ["classset", "--D", "5", "--N", "12"],
+    ["local", "--p", "5"],
+    ["degree", "--D", "6", "--N", "5", "--m", "12"],
+] + [["certify", "--pattern", pattern, "--p", "3", "--k", "2", "--M", "4"]
+     for pattern in ("split", "level", "ramified")]
+
+# runs the commands under sys.setprofile in a fresh interpreter, so that no
+# cache another test filled hides a call, and prints the exit codes and the
+# (file, first line) of every code object entered
+_REACH_PROBE = """
+import contextlib, io, json, sys
+from quatmatch import verifycli
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+codes = []
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(verifycli.main(argv))
+sys.setprofile(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+
+def test_every_src_function_is_entered(tmp_path):
+    # A function of the package that none of the commands enters is dead,
+    # or wants a command above that reaches it (an error path too); there
+    # is no allowlist.  Required are the functions and lambdas written in
+    # the package, each named by its file and the first line of its code,
+    # which for a decorated def is its first decorator's.  So the members
+    # a dataclass or NamedTuple generates (__init__, __repr__, __eq__,
+    # __new__, ...) are exempt: they have no def in the source, and their
+    # code, compiled from a string, names no file of the package.
+    package = os.path.dirname(os.path.abspath(vc.__file__))
+    argv = [[str(tmp_path) if a == "OUT" else a for a in cmd]
+            for cmd in _REACH_COMMANDS]
+    src = os.path.dirname(package)
+    out = subprocess.run([sys.executable, "-c", _REACH_PROBE, json.dumps(argv)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60, check=True).stdout
+    codes, entered = json.loads(out)
+    assert codes == [0] * len(argv)
+    entered = {tuple(key) for key in entered}
+    required, missed = 0, []
+    for name, tree in _src_trees():
+        path = os.path.join(package, name)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            first = min([node.lineno] + [d.lineno for d in
+                                         getattr(node, "decorator_list", [])])
+            required += 1
+            if (path, first) not in entered:
+                missed.append((name, node.lineno,
+                               getattr(node, "name", "<lambda>")))
+    assert required > 100
+    assert not missed

@@ -9,7 +9,6 @@ from quatmatch.quatalg import RamifiedModel, ramified_model
 from quatmatch.weilmatch import (
     char_dual,
     char_lattice,
-    coset_char,
     lambda_eval,
     lambda_table_text,
     match_coefficients,
@@ -17,7 +16,6 @@ from quatmatch.weilmatch import (
     ramified_space,
     split_level_space,
     split_maximal_space,
-    verify_basis_lemma,
     verify_prop_3_1,
 )
 
@@ -25,11 +23,13 @@ from cyclotomic import zeta
 from weil_reference import (
     SchwartzCombo,
     act,
+    coset_char,
     lambda_eval_bruteforce,
     level_form,
     ramified_form,
     reference_lambda,
     table_lambda,
+    verify_basis_lemma,
     verify_k_invariance,
     weil_act,
 )

@@ -17,7 +17,9 @@ level subgroup fixes a section.  `reference_lambda` reads a word's action
 at 0, the value `lambda_eval` is checked against on {1, w}.
 `table_lambda` is lambda(phi)(w n(i)) read off the discriminant table, one
 term gamma * vol(L) * zeta_p^(-i pQ(mu)) per coset: the value whose scalar
-and exponents the DFT and A x = t certificates read.
+and exponents the DFT and A x = t certificates read.  `coset_char` is the
+indicator of one coset, and `verify_basis_lemma` checks that the p + 1
+sections char(L0), char(mu_{1,j} + L1) are a basis on {1, w n(i)}.
 
 `Form4` is a local lattice written out in Z_p^4 coordinates: a 4x4 Gram
 matrix and the two generators of L_dual/L.  `level_form` and
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from quatmatch import weilmatch
 from quatmatch.quatalg import ramified_model
 from quatmatch.weilmatch import LocalQuadSpace, Section
 
@@ -165,6 +168,44 @@ def table_lambda(section: Section, i: int) -> CyclotomicNumber:
     return CyclotomicNumber(space.p, [(-i * space.table[a][b],
                                        space.gamma * space.vol)
                                       for a, b in section.labels])
+
+
+def coset_char(space: LocalQuadSpace, i: int, j: int) -> Section:
+    """char(mu_{i,j} + L), for the label (i, j) read mod p."""
+    label = (i % space.p, j % space.p)
+    if len(space.table) == 1 and label != (0, 0):
+        raise ValueError("self-dual lattice has only the zero coset")
+    return Section(space, (label,))
+
+
+def verify_basis_lemma(p: int) -> bool:
+    """The p+1 sections are a basis and coset sections depend only on ab mod p.
+
+    On the transversal {1, w n(i)} the sections lambda(phi0), lambda(phi_{1,j})
+    form a block-triangular matrix: column g = 1 is (1, 0, ..., 0), as
+    phi0 = char(L0) holds the zero coset and no phi_{1,j} does, and the
+    remaining p x p block is A^T / p for the checked DFT matrix A of
+    `weilmatch._dft_matrix`, so the matrix is invertible.  Every nonzero
+    coset section is 0 at g = 1, and at w n(i) its one-term Weil value is
+    named by its table entry pQ(mu_{a,b}); so the values depend only on
+    ab mod p exactly when the table entries do.  The spaces are read
+    through `weilmatch`, so a test that patches one there patches it here.
+    """
+    try:
+        weilmatch._dft_matrix(p)
+    except ArithmeticError:
+        return False
+    sp1 = weilmatch.split_level_space(p)
+    entries = {}
+    for a in range(p):
+        for b in range(p):
+            if (a, b) == (0, 0):
+                continue
+            if weilmatch.lambda_eval(coset_char(sp1, a, b), None) != 0:
+                return False
+            if entries.setdefault(a * b % p, sp1.table[a][b]) != sp1.table[a][b]:
+                return False
+    return True
 
 
 def act(word, combo: SchwartzCombo) -> SchwartzCombo:

@@ -20,10 +20,10 @@ of B(D) has |det| = D^2 and an Eichler order of level N has |det| = (DN)^2.
 `gram` returns it as the integer matrix G read off the HNF, (x, y) = G/den^2,
 and `even_gram(scale)` as the integer even Gram G/(den^2 scale) of
 nrd/scale; the latter is the only integrality certificate of a form.  A
-local splitting is handed out as its bare entry functionals.  An Eichler
-order is one CRT congruence mod N on a maximal order.  Only the constructors
-that know a level set the (D, N) tag: `maximal_order`, `eichler_order` and
-`classsets.RightIdeal.left_order`.
+local splitting reads its idempotent off trd and the even Gram and returns
+its entry functionals.  An Eichler order is one CRT congruence mod N on a
+maximal order.  Only the constructors that know a level set the (D, N) tag:
+`maximal_order`, `eichler_order` and `classsets.RightIdeal.left_order`.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def standard_order(algebra: QuaternionAlgebra) -> OrderLattice:
     return _lattice(algebra, 1, [[int(r == c) for c in range(4)] for r in range(4)])
 
 
-def _multiplicative_closure(algebra, den, rows, max_rounds=24):
+def _multiplicative_closure(algebra, den, rows):
     """Smallest multiplicatively closed lattice containing the integer rows
     over den.
 
@@ -207,7 +207,7 @@ def _multiplicative_closure(algebra, den, rows, max_rounds=24):
     integral on a step (the candidate generates no order).
     """
     lat = _lattice(algebra, den, rows)
-    for _ in range(max_rounds):
+    for _ in range(24):
         merged = lattice_sum(lat, lattice_product(lat, lat))
         if merged == lat:
             return lat
@@ -282,30 +282,30 @@ def local_splitting(order: OrderLattice, p: int, k: int = 1):
 
     Returns the entry functionals f[i][j][s]: the (i, j) matrix entry of
     x = sum_s x_s b_s is sum_s f[i][j][s] x_s mod p^k, so f[1][0] gives the
-    lower-left entry used by the Eichler congruence.  The idempotent is
-    found by exhaustive search mod p (deterministic, lexicographic), lifted
-    by the Newton step e <- 3e^2 - 2e^3, then completed to a matrix-unit
-    frame e_ij with e22 = 1 - e; all sixteen relations are verified, which
-    covers e^2 = e after the lift and e12 e21 = e.
+    lower-left entry used by the Eichler congruence.  By Cayley-Hamilton,
+    x^2 = trd(x) x - nrd(x), so the idempotents mod p other than 0 and 1
+    (those independent of 1) are exactly the x with trd x = 1, nrd x = 0.
+    The HNF is upper triangular, so trd x = trd(b_0) x_0: x_0 is fixed, and
+    the lexicographic scan of (x_1, x_2, x_3) for x E x^T / 2 = 0 mod p
+    (E the even Gram) finds the first idempotent in the order of all p^4
+    residues.  It is lifted by the Newton step e <- 3e^2 - 2e^3 and
+    completed to a matrix-unit frame e_ij, e22 = 1 - e; all sixteen
+    relations are verified, e^2 = e after the lift and e12 e21 = e too.
     """
     if p in order.algebra.ramified_primes:
         raise ValueError("algebra is ramified at %d: no splitting" % p)
+    trd0 = _trd_vector(order)[0]
+    if trd0 % p == 0:
+        raise ArithmeticError("every trace is 0 mod %d: no idempotent of trace 1" % p)
+    x0, gram = pow(trd0, -1, p), order.even_gram()
+    e = next((x for x in ((x0,) + c for c in itertools.product(range(p), repeat=3))
+              if sum(x[r] * gram[r][s] * x[s] for r in range(4) for s in range(4))
+              // 2 % p == 0), None)
+    if e is None:
+        raise ArithmeticError("no nontrivial idempotent mod %d" % p)
     table = multiplication_table(order)
     one = _coordinates(order, (1, 0, 0, 0))
     modulus = p ** k
-
-    e = None
-    for cand in itertools.product(range(p), repeat=4):
-        if not any(cand):
-            continue
-        if all((a - b) % p == 0 for a, b in zip(cand, one)):
-            continue
-        sq = _vec_mul(table, cand, cand, p)
-        if sq == tuple(c % p for c in cand):
-            e = cand
-            break
-    if e is None:
-        raise ArithmeticError("no nontrivial idempotent mod %d" % p)
 
     m = p
     while m < modulus:

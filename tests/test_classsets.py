@@ -423,6 +423,10 @@ CLASSSET_DIGESTS = {
     (7, 12): "0d9a09800de3d4f34f64671643f6c271323039ee1014a1c210f56face44929da",
     (2, 45): "9ff58e8f875167c95aacdf896bd16a46cc95e440daf4a2fee3a80bd735773abb",
     (5, 18): "f4b5f2fe24f8cf718c48866d47ec7a34b78171484947dce84ba3c374eb49d9cc",
+    # a large prime level: local_splitting's trace-and-norm scan at p = 101, 97, 211
+    (2, 101): "fa3cadc884ecca53a4f754f745fb06f6c77b4ee905bc2c6d62dd3e6e53e9a944",
+    (3, 97): "437256059bd8d24f55e85cf957c938f1dfe73d081b4fd3dcc7297eef716ba1bd",
+    (2, 211): "37d121a814df3a6a4d561f224017e84011c7141b14a3e23071823f9f7d0faa92",
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from quatmatch.quatalg import construct_algebra
 from quatmatch.orders import (
     _coordinates,
     _multiplicative_closure,
+    _vec_mul,
     conjugate_lattice,
     eichler_order,
     index_in,
@@ -143,7 +145,6 @@ def test_local_splitting_homomorphism():
     f = local_splitting(omax, 5, 2)
     mod = 25
     random.seed(5)
-    from quatmatch.orders import _vec_mul
     for _ in range(40):
         x = tuple(random.randrange(mod) for _ in range(4))
         y = tuple(random.randrange(mod) for _ in range(4))
@@ -152,6 +153,34 @@ def test_local_splitting_homomorphism():
         prod = [[sum(mx[i][t] * my[t][j] for t in range(2)) % mod
                  for j in range(2)] for i in range(2)]
         assert prod == _matrix(f, xy, mod)
+
+
+def _first_idempotent_by_products(order, p):
+    """The reference search: the lexicographically first of all p^4 residues
+    x mod p, other than 0 and 1, with x*x = x by the multiplication table."""
+    table = multiplication_table(order)
+    one = tuple(c % p for c in coordinates(order, element(order.algebra, 1)))
+    for x in itertools.product(range(p), repeat=4):
+        if any(x) and x != one and _vec_mul(table, x, x, p) == x:
+            return x
+    return None
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 7, 11, 13, 19, 37, 61, 6, 10, 30, 42, 1009])
+def test_trace_norm_scan_finds_the_first_idempotent(D):
+    # the frame's e11 is the scan's idempotent, so the reference idempotent
+    # reads diag(1, 0) exactly when the two searches agree
+    omax = maximal_order(construct_algebra(D))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        if D % p:
+            ref = _first_idempotent_by_products(omax, p)
+            assert _matrix(local_splitting(omax, p), ref, p) == [[1, 0], [0, 0]]
+
+
+def test_local_splitting_needs_an_odd_trace_at_2():
+    # every trace of Z<1, i, j, k> is even, so it has no idempotent of trace 1 mod 2
+    with pytest.raises(ArithmeticError, match="trace"):
+        local_splitting(standard_order(construct_algebra(3)), 2)
 
 
 def test_serialization_roundtrip():
